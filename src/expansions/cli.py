@@ -30,7 +30,8 @@ from .crosscuts import (best_crosscut_pair, complete_forest_to_tree, crosscut_au
 from .extraction import (AugmentedFamily, SetFamily, find_biclique_avoiding_lists,
                          find_sunflower, full_subgraph, random_list_filter,
                          select_disjoint_augmented)
-from .io import graph_to_json_dict, load_graph, load_triples, triples_to_json_dict
+from .io import (graph_to_json_dict, int_list, json_int, json_list, load_graph,
+                 load_triples, triples_to_json_dict)
 from .ramsey import (GridColoring, build_list_assignment, classify,
                      extract_multicoloring, find_classified_subgrid,
                      find_structured_multicoloring)
@@ -82,7 +83,7 @@ def _load_set_family(path: str) -> SetFamily:
     obj = _load_json(path)
     if not isinstance(obj, dict) or "sets" not in obj:
         raise ValueError("set family JSON must be an object with 'sets'")
-    return SetFamily.from_sets(obj["sets"])
+    return SetFamily.from_sets(int_list(s, "each set") for s in json_list(obj, "sets"))
 
 
 def _load_augmented(path: str) -> AugmentedFamily:
@@ -90,10 +91,11 @@ def _load_augmented(path: str) -> AugmentedFamily:
     if not isinstance(obj, dict) or "pairs" not in obj:
         raise ValueError("augmented family JSON must be an object with 'pairs'")
     pairs = []
-    for row in obj["pairs"]:
+    for row in json_list(obj, "pairs"):
         if not isinstance(row, dict) or "set" not in row or "element" not in row:
             raise ValueError("each pair must be an object with 'set' and 'element'")
-        pairs.append((row["set"], row["element"]))
+        pairs.append((int_list(row["set"], "each pair's set"),
+                      json_int(row["element"], "each pair's element")))
     return AugmentedFamily.from_pairs(pairs)
 
 
@@ -102,11 +104,11 @@ def _load_lists(path: str) -> dict:
     if not isinstance(obj, dict) or "lists" not in obj:
         raise ValueError("lists JSON must be an object with 'lists'")
     out = {}
-    for row in obj["lists"]:
+    for row in json_list(obj, "lists"):
         if not isinstance(row, dict) or "edge" not in row or "set" not in row:
             raise ValueError("each list entry must be an object with 'edge' and 'set'")
-        u, v = row["edge"]
-        out[canonical_edge(u, v)] = frozenset(row["set"])
+        u, v = int_list(row["edge"], "each list entry's edge", 2)
+        out[canonical_edge(u, v)] = frozenset(int_list(row["set"], "each list entry's set"))
     return out
 
 
@@ -115,10 +117,11 @@ def _load_coloring(path: str) -> GridColoring:
     if not isinstance(obj, dict) or not {"X", "Y", "edges"} <= set(obj):
         raise ValueError("coloring JSON must be an object with 'X', 'Y', 'edges'")
     colors = {}
-    for row in obj["edges"]:
-        x, y, c = row
+    for row in json_list(obj, "edges"):
+        x, y, c = int_list(row, "each coloring row [x, y, c]", 3)
         colors[(x, y)] = c
-    return GridColoring(tuple(obj["X"]), tuple(obj["Y"]), colors)
+    return GridColoring(tuple(int_list(obj["X"], "coloring 'X'")),
+                        tuple(int_list(obj["Y"], "coloring 'Y'")), colors)
 
 
 # ---------------------------------------------------------------- handlers

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 Edge = tuple[int, int]
 Triple = tuple[int, int, int]
@@ -55,6 +55,13 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         return {v: frozenset(nb) for v, nb in adj.items()}
+
+    @cached_property
+    def twin_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Vertices h, g whose swap is an automorphism: N(h) - {g} = N(g) - {h}."""
+        adj = self.adjacency
+        return _twin_classes([len(adj[v]) for v in range(self.n)],
+                             lambda h, g: adj[h] - {g} == adj[g] - {h})
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adjacency[v]
@@ -134,11 +141,40 @@ class TripleSystem:
             hoods.setdefault((b, c), set()).add(a)
         return {pair: frozenset(s) for pair, s in hoods.items()}
 
+    @cached_property
+    def twin_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Vertices h, g whose swap is an automorphism: the link pairs of h
+        that avoid g equal the link pairs of g that avoid h."""
+        links: list[set[Edge]] = [set() for _ in range(self.n)]
+        for a, b, c in self.edges:
+            links[a].add((b, c))
+            links[b].add((a, c))
+            links[c].add((a, b))
+        return _twin_classes([len(link) for link in links],
+                             lambda h, g: {p for p in links[h] if g not in p}
+                             == {p for p in links[g] if h not in p})
+
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 
     def sorted_edges(self) -> list[Triple]:
         return sorted(self.edges)
+
+
+def _twin_classes(degree: list[int],
+                  are_twins: Callable[[int, int], bool]) -> tuple[tuple[int, ...], ...]:
+    # Twins are an equivalence relation (a transposition conjugated by another
+    # is one), so each vertex is compared only with one member per class;
+    # twins always have equal degree.
+    classes: list[list[int]] = []
+    for v, d in enumerate(degree):
+        for cls in classes:
+            if degree[cls[0]] == d and are_twins(cls[0], v):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return tuple(tuple(cls) for cls in classes)
 
 
 def shadow(system: TripleSystem) -> Graph:

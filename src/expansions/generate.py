@@ -12,8 +12,6 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-import networkx as nx
-
 from .core import Graph, TripleSystem
 
 
@@ -26,6 +24,8 @@ def trees(n: int) -> tuple[Graph, ...]:
         return ()
     if n == 1:
         return (Graph(1, frozenset()),)
+    import networkx as nx  # deferred: it dominates the package import time
+
     return tuple(Graph.from_edges(n, t.edges()) for t in nx.nonisomorphic_trees(n))
 
 

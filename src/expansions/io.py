@@ -9,6 +9,7 @@ lists of length 3 for triple systems.
 from __future__ import annotations
 
 import json
+import reprlib
 
 from .core import Graph, TripleSystem
 
@@ -65,16 +66,48 @@ def triples_to_json_dict(system: TripleSystem) -> dict:
     return {"n": system.n, "edges": [list(e) for e in system.sorted_edges()]}
 
 
-def graph_from_json_dict(obj: dict) -> Graph:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def json_int(value, what: str) -> int:
+    """The value itself, once checked to be a JSON integer (not a boolean)."""
+    if not _is_int(value):
+        raise ValueError(f"{what} must be an integer, got {reprlib.repr(value)}")
+    return value
+
+
+def int_list(value, what: str, width: int | None = None) -> list[int]:
+    """The value itself, once checked to be a JSON list of integers (of the
+    given length); ValueError naming `what` otherwise."""
+    if not (isinstance(value, list) and (width is None or len(value) == width)
+            and all(_is_int(x) for x in value)):
+        size = "" if width is None else f" {width}"
+        raise ValueError(f"{what} must be a list of{size} integers, got {reprlib.repr(value)}")
+    return value
+
+
+def json_list(obj: dict, key: str) -> list:
+    """obj[key], once checked to be a JSON list."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ValueError(f"'{key}' must be a list, got {reprlib.repr(value)}")
+    return value
+
+
+def _edges_from_json_dict(obj, width: int, kind: str) -> tuple[int, list[list[int]]]:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise ValueError("graph JSON must be an object with 'n' and 'edges'")
-    return Graph.from_edges(obj["n"], obj["edges"])
+        raise ValueError(f"{kind} JSON must be an object with 'n' and 'edges'")
+    n = json_int(obj["n"], f"{kind} 'n'")
+    return n, [int_list(e, f"{kind} edge", width) for e in json_list(obj, "edges")]
+
+
+def graph_from_json_dict(obj: dict) -> Graph:
+    return Graph.from_edges(*_edges_from_json_dict(obj, 2, "graph"))
 
 
 def triples_from_json_dict(obj: dict) -> TripleSystem:
-    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise ValueError("triple-system JSON must be an object with 'n' and 'edges'")
-    return TripleSystem.from_edges(obj["n"], obj["edges"])
+    return TripleSystem.from_edges(*_edges_from_json_dict(obj, 3, "triple-system"))
 
 
 def load_graph(path: str) -> Graph:

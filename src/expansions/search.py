@@ -46,12 +46,90 @@ class EmbeddingCertificate:
         )
 
 
+def _embeddings(edges, host_n: int, holds=None, host_degree=None, twin_classes=None):
+    """Yield every injective map of the vertices of the pattern edges into
+    range(host_n) under which each edge e passes holds(mapping, used, e)
+    (None: every edge passes).
+
+    Pattern vertices are placed in descending degree order, each onto
+    host vertices in increasing order, so maps come out in lexicographic
+    order of their images in placement order; e is tested once its last
+    vertex is placed.  With host_degree, a vertex of pattern degree d
+    only goes to host vertices of degree >= d.  With twin_classes, a host
+    vertex is tried only when every smaller member of its class is used.
+    Swapping it with an unused smaller twin is an automorphism fixing
+    every used vertex, so its subtree mirrors one already searched: a
+    caller stopping at the first map it accepts, by tests invariant under
+    host automorphisms, gets the same first map with or without pruning.
+    The yielded dict is live.
+    """
+    degree: dict[int, int] = {}
+    for e in edges:
+        for v in e:
+            degree[v] = degree.get(v, 0) + 1
+    support = sorted(degree, key=lambda v: (-degree[v], v))
+    position = {v: i for i, v in enumerate(support)}
+    check_at: list[list] = [[] for _ in support]
+    if holds is not None:
+        for e in edges:
+            check_at[max(position[v] for v in e)].append(e)
+    candidates = [range(host_n) if host_degree is None
+                  else [h for h in range(host_n) if host_degree[h] >= degree[v]]
+                  for v in support]
+    below: list[tuple[int, ...]] = [()] * host_n
+    for cls in twin_classes or ():
+        for k, h in enumerate(cls):
+            below[h] = cls[:k]
+
+    last = len(support) - 1
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+    rest = [iter(candidates[0])] + [None] * last  # untried candidates per level
+    i = 0
+    while i >= 0:
+        v, checks = support[i], check_at[i]
+        if v in mapping:  # back from the level below: lift this level's choice
+            used.discard(mapping.pop(v))
+        for h in rest[i]:
+            if h in used or below[h] and any(t not in used for t in below[h]):
+                continue
+            mapping[v] = h
+            used.add(h)
+            if not checks or all(holds(mapping, used, e) for e in checks):
+                if i < last:
+                    break
+                yield mapping
+            del mapping[v]
+            used.discard(h)
+        if v in mapping:
+            i += 1
+            rest[i] = iter(candidates[i])
+        else:
+            i -= 1
+
+
+def _fill(mapping: dict[int, int], n: int, host_n: int) -> dict[int, int]:
+    """Send the pattern vertices 0..n-1 still unmapped to the smallest
+    unused host vertices, in order."""
+    full = dict(mapping)
+    taken = set(full.values())
+    spare = (h for h in range(host_n) if h not in taken)
+    for v in range(n):
+        if v not in full:
+            full[v] = next(spare)
+    return full
+
+
 def contains(host: TripleSystem, pattern: TripleSystem) -> EmbeddingCertificate | None:
     """First copy of the pattern in the host, or None (exact).
 
     Support vertices are placed in descending pattern-degree order; a
     pattern edge is checked the moment its last vertex is placed, and
-    host vertices of insufficient degree are never tried.  Pattern
+    host vertices of insufficient degree are never tried.  Of each host
+    twin class (vertices whose swap is a host automorphism) only the
+    smallest unused member is tried; this skips only subtrees that
+    mirror one already searched, so the copy returned is the first in
+    increasing host order, the same as without pruning.  Pattern
     vertices outside any edge only need distinct images, assigned at the
     end from the smallest unused host vertices.
     """
@@ -60,45 +138,20 @@ def contains(host: TripleSystem, pattern: TripleSystem) -> EmbeddingCertificate 
     pattern_edges = pattern.sorted_edges()
     if not pattern_edges:
         return EmbeddingCertificate({v: v for v in range(pattern.n)}, "generic")
+    triples = host.edges
+    host_degree = [0] * host.n
+    for e in triples:
+        for h in e:
+            host_degree[h] += 1
 
-    pat_degree = {v: 0 for v in range(pattern.n)}
-    for e in pattern_edges:
-        for v in e:
-            pat_degree[v] += 1
-    support = sorted((v for v in range(pattern.n) if pat_degree[v]),
-                     key=lambda v: (-pat_degree[v], v))
-    position = {v: i for i, v in enumerate(support)}
-    check_at: list[list[Triple]] = [[] for _ in support]
-    for e in pattern_edges:
-        check_at[max(position[v] for v in e)].append(e)
-    host_degree = {h: host.degree(h) for h in range(host.n)}
+    def holds(mapping, used, e):
+        return tuple(sorted([mapping[e[0]], mapping[e[1]], mapping[e[2]]])) in triples
 
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def walk(i: int) -> bool:
-        if i == len(support):
-            return True
-        v = support[i]
-        for h in range(host.n):
-            if h in used or host_degree[h] < pat_degree[v]:
-                continue
-            mapping[v] = h
-            used.add(h)
-            if all(canonical_triple(*(mapping[x] for x in e)) in host.edges
-                   for e in check_at[i]) and walk(i + 1):
-                return True
-            used.remove(h)
-            del mapping[v]
-        return False
-
-    if not walk(0):
+    found = next(_embeddings(pattern_edges, host.n, holds, host_degree,
+                             host.twin_classes), None)
+    if found is None:
         return None
-    spare = (h for h in range(host.n) if h not in used)
-    for v in range(pattern.n):
-        if v not in mapping:
-            mapping[v] = next(spare)
-    return EmbeddingCertificate(mapping, "generic")
+    return EmbeddingCertificate(_fill(found, pattern.n, host.n), "generic")
 
 
 def contains_expansion(host: TripleSystem, base: Graph) -> EmbeddingCertificate | None:
@@ -108,6 +161,10 @@ def contains_expansion(host: TripleSystem, base: Graph) -> EmbeddingCertificate 
     expansion shape: first embed the base graph into the host shadow,
     pruning on empty third-vertex pools, then assign distinct enlargement
     vertices by augmenting-path matching between base edges and pools.
+    The base embedding tries only the smallest unused member of each
+    host twin class, which leaves the first copy found unchanged (see
+    contains); it is what makes the freeness proofs in the core
+    constructions fast, where all vertices outside the core are twins.
     """
     exp = expand(base)
     if exp.system.n > host.n:
@@ -118,26 +175,21 @@ def contains_expansion(host: TripleSystem, base: Graph) -> EmbeddingCertificate 
         return None if cert is None else EmbeddingCertificate(cert.mapping, "expansion")
 
     hoods = host.pair_neighborhoods
-    support = sorted((v for v in range(base.n) if base.degree(v)),
-                     key=lambda v: (-base.degree(v), v))
-    position = {v: i for i, v in enumerate(support)}
-    check_at: list[list[tuple[int, int]]] = [[] for _ in support]
-    for e in base_edges:
-        check_at[max(position[v] for v in e)].append(e)
+    nothing: frozenset[int] = frozenset()
 
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def pool(e) -> frozenset[int]:
+    def pool(mapping, e) -> frozenset[int]:
         u, v = mapping[e[0]], mapping[e[1]]
-        key = (u, v) if u < v else (v, u)
-        return hoods.get(key, frozenset())
+        return hoods.get((u, v) if u < v else (v, u), nothing)
 
-    def match_thirds() -> dict[tuple[int, int], int] | None:
+    def holds(mapping, used, e):
+        return not pool(mapping, e) <= used
+
+    def match_thirds(mapping) -> dict[tuple[int, int], int] | None:
+        used = set(mapping.values())
         owner: dict[int, tuple[int, int]] = {}
 
         def augment(e, visited: set[int]) -> bool:
-            for w in sorted(pool(e) - used):
+            for w in sorted(pool(mapping, e) - used):
                 if w not in visited:
                     visited.add(w)
                     if w not in owner or augment(owner[w], visited):
@@ -150,68 +202,34 @@ def contains_expansion(host: TripleSystem, base: Graph) -> EmbeddingCertificate 
                 return None
         return {e: w for w, e in owner.items()}
 
-    def walk(i: int) -> bool:
-        if i == len(support):
-            return match_thirds() is not None
-        v = support[i]
-        for h in range(host.n):
-            if h in used:
-                continue
-            mapping[v] = h
-            used.add(h)
-            if all(pool(e) - used for e in check_at[i]) and walk(i + 1):
-                return True
-            used.remove(h)
-            del mapping[v]
-        return False
-
-    if not walk(0):
+    for mapping in _embeddings(base_edges, host.n, holds, twin_classes=host.twin_classes):
+        thirds = match_thirds(mapping)
+        if thirds is not None:
+            break
+    else:
         return None
-    thirds = match_thirds()
     full = dict(mapping)
     for e, w in thirds.items():
         full[exp.enlargement[e]] = w
-    taken = set(full.values())
-    spare = (h for h in range(host.n) if h not in taken)
-    for v in range(base.n):
-        if v not in full:
-            full[v] = next(spare)
-    return EmbeddingCertificate(full, "expansion")
+    return EmbeddingCertificate(_fill(full, base.n, host.n), "expansion")
 
 
 def graph_contains(host: Graph, pattern: Graph) -> bool:
-    """Copy of a graph pattern inside a graph host (exact, boolean)."""
+    """Copy of a graph pattern inside a graph host (exact, boolean); the
+    same search and twin pruning as contains."""
     if pattern.n > host.n:
         return False
     pattern_edges = pattern.sorted_edges()
     if not pattern_edges:
         return True
-    support = sorted((v for v in range(pattern.n) if pattern.degree(v)),
-                     key=lambda v: (-pattern.degree(v), v))
-    position = {v: i for i, v in enumerate(support)}
-    check_at: list[list[tuple[int, int]]] = [[] for _ in support]
-    for e in pattern_edges:
-        check_at[max(position[v] for v in e)].append(e)
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
+    adj = host.adjacency
 
-    def walk(i: int) -> bool:
-        if i == len(support):
-            return True
-        v = support[i]
-        for h in range(host.n):
-            if h in used or host.degree(h) < pattern.degree(v):
-                continue
-            mapping[v] = h
-            used.add(h)
-            if all(mapping[b] in host.adjacency[mapping[a]] for a, b in check_at[i]) \
-                    and walk(i + 1):
-                return True
-            used.remove(h)
-            del mapping[v]
-        return False
+    def holds(mapping, used, e):
+        return mapping[e[1]] in adj[mapping[e[0]]]
 
-    return walk(0)
+    host_degree = [len(adj[h]) for h in range(host.n)]
+    return next(_embeddings(pattern_edges, host.n, holds, host_degree,
+                            host.twin_classes), None) is not None
 
 
 def lower_bound_construction(n: int, core_size: int) -> TripleSystem:
@@ -260,31 +278,8 @@ def _pattern_copies(pattern: TripleSystem, n: int) -> list[frozenset[Triple]]:
     pattern_edges = pattern.sorted_edges()
     if not pattern_edges:
         return [frozenset()]
-    support = sorted({v for e in pattern_edges for v in e})
-    position = {v: i for i, v in enumerate(support)}
-    check_order: list[list[Triple]] = [[] for _ in support]
-    for e in pattern_edges:
-        check_order[max(position[v] for v in e)].append(e)
-
-    copies: set[frozenset[Triple]] = set()
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def walk(i: int):
-        if i == len(support):
-            copies.add(frozenset(
-                canonical_triple(*(mapping[v] for v in e)) for e in pattern_edges))
-            return
-        v = support[i]
-        for h in range(n):
-            if h not in used:
-                mapping[v] = h
-                used.add(h)
-                walk(i + 1)
-                used.remove(h)
-                del mapping[v]
-
-    walk(0)
+    copies = {frozenset(canonical_triple(*(mapping[v] for v in e)) for e in pattern_edges)
+              for mapping in _embeddings(pattern_edges, n)}
     return sorted(copies, key=sorted)
 
 

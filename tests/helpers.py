@@ -160,6 +160,27 @@ def brute_contains(host: TripleSystem, pattern: TripleSystem) -> bool:
     return False
 
 
+def brute_graph_contains(host: Graph, pattern: Graph) -> bool:
+    """Injective map over all vertex arrangements; no pruning."""
+    if pattern.n > host.n:
+        return False
+    for image in permutations(range(host.n), pattern.n):
+        if all(tuple(sorted((image[a], image[b]))) in host.edges for a, b in pattern.edges):
+            return True
+    return False
+
+
+def brute_twin_pairs(n: int, edges) -> set:
+    """Pairs h < g whose transposition maps the edge set onto itself."""
+    edges = {tuple(sorted(e)) for e in edges}
+    pairs = set()
+    for h, g in combinations(range(n), 2):
+        swap = {h: g, g: h}
+        if {tuple(sorted(swap.get(v, v) for v in e)) for e in edges} == edges:
+            pairs.add((h, g))
+    return pairs
+
+
 def brute_turan(n: int, pattern: TripleSystem):
     """Exhaust every subfamily of the complete triple system; returns
     (value, all maximum witnesses as sorted tuples)."""

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expansions import Graph, TripleSystem, expand
 from expansions.cli import main
@@ -47,6 +51,23 @@ def test_invalid_input_exits_two(tmp_path, capsys):
     bad.write_text("not a graph\n")
     assert main(["sigma", "--graph", str(bad)]) == 2
     assert "header" in capsys.readouterr().err
+
+
+MALFORMED = {
+    "coloring row": (["classify", "--coloring"], {"X": [0, 1], "Y": [2, 3], "edges": [5]}),
+    "three-vertex graph edge": (["sigma", "--graph"], {"n": 3, "edges": [[0, 1, 2]]}),
+    "non-integer n": (["lambda", "--graph"], {"n": "x", "edges": []}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_json_shapes_exit_two_with_one_line(case, tmp_path, capsys):
+    argv, payload = MALFORMED[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(argv + [str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_expand_emits_system_and_enlargement(capsys, path2_file):
@@ -277,3 +298,60 @@ def test_workers_flag_accepted_and_output_identical(capsys, path2_file):
                                     "--workers", "4"])
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# ------------------------------------------------------------- fuzzing
+
+KEYS = ["n", "edges", "sets", "pairs", "set", "element", "lists", "edge", "X", "Y", "z"]
+LEAVES = (st.none() | st.booleans() | st.integers(-2, 9) | st.sampled_from(["x", "", "1"])
+          | st.floats(-2, 9, allow_nan=False))
+JSON = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(st.sampled_from(KEYS), inner, max_size=4),
+                    max_leaves=24)
+ROWS = st.lists(JSON, max_size=4)
+
+
+def shaped(**fields):
+    return st.fixed_dictionaries(fields)
+
+
+# every JSON loader: a subcommand that reads it ("{}" is the file) and the
+# object shape it expects, with fuzzed leaves
+LOADERS = {
+    "graph": (["expand", "--graph", "{}"], shaped(n=JSON, edges=ROWS)),
+    "triples": (["full-subgraph", "--triples", "{}", "--d", "1"], shaped(n=JSON, edges=ROWS)),
+    "set family": (["sunflower", "--family", "{}", "--petals", "2"], shaped(sets=ROWS)),
+    "augmented family": (["trim-select", "--family", "{}"],
+                         shaped(pairs=st.lists(shaped(set=JSON, element=JSON), max_size=3))),
+    "coloring": (["classify", "--coloring", "{}"], shaped(X=JSON, Y=JSON, edges=ROWS)),
+    "lists": (["biclique", "--grid", "grid.txt", "--lists", "{}", "--t", "1",
+               "--host", "host.txt"],
+              shaped(lists=st.lists(shaped(edge=JSON, set=JSON), max_size=4))),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_json_loaders_succeed_or_exit_two(loader, data):
+    argv, shape = LOADERS[loader]
+    payload = data.draw(shape | st.dictionaries(st.sampled_from(KEYS), JSON, max_size=5) | JSON)
+    with tempfile.TemporaryDirectory() as work:
+        def path(name):
+            return f"{work}/{name}"
+
+        with open(path("grid.txt"), "w") as fh:
+            fh.write(graph_to_text(Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])))
+        with open(path("host.txt"), "w") as fh:
+            fh.write(triples_to_text(TripleSystem.from_edges(
+                6, [(0, 2, 4), (0, 3, 5), (1, 2, 5), (1, 3, 4)])))
+        with open(path("in.json"), "w") as fh:
+            json.dump(payload, fh)
+        argv = [path("in.json") if a == "{}" else path(a) if a.endswith(".txt") else a
+                for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--json"])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -8,7 +8,7 @@ from expansions import (Graph, TripleSystem, canonical_edge, canonical_triple,
                         codegree, edge_codegree_extremes, is_linear, neighborhood,
                         remove_vertices, shadow)
 
-from helpers import random_system
+from helpers import brute_twin_pairs, random_system
 
 
 def test_canonical_edge_orders_and_rejects_loops():
@@ -142,3 +142,30 @@ def test_shadow_pairs_exactly_covered_pairs(n, data):
     h = TripleSystem(n, frozenset(chosen))
     expected = {p for e in h.edges for p in combinations(e, 2)}
     assert shadow(h).edges == frozenset(expected)
+
+
+def _class_pairs(classes):
+    return {pair for cls in classes for pair in combinations(cls, 2)}
+
+
+def test_twin_classes_match_transposition_oracle():
+    rng = random.Random(83)
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        g = Graph.from_edges(n, [e for e in combinations(range(n), 2)
+                                 if rng.random() < rng.choice((0.2, 0.5, 0.9))])
+        assert sorted(v for cls in g.twin_classes for v in cls) == list(range(n))
+        assert _class_pairs(g.twin_classes) == brute_twin_pairs(n, g.edges)
+        system = random_system(rng, max(n, 3), rng.randint(0, 20))
+        assert _class_pairs(system.twin_classes) == brute_twin_pairs(system.n, system.edges)
+
+
+def test_twin_classes_of_core_construction():
+    # every non-core vertex is a twin of every other; core vertices too
+    system = TripleSystem.from_edges(
+        7, [(c, x, y) for c in (0, 1) for x, y in combinations(range(2, 7), 2)])
+    assert system.twin_classes == ((0, 1), (2, 3, 4, 5, 6))
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert path.twin_classes == ((0,), (1,), (2,), (3,))
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    assert star.twin_classes == ((0,), (1, 2, 3))

@@ -6,9 +6,10 @@ import pytest
 
 from expansions import (Graph, TripleSystem, audit_forest_bound, audit_sigma_jump,
                         contains, contains_expansion, crosscut_number, expand,
-                        graph_contains, lower_bound_construction, turan_number)
+                        graph_contains, lower_bound_construction, trees, turan_number)
 
-from helpers import brute_contains, brute_turan, random_graph, random_system
+from helpers import (brute_contains, brute_graph_contains, brute_turan, random_graph,
+                     random_system)
 
 
 PATH2 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -82,6 +83,108 @@ def test_graph_contains_basics():
     assert graph_contains(star, Graph.from_edges(3, [(0, 1), (0, 2)]))
     assert not graph_contains(path3, star)
     assert graph_contains(star, Graph(2, frozenset()))
+
+
+def twin_rich_system(rng: random.Random) -> TripleSystem:
+    # a core construction, sometimes with a few triples added, so that the
+    # twin pruning has large classes to work on
+    n, core = rng.randint(4, 8), rng.randint(1, 2)
+    extra = random_system(rng, n, rng.choice((0, 0, 1, 2))).edges
+    return TripleSystem(n, lower_bound_construction(n, core).edges | extra)
+
+
+def test_containment_agrees_with_permutation_oracle_on_twin_rich_hosts():
+    rng = random.Random(89)
+    for _ in range(60):
+        host = twin_rich_system(rng) if rng.random() < 0.6 else \
+            random_system(rng, rng.randint(4, 7), rng.randint(0, 14))
+        pattern = random_system(rng, rng.randint(3, 5), rng.randint(0, 3))
+        got = contains(host, pattern)
+        assert (got is not None) == brute_contains(host, pattern)
+        assert got is None or got.check(host, pattern)
+        base = random_graph(rng, rng.randint(2, 4), 0.6)
+        got = contains_expansion(host, base)
+        assert (got is not None) == brute_contains(host, expand(base).system)
+        assert got is None or got.check(host, expand(base).system)
+
+
+def test_graph_contains_agrees_with_permutation_oracle():
+    rng = random.Random(97)
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        if rng.random() < 0.4:  # complete bipartite or complete: many twins
+            side = rng.randint(0, n)
+            host = Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2)
+                                        if (u < side) != (v < side) or side == n])
+        else:
+            host = random_graph(rng, n, rng.random())
+        pattern = random_graph(rng, rng.randint(1, 5), rng.random())
+        assert graph_contains(host, pattern) == brute_graph_contains(host, pattern)
+
+
+P4 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+S3 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+M2 = Graph.from_edges(4, [(0, 1), (2, 3)])
+FANO = TripleSystem.from_edges(7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
+                                   (2, 3, 6), (2, 4, 5)])
+
+# first copies found by the search before twin pruning existed; pruning
+# must not change which copy comes first
+RECORDED_WITNESSES = [
+    (contains, lambda: lower_bound_construction(8, 1), lambda: expand(PATH2).system,
+     [(0, 1), (1, 0), (2, 2), (3, 3), (4, 4)]),
+    (contains, lambda: lower_bound_construction(9, 2), lambda: expand(P4).system,
+     [(0, 3), (1, 0), (2, 2), (3, 1), (4, 4), (5, 5), (6, 6), (7, 7), (8, 8)]),
+    (contains, lambda: FANO, lambda: expand(PATH2).system,
+     [(0, 1), (1, 0), (2, 3), (3, 2), (4, 4)]),
+    (contains, lambda: FANO, lambda: expand(M2).system, None),
+    (contains, lambda: lower_bound_construction(10, 2), lambda: expand(S3).system,
+     [(0, 0), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]),
+    (contains, lambda: random_system(random.Random(0), 9, 24), lambda: expand(PATH2).system,
+     [(0, 1), (1, 0), (2, 2), (3, 7), (4, 5)]),
+    (contains, lambda: random_system(random.Random(2), 9, 24), lambda: expand(PATH2).system,
+     [(0, 1), (1, 0), (2, 2), (3, 5), (4, 3)]),
+    (contains_expansion, lambda: lower_bound_construction(9, 1), lambda: PATH2,
+     [(0, 1), (1, 0), (2, 2), (3, 4), (4, 3)]),
+    (contains_expansion, lambda: lower_bound_construction(10, 2), lambda: P4,
+     [(0, 3), (1, 0), (2, 2), (3, 1), (4, 4), (5, 8), (6, 7), (7, 6), (8, 5)]),
+    (contains_expansion, lambda: lower_bound_construction(10, 3), lambda: S3,
+     [(0, 0), (1, 3), (2, 4), (3, 5), (4, 8), (5, 7), (6, 6)]),
+    (contains_expansion, lambda: lower_bound_construction(8, 2), lambda: M2,
+     [(0, 0), (1, 2), (2, 1), (3, 3), (4, 5), (5, 4)]),
+    (contains_expansion, lambda: FANO, lambda: PATH2,
+     [(0, 1), (1, 0), (2, 3), (3, 2), (4, 4)]),
+    (contains_expansion, lambda: lower_bound_construction(9, 1), lambda: P4, None),
+    (contains_expansion, lambda: random_system(random.Random(100), 10, 30), lambda: PATH2,
+     [(0, 1), (1, 0), (2, 2), (3, 8), (4, 5)]),
+    (contains_expansion, lambda: random_system(random.Random(103), 10, 30), lambda: M2,
+     [(0, 0), (1, 1), (2, 2), (3, 4), (4, 5), (5, 9)]),
+    (contains_expansion, lambda: random_system(random.Random(105), 10, 30), lambda: M2,
+     [(0, 0), (1, 1), (2, 3), (3, 4), (4, 2), (5, 6)]),
+]
+
+
+@pytest.mark.parametrize("search, host, pattern, want", RECORDED_WITNESSES,
+                         ids=[f"{case[0].__name__}-{i}" for i, case in enumerate(RECORDED_WITNESSES)])
+def test_first_witness_is_unchanged_by_twin_pruning(search, host, pattern, want):
+    cert = search(host(), pattern())
+    assert (None if cert is None else sorted(cert.mapping.items())) == want
+
+
+def test_core_constructions_separate_every_tree_on_seven_vertices():
+    # the crosscut argument: T+ is absent from the core-(sigma-1)
+    # construction and present in the core-sigma one
+    n, checked = 13, 0
+    for tree in trees(7):
+        sigma = crosscut_number(tree)
+        if sigma < 2:
+            continue
+        assert contains_expansion(lower_bound_construction(n, sigma - 1), tree) is None
+        host = lower_bound_construction(n, sigma)
+        cert = contains_expansion(host, tree)
+        assert cert is not None and cert.check(host, expand(tree).system)
+        checked += 1
+    assert checked == 10
 
 
 # ------------------------------------------------------------ construction
