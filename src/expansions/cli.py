@@ -13,8 +13,14 @@ execution is sequential and results never depend on it).  Environment
 variables EXPANSIONS_SEED, EXPANSIONS_BUDGET_MS, EXPANSIONS_BUDGET_NODES
 and EXPANSIONS_WORKERS supply defaults when the flag is absent.
 
+The budgeted searches, turan (also per audit-theorem1 row) and
+multicolor --structured, share one rule: the node cap is exact (a search
+stopped by it has counted cap + 1 nodes) and the deadline is checked
+every 1,024 nodes.
+
 Exit codes: 0 success, 1 unknown subcommand (usage printed), 2 invalid
-input, 3 budget exhausted (the flagged partial result is still printed).
+input, 3 budget exhausted (the flagged partial result is still printed;
+audit-theorem1 exits 3 when any row's Turan search is inexact).
 """
 
 from __future__ import annotations
@@ -238,7 +244,8 @@ def _cmd_multicolor(args, settings):
     assignment = build_list_assignment(host, _int_list(args.x), _int_list(args.y))
     if args.structured:
         budget = settings["budget_nodes"] if settings["budget_nodes"] is not None else 500_000
-        result = find_structured_multicoloring(assignment, args.m, args.s, budget)
+        result = find_structured_multicoloring(assignment, args.m, args.s, budget,
+                                               settings["budget_ms"])
         out = {
             "status": result.status,
             "X": list(result.rows) if result.rows else None,
@@ -297,7 +304,8 @@ def _cmd_audit_theorem1(args, settings):
     forest = load_graph(args.graph)
     report = audit_forest_bound(forest, _int_list(args.n_list),
                                 settings["budget_ms"], settings["budget_nodes"])
-    return report, False
+    return report, any(row.get("turan") and not row["turan"]["exact"]
+                       for row in report["rows"])
 
 
 def _cmd_audit_jump(args, settings):

@@ -4,10 +4,12 @@ Vertices are always 0..n-1 with n stored explicitly, so isolated vertices
 are representable.  Graph edges are canonical pairs (u, v) with u < v and
 triples are canonical sorted 3-tuples.  Both containers are immutable;
 derived structures (adjacency, codegree tables) are cached on first use.
+The node and time budget shared by the exhaustive searches lives here too.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -90,6 +92,25 @@ class Graph:
                         stack.append(u)
             comps.append(frozenset(comp))
         return comps
+
+    def two_coloring(self) -> tuple[int, ...]:
+        """Side 0 or 1 of every vertex; each component is colored from its
+        smallest vertex, which gets side 0.  Raises ValueError on an odd cycle."""
+        color = [-1] * self.n
+        for start in range(self.n):
+            if color[start] >= 0:
+                continue
+            color[start] = 0
+            stack = [start]
+            while stack:
+                v = stack.pop()
+                for u in self.adjacency[v]:
+                    if color[u] < 0:
+                        color[u] = 1 - color[v]
+                        stack.append(u)
+                    elif color[u] == color[v]:
+                        raise ValueError("graph is not bipartite: it has an odd cycle")
+        return tuple(color)
 
     def is_forest(self) -> bool:
         return len(self.edges) == self.n - len(self.components())
@@ -175,6 +196,30 @@ def _twin_classes(degree: list[int],
         else:
             classes.append([v])
     return tuple(tuple(cls) for cls in classes)
+
+
+class BudgetExhausted(Exception):
+    """Raised by Budget.spend once the node cap or the deadline is passed."""
+
+
+class Budget:
+    """Node cap and deadline shared by the exhaustive searches; None
+    disables either.  spend() counts a node and raises BudgetExhausted once
+    the count exceeds the cap, so a search stopped by the cap has counted
+    cap + 1 nodes; the deadline is read only every 1,024 nodes."""
+
+    def __init__(self, budget_ms: int | None = None, budget_nodes: int | None = None):
+        self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+        self.node_cap = budget_nodes
+        self.nodes = 0
+
+    def spend(self) -> None:
+        self.nodes += 1
+        if self.node_cap is not None and self.nodes > self.node_cap:
+            raise BudgetExhausted
+        if self.deadline is not None and self.nodes % 1024 == 0 \
+                and time.monotonic() > self.deadline:
+            raise BudgetExhausted
 
 
 def shadow(system: TripleSystem) -> Graph:

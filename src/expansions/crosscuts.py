@@ -202,19 +202,10 @@ def tree_crosscut_number(tree: Graph) -> int:
     return min(cost_in[root], cost_out[root])
 
 
-def _component_lambda(graph: Graph, comp: frozenset[int]) -> int:
+def _component_lambda(graph: Graph, comp: frozenset[int], color: tuple[int, ...]) -> int:
     if len(comp) == 1:
         return 0
     adj = graph.adjacency
-    start = min(comp)
-    color = {start: 0}
-    queue = [start]
-    while queue:
-        v = queue.pop()
-        for u in adj[v]:
-            if u not in color:
-                color[u] = 1 - color[v]
-                queue.append(u)
     sides = (frozenset(v for v in comp if color[v] == 0),
              frozenset(v for v in comp if color[v] == 1))
     leaves = {v for v in comp if len(adj[v]) == 1}
@@ -232,14 +223,15 @@ def tree_lambda(tree: Graph) -> int:
     """Size of the smaller bipartition part, discounted by one if it has a leaf."""
     if not tree.is_tree():
         raise ValueError("input must be a tree")
-    return _component_lambda(tree, frozenset(range(tree.n)))
+    return _component_lambda(tree, frozenset(range(tree.n)), tree.two_coloring())
 
 
 def forest_lambda(forest: Graph) -> int:
     """Sum of the tree values over components; isolated vertices add zero."""
     if not forest.is_forest():
         raise ValueError("input must be a forest")
-    return sum(_component_lambda(forest, comp) for comp in forest.components())
+    color = forest.two_coloring()
+    return sum(_component_lambda(forest, comp, color) for comp in forest.components())
 
 
 def complete_forest_to_tree(forest: Graph) -> Graph:

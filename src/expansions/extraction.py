@@ -218,23 +218,6 @@ def select_disjoint_augmented(family: AugmentedFamily) -> list[int]:
     return sorted(best)
 
 
-def _bipartition(graph: Graph) -> dict[int, int]:
-    color: dict[int, int] = {}
-    for comp in graph.components():
-        start = min(comp)
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in graph.adjacency[v]:
-                if u not in color:
-                    color[u] = 1 - color[v]
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    raise ValueError("grid graph must be bipartite")
-    return color
-
-
 def find_biclique_avoiding_lists(
     grid_graph: Graph,
     lists: dict[Edge, frozenset[int]],
@@ -261,7 +244,7 @@ def find_biclique_avoiding_lists(
     if len(sizes) > 1:
         raise ValueError("all edge lists must have the same size")
 
-    color = _bipartition(grid_graph)
+    color = grid_graph.two_coloring()
     adj = grid_graph.adjacency
     for comp in sorted(grid_graph.components(), key=min):
         if len(comp) < 2 * t:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .core import TripleSystem, canonical_edge, neighborhood, shadow
+from .core import Budget, BudgetExhausted, TripleSystem, canonical_edge, neighborhood, shadow
 
 MONOCHROMATIC = "monochromatic"
 RAINBOW = "rainbow"
@@ -166,8 +166,8 @@ class StructuredSearch:
     """Outcome of find_structured_multicoloring.
 
     status is "found", "absent", or "budget-exhausted"; the last means the
-    node budget ran out before the search space was exhausted, which is
-    weaker than proven absence.
+    node cap or the deadline ran out before the search space was
+    exhausted, which is weaker than proven absence.
     """
 
     status: str
@@ -178,23 +178,9 @@ class StructuredSearch:
     nodes: int
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def tick(self):
-        self.used += 1
-        if self.used > self.limit:
-            raise _OutOfBudget
-
-
-class _OutOfBudget(Exception):
-    pass
-
-
 def find_structured_multicoloring(
-    assignment: ListAssignment, m: int, s: int, budget_nodes: int = 500_000
+    assignment: ListAssignment, m: int, s: int, budget_nodes: int | None = 500_000,
+    budget_ms: int | None = None,
 ) -> StructuredSearch:
     """On some s-by-s subgrid: a rainbow list coloring, or m structured
     list colorings with pairwise disjoint color sets.
@@ -206,25 +192,25 @@ def find_structured_multicoloring(
     """
     if m < 1 or s < 1:
         raise ValueError("round count and subgrid size must be positive")
-    budget = _Budget(budget_nodes)
+    budget = Budget(budget_ms, budget_nodes)
     try:
         for xs in combinations(sorted(assignment.rows), s):
             for ys in combinations(sorted(assignment.cols), s):
-                budget.tick()
+                budget.spend()
                 cells = [(x, y) for x in xs for y in ys]
                 lists = {c: assignment.lists[c] for c in cells}
                 rainbow = _rainbow_coloring(cells, lists, budget)
                 if rainbow is not None:
                     return StructuredSearch(
-                        "found", xs, ys, Multicoloring((rainbow,)), (RAINBOW,), budget.used)
+                        "found", xs, ys, Multicoloring((rainbow,)), (RAINBOW,), budget.nodes)
                 stacked = _disjoint_structured(xs, ys, lists, m, budget)
                 if stacked is not None:
                     rounds, labels = stacked
                     return StructuredSearch(
-                        "found", xs, ys, Multicoloring(tuple(rounds)), tuple(labels), budget.used)
-    except _OutOfBudget:
-        return StructuredSearch("budget-exhausted", None, None, None, None, budget.used)
-    return StructuredSearch("absent", None, None, None, None, budget.used)
+                        "found", xs, ys, Multicoloring(tuple(rounds)), tuple(labels), budget.nodes)
+    except BudgetExhausted:
+        return StructuredSearch("budget-exhausted", None, None, None, None, budget.nodes)
+    return StructuredSearch("absent", None, None, None, None, budget.nodes)
 
 
 def _rainbow_coloring(cells, lists, budget) -> dict[Cell, int] | None:
@@ -235,7 +221,7 @@ def _rainbow_coloring(cells, lists, budget) -> dict[Cell, int] | None:
     def walk(i: int) -> bool:
         if i == len(order):
             return True
-        budget.tick()
+        budget.spend()
         cell = order[i]
         for color in sorted(lists[cell]):
             if color not in used:
@@ -270,7 +256,7 @@ def _disjoint_structured(xs, ys, lists, m, budget):
         choices: list[tuple[dict[Cell, int], set[int]]] = []
 
         def build(i: int, acc: dict[Cell, int], mine: set[int]):
-            budget.tick()
+            budget.spend()
             if i == len(side):
                 choices.append((dict(acc), set(mine)))
                 return
@@ -289,7 +275,7 @@ def _disjoint_structured(xs, ys, lists, m, budget):
     def walk(i: int) -> bool:
         if i == m:
             return True
-        budget.tick()
+        budget.spend()
         for kind in (MONOCHROMATIC, ROW_CANONICAL, COLUMN_CANONICAL):
             for coloring, colors in place(kind):
                 rounds.append(coloring)

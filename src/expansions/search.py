@@ -15,13 +15,12 @@ here extrapolates to asymptotics.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Iterable
 
-from .core import Graph, Triple, TripleSystem, canonical_triple
+from .core import Budget, BudgetExhausted, Graph, Triple, TripleSystem, canonical_triple
 from .crosscuts import crosscut_number, expand
 
 
@@ -283,23 +282,6 @@ def _pattern_copies(pattern: TripleSystem, n: int) -> list[frozenset[Triple]]:
     return sorted(copies, key=sorted)
 
 
-class _SearchBudget:
-    def __init__(self, budget_ms: int | None, budget_nodes: int | None):
-        self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-        self.node_cap = budget_nodes
-        self.nodes = 0
-
-    def spend(self) -> bool:
-        """Count a node; False once the budget is gone."""
-        self.nodes += 1
-        if self.node_cap is not None and self.nodes > self.node_cap:
-            return False
-        if self.deadline is not None and self.nodes % 1024 == 0 \
-                and time.monotonic() > self.deadline:
-            return False
-        return True
-
-
 def turan_number(
     n: int,
     forbidden: TripleSystem,
@@ -311,9 +293,11 @@ def turan_number(
 
     Lexicographic include-first branching over all C(n, 3) triples.  A
     branch dies when even taking every remaining triple cannot beat the
-    incumbent, and a triple is never included if it completes a copy.  On
-    budget exhaustion the incumbent is returned with exact=False: a valid
-    lower bound, witnessed, but possibly not maximal.
+    incumbent, and a triple is never included if it completes a copy.  The
+    branching is a loop with the included indices as its stack, so no
+    recursion limit applies.  On budget exhaustion the incumbent is
+    returned with exact=False: a valid lower bound, witnessed, but
+    possibly not maximal.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -326,45 +310,41 @@ def turan_number(
         return TuranResult(n, len(witness), True, witness, "branch-and-bound", 0)
 
     copies_at: dict[Triple, list[int]] = {t: [] for t in all_triples}
-    for idx, copy in enumerate(copies):
+    for c, copy in enumerate(copies):
         for t in copy:
-            copies_at[t].append(idx)
+            copies_at[t].append(c)
     copy_sizes = [len(c) for c in copies]
     hits = [0] * len(copies)
-    budget = _SearchBudget(budget_ms, budget_nodes)
-    chosen: list[Triple] = []
-    best: list[tuple[int, tuple[Triple, ...]]] = [(-1, ())]
-    aborted = [False]
-
-    def walk(idx: int):
-        if aborted[0]:
-            return
-        if not budget.spend():
-            aborted[0] = True
-            return
-        if len(chosen) > best[0][0]:
-            best[0] = (len(chosen), tuple(chosen))
-        if idx == len(all_triples):
-            return
-        if len(chosen) + (len(all_triples) - idx) <= best[0][0]:
-            return
-        t = all_triples[idx]
-        if all(hits[c] < copy_sizes[c] - 1 for c in copies_at[t]):
-            for c in copies_at[t]:
-                hits[c] += 1
-            chosen.append(t)
-            walk(idx + 1)
-            chosen.pop()
-            for c in copies_at[t]:
-                hits[c] -= 1
-        walk(idx + 1)
-
-    walk(0)
-    value, witness = best[0]
+    budget = Budget(budget_ms, budget_nodes)
+    total = len(all_triples)
+    included: list[int] = []  # indices of the chosen triples, ascending
+    value, witness = -1, ()
+    exact = True
+    idx = 0  # next triple to decide; each pass of the loop is one node
+    try:
+        while True:
+            budget.spend()
+            if len(included) > value:
+                value, witness = len(included), tuple(all_triples[i] for i in included)
+            if idx < total and len(included) + (total - idx) > value:
+                t = all_triples[idx]
+                if all(hits[c] < copy_sizes[c] - 1 for c in copies_at[t]):
+                    for c in copies_at[t]:
+                        hits[c] += 1
+                    included.append(idx)
+            elif included:  # dead end: take the exclude branch of the last inclusion
+                idx = included.pop()
+                for c in copies_at[all_triples[idx]]:
+                    hits[c] -= 1
+            else:
+                break
+            idx += 1
+    except BudgetExhausted:
+        exact = False
     system = TripleSystem(n, frozenset(witness))
     if contains(system, forbidden) is not None:
         raise RuntimeError("search produced a witness containing the forbidden pattern")
-    return TuranResult(n, value, not aborted[0], witness, "branch-and-bound", budget.nodes)
+    return TuranResult(n, value, exact, witness, "branch-and-bound", budget.nodes)
 
 
 def audit_forest_bound(

@@ -222,6 +222,33 @@ def brute_subgrid_labels(colors, xs, ys):
 
 # --------------------------------------------------------- random inputs
 
+def brute_two_coloring(n: int, edges):
+    """Parity of the distance from the smallest vertex of each component,
+    by relaxing every edge until nothing changes; None when some edge joins
+    two vertices of equal parity (an odd cycle)."""
+    root = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for u, v in edges:
+            low = min(root[u], root[v])
+            if root[u] != low or root[v] != low:
+                root[u] = root[v] = low
+                changed = True
+    dist = [0 if root[v] == v else n for v in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for u, v in edges:
+            for a, b in ((u, v), (v, u)):
+                if dist[a] + 1 < dist[b]:
+                    dist[b] = dist[a] + 1
+                    changed = True
+    if any(dist[u] % 2 == dist[v] % 2 for u, v in edges):
+        return None
+    return tuple(d % 2 for d in dist)
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edges(n, edges)

@@ -269,6 +269,34 @@ def test_audit_commands(capsys, path2_file):
     assert out["sigma"] == 1
 
 
+def test_audit_theorem1_exits_three_when_a_row_is_inexact(capsys, path2_file):
+    code = main(["audit-theorem1", "--graph", path2_file, "--n-list", "6,7",
+                 "--budget-nodes", "10", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3
+    # n = 7 is past the audit's exact range, so only n = 6 runs a Turan search
+    assert out["rows"][0]["turan"]["exact"] is False and out["rows"][1]["turan"] is None
+
+    code, out = run_json(capsys, ["audit-theorem1", "--graph", path2_file,
+                                  "--n-list", "5,7", "--budget-nodes", "1000"])
+    assert code == 0
+    assert out["rows"][0]["turan"]["exact"] is True and out["rows"][1]["turan"] is None
+
+
+def test_multicolor_structured_honours_budget_ms(capsys, tmp_path):
+    xs, ys = range(6), range(6, 12)
+    host = TripleSystem.from_edges(15, [(x, y, 12 + c) for x in xs for y in ys
+                                        for c in range(3) if c != (x + y) % 3])
+    tri = tmp_path / "two_of_three.txt"
+    tri.write_text(triples_to_text(host))
+    argv = ["multicolor", "--host", str(tri), "--x", "0,1,2,3,4,5", "--y", "6,7,8,9,10,11",
+            "--m", "3", "--structured", "--s", "2"]
+    code, out = run_json(capsys, argv)
+    assert (code, out["status"], out["nodes"]) == (0, "absent", 6489)
+    code, out = run_json(capsys, argv + ["--budget-ms", "0"])
+    assert (code, out["status"], out["nodes"]) == (3, "budget-exhausted", 1024)
+
+
 def test_env_variable_supplies_budget(capsys, path2_file, monkeypatch):
     monkeypatch.setenv("EXPANSIONS_BUDGET_NODES", "20")
     code = main(["turan", "--n", "7", "--expansion-of", path2_file, "--json"])

@@ -8,7 +8,8 @@ from expansions import (Graph, TripleSystem, canonical_edge, canonical_triple,
                         codegree, edge_codegree_extremes, is_linear, neighborhood,
                         remove_vertices, shadow)
 
-from helpers import brute_twin_pairs, random_system
+from helpers import (brute_two_coloring, brute_twin_pairs, random_forest, random_graph,
+                     random_system)
 
 
 def test_canonical_edge_orders_and_rejects_loops():
@@ -169,3 +170,44 @@ def test_twin_classes_of_core_construction():
     assert path.twin_classes == ((0,), (1,), (2,), (3,))
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     assert star.twin_classes == ((0,), (1, 2, 3))
+
+
+# ------------------------------------------------------------ 2-coloring
+
+def test_two_coloring_matches_distance_parity_oracle():
+    rng = random.Random(23)
+    kinds = {"forest": 0, "bipartite": 0, "odd": 0}
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        pick = rng.random()
+        if pick < 0.4:
+            graph = random_forest(rng, n)
+        elif pick < 0.7:  # random bipartite graph with hidden sides
+            side = [rng.randrange(2) for _ in range(n)]
+            graph = Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2)
+                                         if side[u] != side[v] and rng.random() < 0.4])
+        else:
+            graph = random_graph(rng, n, 0.3)
+        want = brute_two_coloring(n, graph.edges)
+        if want is None:
+            kinds["odd"] += 1
+            with pytest.raises(ValueError, match="bipartite"):
+                graph.two_coloring()
+        else:
+            kinds["forest" if graph.is_forest() else "bipartite"] += 1
+            assert graph.two_coloring() == want
+    assert all(count >= 20 for count in kinds.values())
+
+
+def test_two_coloring_colors_each_component_from_its_smallest_vertex():
+    graph = Graph.from_edges(7, [(4, 1), (1, 6), (5, 3)])
+    assert graph.two_coloring() == (0, 0, 0, 0, 1, 1, 1)
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (1, 2), (0, 2)],
+    [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (5, 6)],
+])
+def test_two_coloring_rejects_odd_cycle(edges):
+    with pytest.raises(ValueError, match="bipartite"):
+        Graph.from_edges(7, edges).two_coloring()

@@ -234,3 +234,24 @@ def test_structured_search_disjoint_color_sets_across_rounds():
             mine = set(chi.values())
             assert not (mine & seen)
             seen |= mine
+
+
+def three_color_grid(side=6):
+    # every cell lists two of three colors: no 2x2 rainbow, and three rounds
+    # with disjoint colors would need all three on every cell, so the search
+    # scans every subgrid and proves absence after 6,489 nodes
+    xs, ys = tuple(range(side)), tuple(range(side, 2 * side))
+    host = TripleSystem.from_edges(2 * side + 3, [
+        (x, y, 2 * side + c) for x in xs for y in ys for c in range(3) if c != (x + y) % 3])
+    return build_list_assignment(host, xs, ys)
+
+
+def test_structured_search_node_cap_is_exact_and_deadline_checked_every_1024_nodes():
+    la = three_color_grid()
+    full = find_structured_multicoloring(la, m=3, s=2)
+    assert (full.status, full.nodes) == ("absent", 6489)
+    capped = find_structured_multicoloring(la, m=3, s=2, budget_nodes=2000)
+    assert (capped.status, capped.nodes) == ("budget-exhausted", 2001)
+    out = find_structured_multicoloring(la, m=3, s=2, budget_ms=0)
+    assert (out.status, out.nodes) == ("budget-exhausted", 1024)
+    assert out.result is None

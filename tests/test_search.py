@@ -258,6 +258,48 @@ def test_turan_budget_exhaustion_gives_flagged_lower_bound():
     assert contains(host, expand(PATH2).system) is None
 
 
+def test_turan_beyond_the_recursion_limit_returns_flagged_bound():
+    # C(20, 3) = 1,140 triples: deeper than Python's default recursion limit
+    pattern = expand(PATH2).system
+    result = turan_number(20, pattern, budget_nodes=5000)
+    assert not result.exact
+    assert result.nodes == 5001
+    assert len(result.witness) == result.value > 0
+    assert contains(TripleSystem(20, frozenset(result.witness)), pattern) is None
+
+
+BOOK = TripleSystem.from_edges(5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+
+# (value, exact, nodes, witness) recorded from the recursive search that
+# the loop replaced; the loop visits the same nodes in the same order
+RECORDED_TURAN = [
+    (lambda: turan_number(7, expand(PATH2).system), 5, True, 10_436,
+     [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 1, 6)]),
+    (lambda: turan_number(6, expand(M2).system), 10, True, 38_578,
+     [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 2, 5),
+      (0, 3, 4), (0, 3, 5), (0, 4, 5)]),
+    (lambda: turan_number(8, BOOK, budget_nodes=40_000), 16, False, 40_001,
+     [(0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 4, 5), (0, 4, 6), (0, 5, 6), (1, 2, 3),
+      (1, 4, 5), (1, 4, 6), (1, 5, 7), (1, 6, 7), (2, 4, 7), (2, 5, 6), (2, 5, 7),
+      (3, 4, 7), (3, 6, 7)]),
+]
+
+
+@pytest.mark.parametrize("run, value, exact, nodes, witness", RECORDED_TURAN)
+def test_turan_matches_recorded_results(run, value, exact, nodes, witness):
+    result = run()
+    assert (result.value, result.exact, result.nodes) == (value, exact, nodes)
+    assert list(result.witness) == witness
+
+
+def test_turan_deadline_is_checked_every_1024_nodes():
+    # the exact search needs 10,436 nodes; a spent deadline stops it at the first check
+    result = turan_number(7, expand(PATH2).system, budget_ms=0)
+    assert not result.exact
+    assert result.nodes == 1024
+    assert contains(TripleSystem(7, frozenset(result.witness)), expand(PATH2).system) is None
+
+
 def test_turan_as_dict_round_trips_fields():
     result = turan_number(4, expand(PATH2).system)
     d = result.as_dict()
