@@ -10,6 +10,9 @@ crosscut number of an expansion decomposes over the base graph as
 so crosscut searches on expansions run on the base graph directly.  Both
 the hypergraph search and the base-graph search here are exact and
 deterministic; the hypergraph one doubles as the oracle for the other.
+On forests the base-graph search is a linear two-state DP that also
+applies the tie-break (maximum |I|, then lexicographically smallest I);
+the exponential branching search runs only on graphs with a cycle.
 """
 
 from __future__ import annotations
@@ -45,7 +48,13 @@ def min_crosscut(system: TripleSystem) -> tuple[int, frozenset[int]] | None:
 
     Exact backtracking: branch on the first uncovered edge; choosing a
     vertex covers its edges and permanently forbids their other vertices
-    (a second chosen vertex in a covered edge would break exactness).
+    (a second chosen vertex in a covered edge would break exactness).  Of
+    the crosscuts of minimum size, the first one the branching meets is
+    returned.  A branch is cut when its chosen vertices plus a greedy set
+    of pairwise disjoint uncovered edges, each needing its own further
+    vertex, reach the incumbent size: such a branch holds no smaller
+    crosscut, so the cut never changes the result.  The branching is a
+    loop with one frame per chosen vertex, so no recursion limit applies.
     """
     edges = system.sorted_edges()
     if not edges:
@@ -59,21 +68,50 @@ def min_crosscut(system: TripleSystem) -> tuple[int, frozenset[int]] | None:
     covered = [False] * m
     forbidden: dict[int, int] = {}
     chosen: list[int] = []
-    best: list[tuple[int, tuple[int, ...]] | None] = [None]
+    # one frame per chosen vertex: [branching edge, next position in it,
+    # edges the chosen vertex newly covered]
+    frames: list[list] = []
+    num_covered = 0
+    best: tuple[int, tuple[int, ...]] | None = None
 
-    def walk(num_covered: int):
+    def disjoint_uncovered(limit: int) -> int:
+        """Greedy count of pairwise disjoint uncovered edges, up to limit."""
+        seen: set[int] = set()
+        count = 0
+        for i in range(m):
+            if not covered[i] and seen.isdisjoint(edges[i]):
+                seen.update(edges[i])
+                count += 1
+                if count >= limit:
+                    break
+        return count
+
+    while True:
         if num_covered == m:
             # keep the first witness found at each size; later equal-size
             # solutions must not displace it
-            if best[0] is None or len(chosen) < best[0][0]:
-                best[0] = (len(chosen), tuple(chosen))
-            return
-        if best[0] is not None and len(chosen) + 1 >= best[0][0]:
-            return
-        target = next(i for i in range(m) if not covered[i])
-        for v in edges[target]:
-            if forbidden.get(v, 0):
+            if best is None or len(chosen) < best[0]:
+                best = (len(chosen), tuple(chosen))
+        elif best is None or len(chosen) + disjoint_uncovered(best[0] - len(chosen)) < best[0]:
+            frames.append([next(i for i in range(m) if not covered[i]), 0, None])
+        # undo the last choice and take its next sibling, popping exhausted frames
+        while frames:
+            frame = frames[-1]
+            target, pos, newly = frame
+            if newly is not None:
+                v = chosen.pop()
+                num_covered -= len(newly)
+                for i in newly:
+                    covered[i] = False
+                    for u in edges[i]:
+                        if u != v:
+                            forbidden[u] -= 1
+            while pos < 3 and forbidden.get(edges[target][pos], 0):
+                pos += 1
+            if pos == 3:
+                frames.pop()
                 continue
+            v = edges[target][pos]
             newly = [i for i in edges_at[v] if not covered[i]]
             for i in newly:
                 covered[i] = True
@@ -81,18 +119,14 @@ def min_crosscut(system: TripleSystem) -> tuple[int, frozenset[int]] | None:
                     if u != v:
                         forbidden[u] = forbidden.get(u, 0) + 1
             chosen.append(v)
-            walk(num_covered + len(newly))
-            chosen.pop()
-            for i in newly:
-                covered[i] = False
-                for u in edges[i]:
-                    if u != v:
-                        forbidden[u] -= 1
-
-    walk(0)
-    if best[0] is None:
+            num_covered += len(newly)
+            frame[1], frame[2] = pos + 1, newly
+            break
+        else:
+            break
+    if best is None:
         return None
-    size, witness = best[0]
+    size, witness = best
     return (size, frozenset(witness))
 
 
@@ -125,11 +159,23 @@ def best_crosscut_pair(graph: Graph) -> CrosscutPair:
     """Optimal crosscut pair of a graph: minimum weight, then maximum |I|,
     then lexicographically smallest I.
 
+    Forests take the linear two-state DP; only graphs with a cycle take
+    the branching search.
+    """
+    if graph.is_forest():
+        return _forest_pair(graph)
+    return _branching_pair(graph)
+
+
+def _branching_pair(graph: Graph) -> CrosscutPair:
+    """Optimal crosscut pair of any graph by exact branching.
+
     Branches vertex-by-vertex in descending degree order over the support
     (an optimal I never uses isolated vertices; they would add weight).
     Partial weight |I| + #edges-with-both-endpoints-excluded only grows, so
     branches strictly above the incumbent weight are cut; ties continue so
-    the |I| and lexicographic preferences stay exact.
+    the |I| and lexicographic preferences stay exact.  This is the
+    reference the forest DP is tested against.
     """
     adj = graph.adjacency
     support = [v for v in range(graph.n) if adj[v]]
@@ -164,42 +210,70 @@ def best_crosscut_pair(graph: Graph) -> CrosscutPair:
     return CrosscutPair.of(graph, best_set[0])
 
 
+def _forest_pair(forest: Graph) -> CrosscutPair:
+    """Optimal crosscut pair of a forest by a two-state DP.
+
+    Each component is rooted at its smallest vertex.  Per vertex, the cost
+    of its subtree with the vertex inside or outside I; an edge to an
+    excluded child is covered by an included parent or stays uncovered.
+    The whole tie-break is one additive integer cost,
+
+        (weight * (n + 1) - |I|) * 2**n - sum over v in I of 2**(n - 1 - v),
+
+    ordered like (weight, -|I|, -mask), where the mask is the sum: |I| <= n
+    and the mask is below 2**n.  For two sets of equal size, the sorted one that is
+    lexicographically smaller holds the smallest vertex of their symmetric
+    difference, which is the larger mask.  Distinct sets have distinct
+    costs, so the top-down reconstruction never meets a tie.
+    """
+    n = forest.n
+    adj = forest.adjacency
+    uncovered_edge = (n + 1) << n
+    parent = [-1] * n
+    preorder: list[int] = []
+    for root in range(n):
+        if parent[root] != -1 or not adj[root]:
+            continue
+        parent[root] = root
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            preorder.append(v)
+            for u in adj[v]:
+                if parent[u] == -1:
+                    parent[u] = v
+                    stack.append(u)
+
+    cost_in = [0] * n
+    cost_out = [0] * n
+    for v in reversed(preorder):
+        kids = [u for u in adj[v] if parent[u] == v]
+        cost_in[v] = (n << n) - (1 << (n - 1 - v)) + sum(cost_out[u] for u in kids)
+        cost_out[v] = sum(min(cost_in[u], cost_out[u] + uncovered_edge) for u in kids)
+
+    independent: set[int] = set()
+    for v in preorder:
+        p = parent[v]
+        if p == v:
+            take = cost_in[v] < cost_out[v]
+        else:
+            take = p not in independent and cost_in[v] < cost_out[v] + uncovered_edge
+        if take:
+            independent.add(v)
+    return CrosscutPair.of(forest, independent)
+
+
 def crosscut_number(graph: Graph) -> int:
     """Crosscut number of the expansion of a graph."""
     return best_crosscut_pair(graph).weight
 
 
 def tree_crosscut_number(tree: Graph) -> int:
-    """Crosscut number of a tree's expansion by a linear two-state scan.
-
-    Per vertex: cost of the subtree with the vertex inside or outside the
-    independent set; an edge to an excluded child either gets covered by
-    the parent or pays one uncovered edge.  Value only; the branching
-    search supplies witnesses.
-    """
+    """Crosscut number of a tree's expansion: the weight of the forest DP's
+    optimal pair."""
     if not tree.is_tree():
         raise ValueError("input must be a tree")
-    if tree.n == 1:
-        return 0
-    adj = tree.adjacency
-    root = 0
-    parent = {root: None}
-    postorder = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        postorder.append(v)
-        for u in adj[v]:
-            if u not in parent:
-                parent[u] = v
-                stack.append(u)
-    cost_in = {}
-    cost_out = {}
-    for v in reversed(postorder):
-        kids = [u for u in adj[v] if parent.get(u) == v]
-        cost_in[v] = 1 + sum(cost_out[u] for u in kids)
-        cost_out[v] = sum(min(cost_in[u], cost_out[u] + 1) for u in kids)
-    return min(cost_in[root], cost_out[root])
+    return _forest_pair(tree).weight
 
 
 def _component_lambda(graph: Graph, comp: frozenset[int], color: tuple[int, ...]) -> int:
@@ -257,27 +331,27 @@ def complete_forest_to_tree(forest: Graph) -> Graph:
             "an edgeless forest on 2+ vertices cannot extend to a tree "
             "with the same crosscut number")
 
-    pairs = []
+    # weight and |I| add over components, so the forest's optimal pair
+    # restricts to an optimal pair of each component
+    pair = best_crosscut_pair(forest)
+    parts = []
     for comp in edge_comps:
-        sub = Graph(forest.n, frozenset(e for e in forest.edges if e[0] in comp))
-        pair = best_crosscut_pair(sub)
-        if not pair.independent:
+        independent = comp & pair.independent
+        if not independent:
             raise RuntimeError("optimal pair of an edge-bearing tree has empty independent set")
-        pairs.append((comp, pair))
+        parts.append((comp, independent))
 
     new_edges = set(forest.edges)
-    for (comp_a, pair_a), (_, pair_b) in zip(pairs, pairs[1:]):
-        u = min(comp_a - pair_a.independent)
-        v = min(pair_b.independent)
-        new_edges.add(canonical_edge(u, v))
-    anchor = min(min(pair.independent) for _, pair in pairs)
+    for (comp_a, ind_a), (_, ind_b) in zip(parts, parts[1:]):
+        new_edges.add(canonical_edge(min(comp_a - ind_a), min(ind_b)))
+    anchor = min(pair.independent)
     for z in singles:
         new_edges.add(canonical_edge(anchor, z))
 
     tree = Graph(forest.n, frozenset(new_edges))
     if not tree.is_tree():
         raise RuntimeError("completion did not produce a tree")
-    before, after = crosscut_number(forest), crosscut_number(tree)
+    before, after = pair.weight, crosscut_number(tree)
     if before != after:
         raise RuntimeError(f"completion changed the crosscut number: {before} -> {after}")
     return tree

@@ -95,6 +95,25 @@ def test_sigma_on_graph_and_on_triples(capsys, tmp_path, path2_file):
     assert main(["sigma"]) == 2
 
 
+def test_long_inputs_exit_zero(capsys, tmp_path):
+    # a 1,200-vertex path and 1,100 disjoint triples: deeper than the
+    # recursion limit, so both searches must run as loops
+    path = tmp_path / "path.txt"
+    path.write_text(graph_to_text(Graph.from_edges(1200, [(i, i + 1) for i in range(1199)])))
+    code, out = run_json(capsys, ["sigma", "--graph", str(path)])
+    assert code == 0 and out["sigma"] == 600
+    code, out = run_json(capsys, ["crosscut-audit", "--graph", str(path)])
+    assert code == 0 and out["sigma"] == 600
+    assert all(c["pass"] for c in out["checks"])
+
+    k = 1100
+    tri = tmp_path / "disjoint.txt"
+    tri.write_text(triples_to_text(TripleSystem.from_edges(
+        3 * k, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)])))
+    code, out = run_json(capsys, ["sigma", "--triples", str(tri)])
+    assert code == 0 and out["sigma"] == k
+
+
 def test_sigma_reports_absence(capsys, tmp_path):
     h = TripleSystem.from_edges(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
     tri = tmp_path / "tight.txt"

@@ -6,9 +6,22 @@ from expansions import (CrosscutPair, Graph, best_crosscut_pair,
                         complete_forest_to_tree, crosscut_audit, crosscut_number,
                         expand, forest_lambda, min_crosscut, tree_crosscut_number,
                         tree_lambda, trees)
+from expansions.crosscuts import _branching_pair
 
 from helpers import (brute_lambda_tree, brute_min_crosscut, brute_optimal_pairs,
                      brute_sigma, random_forest, random_graph)
+
+
+LONG_PATH = Graph.from_edges(1200, [(i, i + 1) for i in range(1199)])
+
+
+def relabeled(rng: random.Random, graph: Graph, extra: int = 0) -> Graph:
+    """The graph under a random vertex permutation, with `extra` isolated
+    vertices mixed in among the labels."""
+    n = graph.n + extra
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in graph.edges])
 
 
 # ------------------------------------------------------------- expansion
@@ -60,6 +73,43 @@ def test_min_crosscut_matches_brute_force_sweep():
             assert all(len(got[1].intersection(e)) == 1 for e in h.edges)
 
 
+# (n, triples, (size, sorted witness) or None), recorded from the recursive
+# search that the loop replaced: the first witness found at the minimum size
+RECORDED_MIN_CROSSCUTS = [
+    (11, [(1, 2, 9), (1, 4, 7), (1, 5, 7), (1, 7, 10), (2, 7, 9), (4, 6, 8), (5, 6, 10)], None),
+    (11, [(1, 3, 6), (1, 8, 10), (2, 3, 7), (2, 8, 9), (4, 5, 8), (4, 5, 10), (4, 7, 8),
+          (6, 7, 10)], (4, [1, 5, 7, 9])),
+    (8, [(0, 2, 6), (0, 3, 6), (1, 3, 7), (1, 5, 7), (2, 4, 6), (2, 5, 7), (2, 6, 7), (3, 4, 5),
+         (3, 4, 7), (3, 5, 6), (4, 6, 7)], None),
+    (11, [(0, 5, 7), (0, 6, 7), (2, 4, 6), (2, 8, 9), (3, 5, 10), (6, 9, 10)], (3, [0, 2, 10])),
+    (10, [(0, 4, 9), (1, 2, 7), (1, 2, 8), (1, 2, 9), (1, 3, 5), (1, 4, 9), (1, 5, 6), (2, 4, 7),
+          (4, 5, 7)], (5, [3, 6, 7, 8, 9])),
+    (9, [(0, 3, 7), (0, 4, 8), (1, 4, 8), (1, 5, 6), (2, 3, 4), (2, 5, 7), (4, 7, 8), (5, 6, 7)],
+     (3, [3, 5, 8])),
+    (9, [(0, 2, 5), (0, 6, 7), (1, 2, 5), (1, 2, 8), (1, 3, 6), (1, 3, 8), (2, 3, 8), (2, 4, 6),
+         (2, 5, 7), (2, 6, 7), (3, 4, 8), (4, 6, 7)], (3, [5, 6, 8])),
+    (10, [(0, 2, 7), (0, 3, 6), (0, 6, 9), (1, 8, 9), (2, 3, 7), (2, 4, 7), (2, 8, 9), (3, 5, 9)],
+     (4, [1, 2, 5, 6])),
+    (9, [(0, 1, 7), (0, 5, 6), (1, 2, 3), (1, 4, 6), (1, 5, 8), (2, 3, 4), (3, 4, 6)],
+     (4, [2, 6, 7, 8])),
+    (12, [(0, 1, 9), (3, 5, 6), (3, 6, 10), (3, 7, 8), (3, 9, 10), (6, 9, 10)], (4, [0, 5, 7, 10])),
+]
+
+
+@pytest.mark.parametrize("n, triples, want", RECORDED_MIN_CROSSCUTS)
+def test_min_crosscut_witnesses_recorded_from_recursion(n, triples, want):
+    from expansions import TripleSystem
+    got = min_crosscut(TripleSystem.from_edges(n, triples))
+    assert (None if got is None else (got[0], sorted(got[1]))) == want
+
+
+def test_min_crosscut_beyond_the_recursion_limit():
+    from expansions import TripleSystem
+    k = 1100
+    h = TripleSystem.from_edges(3 * k, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)])
+    assert min_crosscut(h) == (k, frozenset(3 * i for i in range(k)))
+
+
 def test_pair_weight_formula_matches_hypergraph_search_on_random_graphs():
     rng = random.Random(5)
     for _ in range(40):
@@ -100,10 +150,38 @@ def test_best_pair_tie_breaks_max_independent_then_lex():
         assert tuple(sorted(pair.independent)) == lex_best
 
 
+def test_forest_pair_tie_breaks_on_relabeled_forests_with_isolated_vertices():
+    rng = random.Random(41)
+    for _ in range(150):
+        forest = relabeled(rng, random_forest(rng, rng.randint(1, 7)), rng.randint(0, 2))
+        assert forest.is_forest()
+        pair = best_crosscut_pair(forest)
+        sigma, optima = brute_optimal_pairs(forest)
+        assert pair.weight == sigma
+        biggest = max(len(s) for s in optima)
+        lex_best = min(tuple(sorted(s)) for s in optima if len(s) == biggest)
+        assert tuple(sorted(pair.independent)) == lex_best
+
+
+def test_forest_pair_equals_branching_on_all_small_trees():
+    rng = random.Random(43)
+    for n in range(1, 10):
+        for tree in trees(n):
+            for graph in (tree, relabeled(rng, tree)):
+                assert best_crosscut_pair(graph) == _branching_pair(graph)
+
+
+def test_forest_pair_equals_branching_on_random_forests():
+    rng = random.Random(47)
+    for _ in range(400):
+        forest = relabeled(rng, random_forest(rng, rng.randint(1, 12)), rng.randint(0, 2))
+        assert best_crosscut_pair(forest) == _branching_pair(forest)
+
+
 def test_tree_scan_agrees_with_branching_on_all_small_trees():
     for n in range(1, 10):
         for tree in trees(n):
-            assert tree_crosscut_number(tree) == crosscut_number(tree)
+            assert tree_crosscut_number(tree) == _branching_pair(tree).weight
 
 
 def test_tree_scan_rejects_non_trees():
@@ -188,6 +266,19 @@ def test_completion_leaves_trees_alone():
     assert complete_forest_to_tree(tree) is tree
     single = Graph(1, frozenset())
     assert complete_forest_to_tree(single) is single
+
+
+def test_long_path_pair_completion_and_audit():
+    # one vertex per recursion level used to exceed the recursion limit
+    pair = best_crosscut_pair(LONG_PATH)
+    assert pair.weight == tree_crosscut_number(LONG_PATH) == 600
+    report = crosscut_audit(LONG_PATH)
+    assert report["sigma"] == 600
+    assert all(c["pass"] for c in report["checks"])
+    padded = Graph(LONG_PATH.n + 3, LONG_PATH.edges)
+    tree = complete_forest_to_tree(padded)
+    assert tree.is_tree() and padded.edges <= tree.edges
+    assert crosscut_number(tree) == 600
 
 
 def test_completion_rejects_edgeless_forests_on_two_or_more_vertices():
