@@ -453,9 +453,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input ({exc})", file=sys.stderr)
-        return 2
     _emit(result, args.json)
     return 3 if exhausted else 0
 

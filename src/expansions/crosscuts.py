@@ -10,9 +10,10 @@ crosscut number of an expansion decomposes over the base graph as
 so crosscut searches on expansions run on the base graph directly.  Both
 the hypergraph search and the base-graph search here are exact and
 deterministic; the hypergraph one doubles as the oracle for the other.
-On forests the base-graph search is a linear two-state DP that also
-applies the tie-break (maximum |I|, then lexicographically smallest I);
-the exponential branching search runs only on graphs with a cycle.
+The base-graph search is one two-state DP on the forest left after
+removing a feedback vertex set F, run once per independent subset of F
+that may join I.  It is linear on forests, exponential only in |F|, and
+applies the tie-break (maximum |I|, then lexicographically smallest I).
 """
 
 from __future__ import annotations
@@ -159,108 +160,106 @@ def best_crosscut_pair(graph: Graph) -> CrosscutPair:
     """Optimal crosscut pair of a graph: minimum weight, then maximum |I|,
     then lexicographically smallest I.
 
-    Forests take the linear two-state DP; only graphs with a cycle take
-    the branching search.
+    One DP serves every graph.  It takes O(n + m) time per independent
+    subset of a feedback vertex set, so it is exponential only in that
+    set, which is empty on forests.
     """
-    if graph.is_forest():
-        return _forest_pair(graph)
-    return _branching_pair(graph)
+    return CrosscutPair.of(graph, _optimal_independent_set(graph))
 
 
-def _branching_pair(graph: Graph) -> CrosscutPair:
-    """Optimal crosscut pair of any graph by exact branching.
+def _optimal_independent_set(graph: Graph) -> list[int]:
+    """The independent set of the optimal crosscut pair, by a two-state DP.
 
-    Branches vertex-by-vertex in descending degree order over the support
-    (an optimal I never uses isolated vertices; they would add weight).
-    Partial weight |I| + #edges-with-both-endpoints-excluded only grows, so
-    branches strictly above the incumbent weight are cut; ties continue so
-    the |I| and lexicographic preferences stay exact.  This is the
-    reference the forest DP is tested against.
-    """
-    adj = graph.adjacency
-    support = [v for v in range(graph.n) if adj[v]]
-    order = sorted(support, key=lambda v: (-len(adj[v]), v))
-    UNDECIDED, IN, OUT = 0, 1, 2
-    state = [UNDECIDED] * graph.n
-    taken: list[int] = []
-    best_key: list[tuple] = [(len(graph.edges) + 1, 0, ())]
-    best_set: list[frozenset[int]] = [frozenset()]
-
-    def walk(idx: int, rcount: int):
-        if len(taken) + rcount > best_key[0][0]:
-            return
-        if idx == len(order):
-            key = (len(taken) + rcount, -len(taken), tuple(sorted(taken)))
-            if key < best_key[0]:
-                best_key[0] = key
-                best_set[0] = frozenset(taken)
-            return
-        v = order[idx]
-        if all(state[u] != IN for u in adj[v]):
-            state[v] = IN
-            taken.append(v)
-            walk(idx + 1, rcount)
-            taken.pop()
-        state[v] = OUT
-        newly = sum(1 for u in adj[v] if state[u] == OUT)
-        walk(idx + 1, rcount + newly)
-        state[v] = UNDECIDED
-
-    walk(0, 0)
-    return CrosscutPair.of(graph, best_set[0])
-
-
-def _forest_pair(forest: Graph) -> CrosscutPair:
-    """Optimal crosscut pair of a forest by a two-state DP.
-
-    Each component is rooted at its smallest vertex.  Per vertex, the cost
-    of its subtree with the vertex inside or outside I; an edge to an
-    excluded child is covered by an included parent or stays uncovered.
-    The whole tie-break is one additive integer cost,
+    Peeling vertices of degree at most 1, and moving a vertex of maximum
+    remaining degree (smallest on ties) into F when none is left, orders
+    the forest G - F so that each vertex comes before its one remaining
+    neighbour, its parent.  For each independent subset S of F, the DP
+    keeps the cost of each subtree with its root inside or outside I; an
+    edge to an excluded child is covered by an included parent or stays
+    uncovered.  S adds its in-I terms, a neighbour of S cannot enter I,
+    and every edge to or inside F - S stays uncovered.  The whole
+    tie-break is one additive integer cost,
 
         (weight * (n + 1) - |I|) * 2**n - sum over v in I of 2**(n - 1 - v),
 
     ordered like (weight, -|I|, -mask), where the mask is the sum: |I| <= n
-    and the mask is below 2**n.  For two sets of equal size, the sorted one that is
-    lexicographically smaller holds the smallest vertex of their symmetric
-    difference, which is the larger mask.  Distinct sets have distinct
-    costs, so the top-down reconstruction never meets a tie.
+    and the mask is below 2**n.  For two sets of equal size, the sorted one
+    that is lexicographically smaller holds the smallest vertex of their
+    symmetric difference, which is the larger mask.  Distinct sets have
+    distinct costs, so neither F nor the rooting changes the optimum, and
+    the top-down reconstruction never meets a tie.
     """
-    n = forest.n
-    adj = forest.adjacency
+    n = graph.n
+    adj = graph.adjacency
     uncovered_edge = (n + 1) << n
-    parent = [-1] * n
-    preorder: list[int] = []
-    for root in range(n):
-        if parent[root] != -1 or not adj[root]:
-            continue
-        parent[root] = root
-        stack = [root]
-        while stack:
+    in_term = [(n << n) - (1 << (n - 1 - v)) for v in range(n)]
+
+    degree = [len(adj[v]) for v in range(n)]
+    gone = [False] * n
+    parent = list(range(n))
+    order: list[int] = []
+    feedback: list[int] = []
+    stack = [v for v in range(n) if degree[v] <= 1]
+    while len(order) + len(feedback) < n:
+        if stack:
             v = stack.pop()
-            preorder.append(v)
-            for u in adj[v]:
-                if parent[u] == -1:
-                    parent[u] = v
+            order.append(v)
+        else:
+            v = max((u for u in range(n) if not gone[u]), key=lambda u: (degree[u], -u))
+            feedback.append(v)
+        gone[v] = True
+        for u in adj[v]:
+            if not gone[u]:
+                parent[v] = u
+                degree[u] -= 1
+                if degree[u] == 1:
                     stack.append(u)
 
-    cost_in = [0] * n
-    cost_out = [0] * n
-    for v in reversed(preorder):
-        kids = [u for u in adj[v] if parent[u] == v]
-        cost_in[v] = (n << n) - (1 << (n - 1 - v)) + sum(cost_out[u] for u in kids)
-        cost_out[v] = sum(min(cost_in[u], cost_out[u] + uncovered_edge) for u in kids)
+    bit = {f: 1 << i for i, f in enumerate(feedback)}
+    f_nbrs = [sum(bit.get(u, 0) for u in adj[v]) for v in range(n)]
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for v in order:
+        if parent[v] in bit:
+            parent[v] = v
+        if parent[v] != v:
+            kids[parent[v]].append(v)
+    roots = [v for v in order if parent[v] == v]
 
-    independent: set[int] = set()
-    for v in preorder:
+    labels = [0]
+    for f in feedback:
+        labels += [s | bit[f] for s in labels if not s & f_nbrs[f]]
+    best = None
+    for s in labels:
+        # S's in-I terms, and each edge inside F - S once, from its later end
+        total = sum(in_term[f] if s & bit[f] else
+                    uncovered_edge * (f_nbrs[f] & ~s & (bit[f] - 1)).bit_count()
+                    for f in feedback)
+        cost_in = [0] * n
+        cost_out = [0] * n
+        for v in order:
+            cin, cout = in_term[v], 0
+            for u in kids[v]:
+                cin += cost_out[u]
+                cout += min(cost_in[u], cost_out[u] + uncovered_edge)
+            if f_nbrs[v]:
+                cout += uncovered_edge * (f_nbrs[v] & ~s).bit_count()
+                if f_nbrs[v] & s:
+                    # a neighbour of S: entering I must never beat staying out
+                    cin = cout + uncovered_edge
+            cost_in[v], cost_out[v] = cin, cout
+        total += sum(min(cost_in[v], cost_out[v]) for v in roots)
+        if best is None or total < best[0]:
+            best = (total, s, cost_in, cost_out)
+
+    _, s, cost_in, cost_out = best
+    inside = [bool(s & bit.get(v, 0)) for v in range(n)]
+    for v in reversed(order):
         p = parent[v]
         if p == v:
-            take = cost_in[v] < cost_out[v]
+            inside[v] = cost_in[v] < cost_out[v]
         else:
-            take = p not in independent and cost_in[v] < cost_out[v] + uncovered_edge
-        if take:
-            independent.add(v)
-    return CrosscutPair.of(forest, independent)
+            inside[v] = not inside[p] and cost_in[v] < cost_out[v] + uncovered_edge
+    return [v for v in range(n) if inside[v]]
 
 
 def crosscut_number(graph: Graph) -> int:
@@ -269,11 +268,11 @@ def crosscut_number(graph: Graph) -> int:
 
 
 def tree_crosscut_number(tree: Graph) -> int:
-    """Crosscut number of a tree's expansion: the weight of the forest DP's
-    optimal pair."""
+    """Crosscut number of a tree's expansion: the weight of its optimal
+    crosscut pair."""
     if not tree.is_tree():
         raise ValueError("input must be a tree")
-    return _forest_pair(tree).weight
+    return CrosscutPair.of(tree, _optimal_independent_set(tree)).weight
 
 
 def _component_lambda(graph: Graph, comp: frozenset[int], color: tuple[int, ...]) -> int:

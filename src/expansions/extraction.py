@@ -93,12 +93,14 @@ def sunflower_threshold(k: int, petal_count: int) -> int:
 def find_sunflower(family: SetFamily, petal_count: int) -> Sunflower | None:
     """Sunflower with the requested number of petals, or None.
 
-    The recursion alternates two classical steps: a greedy maximal
+    The search alternates two classical steps: a greedy maximal
     pairwise-disjoint subfamily (enough disjoint sets form a sunflower
-    with empty core), otherwise branching into the link of the most
-    frequent element, which shrinks every set by one.  At family sizes of
-    at least k!(petals-1)^k with sets of size at most k >= 2 this always
-    succeeds; below, a miss is reported as absence without backtracking.
+    with empty core), otherwise passing to the link of the most frequent
+    element, which joins the core and shrinks every set by one.  It is a
+    loop that accumulates the core, so no recursion limit applies.  At
+    family sizes of at least k!(petals-1)^k with sets of size at most
+    k >= 2 this always succeeds; below, a miss is reported as absence
+    without backtracking.
     """
     if petal_count < 1:
         raise ValueError("petal count must be positive")
@@ -113,32 +115,28 @@ def find_sunflower(family: SetFamily, petal_count: int) -> Sunflower | None:
 
 
 def _sunflower(items: list[tuple[int, frozenset[int]]], want: int):
-    taken: list[tuple[int, frozenset[int]]] = []
-    union: set[int] = set()
-    for idx, s in items:
-        if not (s & union):
-            taken.append((idx, s))
-            union |= s
-    if len(taken) >= want:
-        picked = taken[:want]
-        core = picked[0][1]
-        for _, s in picked[1:]:
-            core = core & s
-        return [idx for idx, _ in picked], frozenset(core)
+    core: set[int] = set()
+    while True:
+        taken: list[tuple[int, frozenset[int]]] = []
+        union: set[int] = set()
+        for idx, s in items:
+            if not (s & union):
+                taken.append((idx, s))
+                union |= s
+        if len(taken) >= want:
+            picked = taken[:want]
+            core.update(picked[0][1].intersection(*(s for _, s in picked[1:])))
+            return [idx for idx, _ in picked], frozenset(core)
 
-    freq: dict[int, int] = {}
-    for _, s in items:
-        for x in s:
-            freq[x] = freq.get(x, 0) + 1
-    if not freq:
-        return None
-    x = min(freq, key=lambda el: (-freq[el], el))
-    link = [(idx, s - {x}) for idx, s in items if x in s]
-    sub = _sunflower(link, want)
-    if sub is None:
-        return None
-    petals, core = sub
-    return petals, frozenset(core | {x})
+        freq: dict[int, int] = {}
+        for _, s in items:
+            for x in s:
+                freq[x] = freq.get(x, 0) + 1
+        if not freq:
+            return None
+        x = min(freq, key=lambda el: (-freq[el], el))
+        core.add(x)
+        items = [(idx, s - {x}) for idx, s in items if x in s]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Independent oracles used across the test suite.
 
-Everything here recomputes results from definitions by brute force, with
-no calls into the package's search code, so agreement is meaningful.
+Everything here recomputes results from definitions by brute force or
+exact branching, with no calls into the package's search code, so
+agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from expansions import Graph, TripleSystem
+from expansions import CrosscutPair, Graph, TripleSystem
 
 
 # ------------------------------------------------------------ labeled trees
@@ -92,6 +93,49 @@ def brute_sigma(graph: Graph) -> int:
             uncovered = sum(1 for u, v in graph.edges if u not in inside and v not in inside)
             best = min(best, len(subset) + uncovered)
     return best
+
+
+def branching_pair(graph: Graph) -> CrosscutPair:
+    """Optimal crosscut pair of any graph by exact branching.
+
+    Branches vertex-by-vertex in descending degree order over the support
+    (an optimal I never uses isolated vertices; they would add weight).
+    Partial weight |I| + #edges-with-both-endpoints-excluded only grows, so
+    branches strictly above the incumbent weight are cut; ties continue so
+    the |I| and lexicographic preferences stay exact.  This is the
+    reference the DP is tested against.
+    """
+    adj = graph.adjacency
+    support = [v for v in range(graph.n) if adj[v]]
+    order = sorted(support, key=lambda v: (-len(adj[v]), v))
+    UNDECIDED, IN, OUT = 0, 1, 2
+    state = [UNDECIDED] * graph.n
+    taken: list[int] = []
+    best_key: list[tuple] = [(len(graph.edges) + 1, 0, ())]
+    best_set: list[frozenset[int]] = [frozenset()]
+
+    def walk(idx: int, rcount: int):
+        if len(taken) + rcount > best_key[0][0]:
+            return
+        if idx == len(order):
+            key = (len(taken) + rcount, -len(taken), tuple(sorted(taken)))
+            if key < best_key[0]:
+                best_key[0] = key
+                best_set[0] = frozenset(taken)
+            return
+        v = order[idx]
+        if all(state[u] != IN for u in adj[v]):
+            state[v] = IN
+            taken.append(v)
+            walk(idx + 1, rcount)
+            taken.pop()
+        state[v] = OUT
+        newly = sum(1 for u in adj[v] if state[u] == OUT)
+        walk(idx + 1, rcount + newly)
+        state[v] = UNDECIDED
+
+    walk(0, 0)
+    return CrosscutPair.of(graph, best_set[0])
 
 
 def brute_optimal_pairs(graph: Graph):

@@ -57,6 +57,7 @@ MALFORMED = {
     "coloring row": (["classify", "--coloring"], {"X": [0, 1], "Y": [2, 3], "edges": [5]}),
     "three-vertex graph edge": (["sigma", "--graph"], {"n": 3, "edges": [[0, 1, 2]]}),
     "non-integer n": (["lambda", "--graph"], {"n": "x", "edges": []}),
+    "truncated JSON": (["sigma", "--graph"], '{"n": 3,'),
 }
 
 
@@ -64,7 +65,7 @@ MALFORMED = {
 def test_malformed_json_shapes_exit_two_with_one_line(case, tmp_path, capsys):
     argv, payload = MALFORMED[case]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
+    bad.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     assert main(argv + [str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -96,8 +97,8 @@ def test_sigma_on_graph_and_on_triples(capsys, tmp_path, path2_file):
 
 
 def test_long_inputs_exit_zero(capsys, tmp_path):
-    # a 1,200-vertex path and 1,100 disjoint triples: deeper than the
-    # recursion limit, so both searches must run as loops
+    # a 1,200-vertex path and cycle and 1,100 disjoint triples: deeper than
+    # the recursion limit, so both searches must run as loops
     path = tmp_path / "path.txt"
     path.write_text(graph_to_text(Graph.from_edges(1200, [(i, i + 1) for i in range(1199)])))
     code, out = run_json(capsys, ["sigma", "--graph", str(path)])
@@ -105,6 +106,11 @@ def test_long_inputs_exit_zero(capsys, tmp_path):
     code, out = run_json(capsys, ["crosscut-audit", "--graph", str(path)])
     assert code == 0 and out["sigma"] == 600
     assert all(c["pass"] for c in out["checks"])
+    cycle = tmp_path / "cycle.txt"
+    cycle.write_text(graph_to_text(
+        Graph.from_edges(1200, [(i, (i + 1) % 1200) for i in range(1200)])))
+    code, out = run_json(capsys, ["sigma", "--graph", str(cycle)])
+    assert code == 0 and out["sigma"] == 600
 
     k = 1100
     tri = tmp_path / "disjoint.txt"

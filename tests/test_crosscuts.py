@@ -6,13 +6,13 @@ from expansions import (CrosscutPair, Graph, best_crosscut_pair,
                         complete_forest_to_tree, crosscut_audit, crosscut_number,
                         expand, forest_lambda, min_crosscut, tree_crosscut_number,
                         tree_lambda, trees)
-from expansions.crosscuts import _branching_pair
 
-from helpers import (brute_lambda_tree, brute_min_crosscut, brute_optimal_pairs,
-                     brute_sigma, random_forest, random_graph)
+from helpers import (branching_pair, brute_lambda_tree, brute_min_crosscut,
+                     brute_optimal_pairs, brute_sigma, random_forest, random_graph)
 
 
 LONG_PATH = Graph.from_edges(1200, [(i, i + 1) for i in range(1199)])
+LONG_CYCLE = Graph(1200, LONG_PATH.edges | {(0, 1199)})
 
 
 def relabeled(rng: random.Random, graph: Graph, extra: int = 0) -> Graph:
@@ -168,20 +168,34 @@ def test_forest_pair_equals_branching_on_all_small_trees():
     for n in range(1, 10):
         for tree in trees(n):
             for graph in (tree, relabeled(rng, tree)):
-                assert best_crosscut_pair(graph) == _branching_pair(graph)
+                assert best_crosscut_pair(graph) == branching_pair(graph)
 
 
 def test_forest_pair_equals_branching_on_random_forests():
     rng = random.Random(47)
     for _ in range(400):
         forest = relabeled(rng, random_forest(rng, rng.randint(1, 12)), rng.randint(0, 2))
-        assert best_crosscut_pair(forest) == _branching_pair(forest)
+        assert best_crosscut_pair(forest) == branching_pair(forest)
+    # graphs with cycles: a spanning tree plus a few chords, or dense
+    cyclic = 0
+    while cyclic < 400:
+        n = rng.randint(3, 14)
+        if cyclic % 2:
+            graph = random_graph(rng, n, 0.8)
+        else:
+            chords = [rng.sample(range(n), 2) for _ in range(rng.randint(1, 4))]
+            graph = Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)] + chords)
+        if graph.is_forest():
+            continue
+        graph = relabeled(rng, graph)
+        assert best_crosscut_pair(graph) == branching_pair(graph)
+        cyclic += 1
 
 
 def test_tree_scan_agrees_with_branching_on_all_small_trees():
     for n in range(1, 10):
         for tree in trees(n):
-            assert tree_crosscut_number(tree) == _branching_pair(tree).weight
+            assert tree_crosscut_number(tree) == branching_pair(tree).weight
 
 
 def test_tree_scan_rejects_non_trees():
@@ -269,7 +283,8 @@ def test_completion_leaves_trees_alone():
 
 
 def test_long_path_pair_completion_and_audit():
-    # one vertex per recursion level used to exceed the recursion limit
+    # one vertex per recursion level used to exceed the recursion limit,
+    # on the path and on the cycle
     pair = best_crosscut_pair(LONG_PATH)
     assert pair.weight == tree_crosscut_number(LONG_PATH) == 600
     report = crosscut_audit(LONG_PATH)
@@ -279,6 +294,9 @@ def test_long_path_pair_completion_and_audit():
     tree = complete_forest_to_tree(padded)
     assert tree.is_tree() and padded.edges <= tree.edges
     assert crosscut_number(tree) == 600
+    # the alternating set covers every edge; evens are lex-smaller than odds
+    evens = frozenset(range(0, 1200, 2))
+    assert best_crosscut_pair(LONG_CYCLE) == CrosscutPair(evens, frozenset())
 
 
 def test_completion_rejects_edgeless_forests_on_two_or_more_vertices():

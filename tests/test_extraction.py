@@ -3,10 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from expansions import (AugmentedFamily, Graph, SetFamily, TripleSystem, expand,
-                        find_biclique_avoiding_lists, find_sunflower, full_subgraph,
-                        random_list_filter, select_disjoint_augmented, shadow,
-                        sunflower_threshold)
+from expansions import (AugmentedFamily, Graph, SetFamily, Sunflower, TripleSystem,
+                        expand, find_biclique_avoiding_lists, find_sunflower,
+                        full_subgraph, random_list_filter, select_disjoint_augmented,
+                        shadow, sunflower_threshold)
 
 from helpers import random_system
 
@@ -94,10 +94,17 @@ def test_sunflower_absent_below_need():
 
 
 def test_sunflower_two_petals_always_exist_with_two_sets():
-    # any two sets form a sunflower; the recursion must find one
+    # any two sets form a sunflower; the search must find one
     fam = SetFamily.from_sets([{1, 2}, {1, 3}])
     flower = find_sunflower(fam, 2)
     assert flower is not None and flower.check(fam)
+
+
+def test_sunflower_core_beyond_the_recursion_limit():
+    # each core element is one link step; 1,500 of them used to exceed the
+    # recursion limit
+    fam = SetFamily.from_sets([range(1500), range(1501)])
+    assert find_sunflower(fam, 2) == Sunflower((0, 1), frozenset(range(1500)))
 
 
 def test_sunflower_rejects_bad_petal_count():
