@@ -1,7 +1,9 @@
-"""Enumeration of unlabeled trees and forests on a fixed vertex count.
+"""Enumeration of unlabeled trees, forests and triple trees.
 
-Trees come from networkx's free-tree generator, normalized onto vertices
-0..n-1.  Forests are assembled as multisets of smaller trees laid out on
+Trees come from the WROM free-tree generator (Wright, Richmond, Odlyzko
+and McKay, SIAM J. Comput. 1986) as centre-rooted level sequences in
+Beyer-Hedetniemi successor order, so their order is fixed by this module.
+Forests are assembled as multisets of smaller trees laid out on
 consecutive vertex blocks; distinct multisets of component classes give
 non-isomorphic forests, so the enumeration is exact and duplicate-free.
 """
@@ -10,23 +12,72 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 
 from .core import Graph, TripleSystem
+from .search import contains
+
+
+def _successor(layout: list[int], p: int | None = None) -> list[int] | None:
+    # Beyer-Hedetniemi: the next rooted level sequence, changing it from
+    # position p (by default the last vertex not at level 1) onwards
+    if p is None:
+        p = len(layout) - 1
+        while layout[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while layout[q] != layout[p] - 1:
+        q -= 1
+    out = list(layout)
+    for i in range(p, len(out)):
+        out[i] = out[i - p + q]
+    return out
+
+
+def _second_child(layout: list[int]) -> int:
+    # position of the root's second child, len(layout) when it has only one
+    return next((i for i in range(2, len(layout)) if layout[i] == 1), len(layout))
+
+
+def _free_tree(layout: list[int]) -> list[int]:
+    # WROM: the layout itself when it roots a free tree at its centre, that
+    # is when the root's first subtree does not come after the rest of the
+    # tree in (height, size, level sequence) order; else the next candidate
+    m = _second_child(layout)
+    left, rest = [d - 1 for d in layout[1:m]], [0] + layout[m:]
+    if (max(left), len(left), left) <= (max(rest), len(rest), rest):
+        return layout
+    out = _successor(layout, m - 1)
+    if layout[m - 1] > 2:
+        height = max(out[1:_second_child(out)])
+        out[-height:] = range(1, height + 1)
+    return out
 
 
 @lru_cache(maxsize=None)
 def trees(n: int) -> tuple[Graph, ...]:
-    """All non-isomorphic trees on n vertices."""
+    """All non-isomorphic trees on n vertices, in the WROM generation order."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     if n == 0:
         return ()
     if n == 1:
         return (Graph(1, frozenset()),)
-    import networkx as nx  # deferred: it dominates the package import time
-
-    return tuple(Graph.from_edges(n, t.edges()) for t in nx.nonisomorphic_trees(n))
+    out = []
+    layout = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))  # the path
+    while layout is not None:
+        layout = _free_tree(layout)
+        last: dict[int, int] = {}  # level -> latest vertex there, the next parent
+        edges = []
+        for v, level in enumerate(layout):
+            if level:
+                edges.append((last[level - 1], v))
+            last[level] = v
+        out.append(Graph.from_edges(n, edges))
+        layout = _successor(layout)
+    return tuple(out)
 
 
 def _partitions(n: int, largest: int | None = None):
@@ -39,41 +90,34 @@ def _partitions(n: int, largest: int | None = None):
             yield [first] + rest
 
 
-def _canonical_system(n: int, edges: frozenset) -> tuple:
-    # factorial in n; intended for the tiny systems triple_trees produces
-    best = None
-    for perm in permutations(range(n)):
-        relabeled = tuple(sorted(tuple(sorted((perm[a], perm[b], perm[c]))) for a, b, c in edges))
-        if best is None or relabeled < best:
-            best = relabeled
-    return best
-
-
 @lru_cache(maxsize=None)
 def triple_trees(v: int) -> tuple[TripleSystem, ...]:
     """All non-isomorphic triple systems on v vertices built from one triple
     by repeatedly gluing a fresh vertex onto a covered pair.
 
     Each gluing adds one vertex, so a system with q edges spans q + 2
-    vertices and v must be at least 3.  Deduplication is by brute-force
-    canonical relabeling, which caps practical use at small v.
+    vertices and v must be at least 3.  A grown system is kept unless a
+    system kept before it at the same size contains it, which for equal
+    vertex and edge counts means the two are isomorphic; only systems
+    with equal degree and codegree multisets are compared.
     """
     if v < 3:
         return ()
-    level = [frozenset({(0, 1, 2)})]
+    level = [TripleSystem(3, frozenset({(0, 1, 2)}))]
     for w in range(3, v):
-        seen: set[tuple] = set()
+        kept: dict[tuple, list[TripleSystem]] = {}
         nxt = []
-        for edges in level:
-            pairs = {p for e in edges for p in combinations(e, 2)}
-            for a, b in sorted(pairs):
-                grown = edges | {(a, b, w)}
-                key = _canonical_system(w + 1, grown)
-                if key not in seen:
-                    seen.add(key)
+        for system in level:
+            for a, b in sorted(system.pair_counts):
+                grown = TripleSystem(w + 1, system.edges | {(a, b, w)})
+                degrees = Counter(x for e in grown.edges for x in e)
+                bucket = kept.setdefault((tuple(sorted(degrees.values())),
+                                          tuple(sorted(grown.pair_counts.values()))), [])
+                if all(contains(grown, other) is None for other in bucket):
+                    bucket.append(grown)
                     nxt.append(grown)
         level = nxt
-    return tuple(TripleSystem(v, edges) for edges in level)
+    return tuple(level)
 
 
 @lru_cache(maxsize=None)

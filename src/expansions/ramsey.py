@@ -217,23 +217,25 @@ def _rainbow_coloring(cells, lists, budget) -> dict[Cell, int] | None:
     order = sorted(cells, key=lambda c: len(lists[c]))
     used: set[int] = set()
     chosen: dict[Cell, int] = {}
-
-    def walk(i: int) -> bool:
-        if i == len(order):
-            return True
-        budget.spend()
+    rest: list = [None] * len(order)  # untried colors per level
+    i = 0
+    while i < len(order):
         cell = order[i]
-        for color in sorted(lists[cell]):
-            if color not in used:
-                used.add(color)
-                chosen[cell] = color
-                if walk(i + 1):
-                    return True
-                used.remove(color)
-                del chosen[cell]
-        return False
-
-    return dict(chosen) if walk(0) else None
+        if cell in chosen:  # back from the level below: lift this level's choice
+            used.remove(chosen.pop(cell))
+        else:
+            budget.spend()
+            rest[i] = iter(sorted(lists[cell]))
+        color = next((c for c in rest[i] if c not in used), None)
+        if color is not None:
+            used.add(color)
+            chosen[cell] = color
+            i += 1
+        elif i == 0:
+            return None
+        else:
+            i -= 1
+    return chosen
 
 
 def _disjoint_structured(xs, ys, lists, m, budget):

@@ -97,8 +97,9 @@ def test_sigma_on_graph_and_on_triples(capsys, tmp_path, path2_file):
 
 
 def test_long_inputs_exit_zero(capsys, tmp_path):
-    # a 1,200-vertex path and cycle and 1,100 disjoint triples: deeper than
-    # the recursion limit, so both searches must run as loops
+    # a 1,200-vertex path and cycle, 1,100 disjoint triples and a 32 x 32
+    # rainbow grid: deeper than the recursion limit, so the searches must
+    # run as loops
     path = tmp_path / "path.txt"
     path.write_text(graph_to_text(Graph.from_edges(1200, [(i, i + 1) for i in range(1199)])))
     code, out = run_json(capsys, ["sigma", "--graph", str(path)])
@@ -118,6 +119,17 @@ def test_long_inputs_exit_zero(capsys, tmp_path):
         3 * k, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)])))
     code, out = run_json(capsys, ["sigma", "--triples", str(tri)])
     assert code == 0 and out["sigma"] == k
+
+    side = 32  # every cell of the grid has its own third vertex
+    grid = tmp_path / "private_colors.txt"
+    grid.write_text(triples_to_text(TripleSystem.from_edges(
+        2 * side + side * side,
+        [(x, side + y, 2 * side + side * x + y) for x in range(side) for y in range(side)])))
+    code, out = run_json(capsys, [
+        "multicolor", "--host", str(grid), "--x", ",".join(map(str, range(side))),
+        "--y", ",".join(map(str, range(side, 2 * side))), "--m", "1", "--structured",
+        "--s", str(side)])
+    assert code == 0 and out["status"] == "found"
 
 
 def test_sigma_reports_absence(capsys, tmp_path):

@@ -1,16 +1,22 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
 
+import expansions
 from expansions import Graph, TripleSystem, forests, trees, triple_trees
 
 from helpers import ahu_form, labeled_trees
 
 
 # counts frozen after cross-checking the n <= 8 values against the labeled
-# enumeration below; n = 9 confirmed once by the same oracle offline
-TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
+# enumeration below; n = 9 confirmed once by the same oracle offline, and
+# n = 10..14 are OEIS A000055 and networkx's counts
+TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47,
+               10: 106, 11: 235, 12: 551, 13: 1301, 14: 3159}
 FOREST_COUNTS = {1: 1, 2: 2, 3: 3, 4: 6, 5: 10, 6: 20, 7: 37, 8: 76, 9: 153}
 
 
@@ -27,6 +33,25 @@ def test_trees_are_trees_and_pairwise_nonisomorphic():
             assert t.n == n and t.is_tree()
             forms.add(ahu_form(n, t.sorted_edges()))
         assert len(forms) == len(trees(n))
+
+
+def test_trees_equal_networkx_output_in_order():
+    # the generator is a port of networkx's; the tuple, order included, is
+    # what forests, the demos and the benchmark's inputs are built from
+    nx = pytest.importorskip("networkx")
+    for n in range(15):
+        assert trees(n) == tuple(Graph.from_edges(n, t.edges())
+                                 for t in nx.nonisomorphic_trees(n)), n
+
+
+def test_generators_do_not_import_networkx():
+    code = ("import sys; sys.modules['networkx'] = None\n"
+            "from expansions import forests, trees, triple_trees\n"
+            "assert (len(trees(9)), len(forests(8)), len(triple_trees(7))) == (47, 76, 12)")
+    src = os.path.dirname(os.path.dirname(expansions.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_tree_enumeration_complete_against_labeled_oracle():
@@ -119,7 +144,9 @@ def canonical_by_permutation(system: TripleSystem):
 
 
 def test_triple_tree_counts_and_validity():
-    assert [len(triple_trees(v)) for v in (3, 4, 5)] == [1, 1, 2]
+    # the counts of unlabeled 2-trees (OEIS A054581): a triple tree is the
+    # set of triangles of a 2-tree
+    assert [len(triple_trees(v)) for v in range(3, 10)] == [1, 1, 2, 5, 12, 39, 136]
     assert triple_trees(2) == ()
     for v in (3, 4, 5):
         forms = set()
@@ -129,6 +156,23 @@ def test_triple_tree_counts_and_validity():
             assert is_triple_tree(t)
             forms.add(canonical_by_permutation(t))
         assert len(forms) == len(triple_trees(v))
+
+
+def test_triple_trees_equal_growth_deduplicated_by_permutation():
+    # the same growth order, keeping the first system of each class found
+    # by the factorial canonical form: the same tuple, order included
+    level = [frozenset({(0, 1, 2)})]
+    for w in range(3, 7):
+        seen, nxt = set(), []
+        for edges in level:
+            for a, b in sorted({p for e in edges for p in combinations(e, 2)}):
+                grown = TripleSystem(w + 1, edges | {(a, b, w)})
+                key = canonical_by_permutation(grown)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(grown.edges)
+        level = nxt
+        assert triple_trees(w + 1) == tuple(TripleSystem(w + 1, e) for e in level)
 
 
 def test_triple_tree_enumeration_complete_by_exhaustion():

@@ -236,6 +236,20 @@ def test_structured_search_disjoint_color_sets_across_rounds():
             seen |= mine
 
 
+def test_structured_search_rainbow_deeper_than_the_recursion_limit():
+    # each of the 32 x 32 cells completes to its own third vertex, so the
+    # one rainbow choice is 1,024 levels deep: one node per level plus the
+    # subgrid's own
+    side = 32
+    xs, ys = tuple(range(side)), tuple(range(side, 2 * side))
+    host = TripleSystem.from_edges(2 * side + side * side, [
+        (x, y, 2 * side + side * x + (y - side)) for x in xs for y in ys])
+    la = build_list_assignment(host, xs, ys)
+    out = find_structured_multicoloring(la, m=1, s=side)
+    assert (out.status, out.labels, out.nodes) == ("found", (RAINBOW,), 1025)
+    assert out.result.check(la)
+
+
 def three_color_grid(side=6):
     # every cell lists two of three colors: no 2x2 rainbow, and three rounds
     # with disjoint colors would need all three on every cell, so the search
