@@ -4,8 +4,8 @@ Containment means a copy: an injective vertex map sending every edge of
 the pattern onto an edge of the host.  The Turan routine maximizes the
 edge count of a host on n vertices avoiding such a copy, by lexicographic
 include/exclude branching over all triples with an optimistic-count
-prune.  Budgets turn the answer into a flagged lower bound, never a
-silently wrong exact value.
+prune, over int bitmasks of the triples in lex order.  Budgets turn the
+answer into a flagged lower bound, never a silently wrong exact value.
 
 The audit helpers compare the guaranteed construction (all triples
 meeting a small core exactly once) against exact counts where feasible.
@@ -16,7 +16,7 @@ here extrapolates to asymptotics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 from typing import Iterable
 
@@ -240,11 +240,8 @@ def lower_bound_construction(n: int, core_size: int) -> TripleSystem:
     """
     if not (0 <= core_size <= n):
         raise ValueError("core size must be between 0 and n")
-    triples = []
-    for c in range(core_size):
-        for x, y in combinations(range(core_size, n), 2):
-            triples.append(canonical_triple(c, x, y))
-    return TripleSystem(n, frozenset(triples))
+    return TripleSystem(n, frozenset((c, x, y) for c in range(core_size)
+                                     for x, y in combinations(range(core_size, n), 2)))
 
 
 @dataclass(frozen=True)
@@ -269,17 +266,28 @@ class TuranResult:
         }
 
 
-def _pattern_copies(pattern: TripleSystem, n: int) -> list[frozenset[Triple]]:
-    """Edge sets of all copies of the pattern inside the complete triple
-    system on n vertices (deduplicated over automorphisms)."""
+def _pattern_copies(pattern: TripleSystem, n: int) -> list[int]:
+    """Copies of the pattern in the complete triple system on n vertices,
+    one int bitmask each, ascending: bit i is the i-th triple of
+    combinations(range(n), 3).  A map's mask ORs the bits of its image
+    triples, read from an n x n x n table; the |Aut| maps of one copy all
+    give its mask, and the set keeps it once."""
     if pattern.n > n:
         return []
     pattern_edges = pattern.sorted_edges()
     if not pattern_edges:
-        return [frozenset()]
-    copies = {frozenset(canonical_triple(*(mapping[v] for v in e)) for e in pattern_edges)
-              for mapping in _embeddings(pattern_edges, n)}
-    return sorted(copies, key=sorted)
+        return [0]
+    bit = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, t in enumerate(combinations(range(n), 3)):
+        for a, b, c in permutations(t):
+            bit[a][b][c] = 1 << i
+    copies = set()
+    for mapping in _embeddings(pattern_edges, n):
+        mask = 0
+        for a, b, c in pattern_edges:
+            mask |= bit[mapping[a]][mapping[b]][mapping[c]]
+        copies.add(mask)
+    return sorted(copies)
 
 
 def turan_number(
@@ -291,51 +299,55 @@ def turan_number(
     """Maximum edges of a triple system on n vertices with no copy of the
     forbidden pattern.
 
-    Lexicographic include-first branching over all C(n, 3) triples.  A
+    Lexicographic include-first branching over all C(n, 3) triples, as a
+    loop with the included indices as its stack (no recursion limit).  A
     branch dies when even taking every remaining triple cannot beat the
-    incumbent, and a triple is never included if it completes a copy.  The
-    branching is a loop with the included indices as its stack, so no
-    recursion limit applies.  On budget exhaustion the incumbent is
-    returned with exact=False: a valid lower bound, witnessed, but
-    possibly not maximal.
+    incumbent, and a triple is never included if it completes a copy.
+    Copies and the included set are bitmasks (see _pattern_copies).  Only
+    triples before triple i are included when i is decided, so i can
+    complete only the copies whose last triple it is, and is refused when
+    the rest of one of them is all included.  That is the per-copy count
+    test (refuse i if a copy would be full), so the nodes, their order,
+    the witness and the node count are the same as under counting.  On
+    budget exhaustion the incumbent is returned with exact=False: a valid
+    lower bound, witnessed, but possibly not maximal.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     all_triples = list(combinations(range(n), 3))
     copies = _pattern_copies(forbidden, n)
-    if any(len(c) == 0 for c in copies):
+    if 0 in copies:
         raise ValueError("an edgeless pattern that fits is contained in every host")
     if not copies:
         witness = tuple(all_triples)
         return TuranResult(n, len(witness), True, witness, "branch-and-bound", 0)
 
-    copies_at: dict[Triple, list[int]] = {t: [] for t in all_triples}
-    for c, copy in enumerate(copies):
-        for t in copy:
-            copies_at[t].append(c)
-    copy_sizes = [len(c) for c in copies]
-    hits = [0] * len(copies)
-    budget = Budget(budget_ms, budget_nodes)
     total = len(all_triples)
-    included: list[int] = []  # indices of the chosen triples, ascending
+    closing: list[list[int]] = [[] for _ in range(total)]
+    for mask in copies:
+        last = mask.bit_length() - 1
+        closing[last].append(mask ^ (1 << last))
+    budget = Budget(budget_ms, budget_nodes)
+    included = 0  # bitmask of the chosen triples
+    chosen: list[int] = []  # their indices, ascending
     value, witness = -1, ()
     exact = True
     idx = 0  # next triple to decide; each pass of the loop is one node
     try:
         while True:
             budget.spend()
-            if len(included) > value:
-                value, witness = len(included), tuple(all_triples[i] for i in included)
-            if idx < total and len(included) + (total - idx) > value:
-                t = all_triples[idx]
-                if all(hits[c] < copy_sizes[c] - 1 for c in copies_at[t]):
-                    for c in copies_at[t]:
-                        hits[c] += 1
-                    included.append(idx)
-            elif included:  # dead end: take the exclude branch of the last inclusion
-                idx = included.pop()
-                for c in copies_at[all_triples[idx]]:
-                    hits[c] -= 1
+            if len(chosen) > value:
+                value, witness = len(chosen), tuple(all_triples[i] for i in chosen)
+            if idx < total and len(chosen) + (total - idx) > value:
+                for rest in closing[idx]:
+                    if included & rest == rest:
+                        break  # including this triple would complete a copy
+                else:
+                    included |= 1 << idx
+                    chosen.append(idx)
+            elif chosen:  # dead end: take the exclude branch of the last inclusion
+                idx = chosen.pop()
+                included ^= 1 << idx
             else:
                 break
             idx += 1
@@ -395,18 +407,6 @@ def audit_forest_bound(
     }
 
 
-def _star_plus_edge(k: int) -> Graph:
-    edges = [(0, i) for i in range(1, k)]
-    if k >= 3:
-        edges.append((1, 2))
-    return Graph.from_edges(k, edges)
-
-
-def _complete_bipartite_two(k: int) -> Graph:
-    edges = [(a, b) for a in (0, 1) for b in range(2, k)]
-    return Graph.from_edges(k, edges)
-
-
 def audit_sigma_jump(graph: Graph, n: int) -> dict:
     """Construction dictated by the crosscut number of the expansion.
 
@@ -422,25 +422,23 @@ def audit_sigma_jump(graph: Graph, n: int) -> dict:
         "n": n,
         "note": "descriptive finite-n report; no asymptotic claim",
     }
-    if sigma >= 3:
-        construction = lower_bound_construction(n, 2)
-        report["construction"] = "two-vertex core"
-        report["edges"] = len(construction.edges)
-        report["expected_edges"] = 2 * comb(n - 2, 2)
-        report["free"] = contains_expansion(construction, graph) is None
-    elif sigma == 2:
-        construction = lower_bound_construction(n, 1)
-        report["construction"] = "one-vertex core (star of triples)"
-        report["edges"] = len(construction.edges)
-        report["expected_edges"] = comb(n - 1, 2)
-        report["free"] = contains_expansion(construction, graph) is None
-        k = graph.n
-        report["shape"] = {
-            "in_star_plus_edge": graph_contains(_star_plus_edge(k), graph),
-            "in_complete_bipartite_two": graph_contains(_complete_bipartite_two(k), graph)
-            if k >= 2 else False,
-        }
-    else:
+    if sigma < 2:
         report["construction"] = None
         report["detail"] = "expansion has a crosscut of size at most 1; no core construction"
+        return report
+    core = 2 if sigma >= 3 else 1
+    construction = lower_bound_construction(n, core)
+    report["construction"] = "two-vertex core" if core == 2 else "one-vertex core (star of triples)"
+    report["edges"] = len(construction.edges)
+    report["expected_edges"] = core * comb(n - core, 2)
+    report["free"] = contains_expansion(construction, graph) is None
+    if sigma == 2:
+        k = graph.n
+        star_plus_edge = [(0, i) for i in range(1, k)] + ([(1, 2)] if k >= 3 else [])
+        bipartite_two = [(a, b) for a in (0, 1) for b in range(2, k)]
+        report["shape"] = {
+            "in_star_plus_edge": graph_contains(Graph.from_edges(k, star_plus_edge), graph),
+            "in_complete_bipartite_two":
+                k >= 2 and graph_contains(Graph.from_edges(k, bipartite_two), graph),
+        }
     return report

@@ -11,6 +11,7 @@ import random
 from itertools import combinations, permutations
 
 from expansions import CrosscutPair, Graph, TripleSystem
+from expansions.core import Budget, BudgetExhausted
 
 
 # ------------------------------------------------------------ labeled trees
@@ -239,6 +240,70 @@ def brute_turan(n: int, pattern: TripleSystem):
         if found:
             best, witnesses = r, found
     return best, witnesses
+
+
+def counter_copies(pattern: TripleSystem, n: int) -> list[frozenset]:
+    """Edge sets of all copies of the pattern inside the complete triple
+    system on n vertices, one per copy, from a scan over every injective
+    map of the pattern's support."""
+    if pattern.n > n:
+        return []
+    support = sorted({v for e in pattern.edges for v in e})
+    copies = set()
+    for image in permutations(range(n), len(support)):
+        at = dict(zip(support, image))
+        copies.add(frozenset(tuple(sorted(at[v] for v in e)) for e in pattern.edges))
+    return sorted(copies, key=sorted)
+
+
+def counter_turan(n: int, forbidden: TripleSystem, budget_ms=None, budget_nodes=None):
+    """Include-first branch-and-bound over the triples in lex order with one
+    hit counter per copy, updated on every include and pop: the loop
+    turan_number ran before its bitset kernel, kept as the reference that
+    kernel is tested against.  Returns (value, exact, nodes, witness)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    all_triples = list(combinations(range(n), 3))
+    copies = counter_copies(forbidden, n)
+    if any(len(c) == 0 for c in copies):
+        raise ValueError("an edgeless pattern that fits is contained in every host")
+    if not copies:
+        witness = tuple(all_triples)
+        return len(witness), True, 0, witness
+
+    copies_at: dict = {t: [] for t in all_triples}
+    for c, copy in enumerate(copies):
+        for t in copy:
+            copies_at[t].append(c)
+    copy_sizes = [len(c) for c in copies]
+    hits = [0] * len(copies)
+    budget = Budget(budget_ms, budget_nodes)
+    total = len(all_triples)
+    included: list[int] = []  # indices of the chosen triples, ascending
+    value, witness = -1, ()
+    exact = True
+    idx = 0  # next triple to decide; each pass of the loop is one node
+    try:
+        while True:
+            budget.spend()
+            if len(included) > value:
+                value, witness = len(included), tuple(all_triples[i] for i in included)
+            if idx < total and len(included) + (total - idx) > value:
+                t = all_triples[idx]
+                if all(hits[c] < copy_sizes[c] - 1 for c in copies_at[t]):
+                    for c in copies_at[t]:
+                        hits[c] += 1
+                    included.append(idx)
+            elif included:  # dead end: take the exclude branch of the last inclusion
+                idx = included.pop()
+                for c in copies_at[all_triples[idx]]:
+                    hits[c] -= 1
+            else:
+                break
+            idx += 1
+    except BudgetExhausted:
+        exact = False
+    return value, exact, budget.nodes, witness
 
 
 # ------------------------------------------------------------ grid oracle

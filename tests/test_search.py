@@ -8,11 +8,13 @@ from expansions import (Graph, TripleSystem, audit_forest_bound, audit_sigma_jum
                         contains, contains_expansion, crosscut_number, expand,
                         graph_contains, lower_bound_construction, trees, turan_number)
 
-from helpers import (brute_contains, brute_graph_contains, brute_turan, random_graph,
-                     random_system)
+from expansions.search import _pattern_copies
+from helpers import (brute_contains, brute_graph_contains, brute_turan, counter_copies,
+                     counter_turan, random_graph, random_system)
 
 
 PATH2 = Graph.from_edges(3, [(0, 1), (1, 2)])
+PATH3 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
 
 # ------------------------------------------------------------- containment
@@ -282,6 +284,11 @@ RECORDED_TURAN = [
      [(0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 4, 5), (0, 4, 6), (0, 5, 6), (1, 2, 3),
       (1, 4, 5), (1, 4, 6), (1, 5, 7), (1, 6, 7), (2, 4, 7), (2, 5, 6), (2, 5, 7),
       (3, 4, 7), (3, 6, 7)]),
+    # recorded from the per-copy counter loop (tests/helpers.counter_turan)
+    (lambda: turan_number(7, expand(PATH3).system), 20, True, 1_106_290,
+     [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 2, 5),
+      (0, 3, 4), (0, 3, 5), (0, 4, 5), (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4),
+      (1, 3, 5), (1, 4, 5), (2, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5)]),
 ]
 
 
@@ -290,6 +297,62 @@ def test_turan_matches_recorded_results(run, value, exact, nodes, witness):
     result = run()
     assert (result.value, result.exact, result.nodes) == (value, exact, nodes)
     assert list(result.witness) == witness
+
+
+def decoded(masks, n):
+    triples = list(combinations(range(n), 3))
+    return sorted((frozenset(t for i, t in enumerate(triples) if mask >> i & 1)
+                   for mask in masks), key=sorted)
+
+
+def test_pattern_copies_decode_to_the_copies_of_a_permutation_scan():
+    rng = random.Random(83)
+    patterns = [expand(PATH2).system, expand(PATH3).system, expand(M2).system, BOOK]
+    patterns += [random_system(rng, rng.randint(3, 6), rng.randint(0, 4)) for _ in range(40)]
+    cases = [(pattern, n) for pattern in patterns for n in range(pattern.n - 1, 8)]
+    for pattern, n in cases + [(BOOK, 8)]:
+        masks = _pattern_copies(pattern, n)
+        assert masks == sorted(set(masks))
+        assert decoded(masks, n) == counter_copies(pattern, n)
+
+
+def kernel_result(n, pattern, budget_nodes):
+    result = turan_number(n, pattern, budget_nodes=budget_nodes)
+    return result.value, result.exact, result.nodes, result.witness
+
+
+def test_turan_equals_counter_reference_on_random_patterns():
+    # an uncapped search at n = 7 can take ten million nodes (three
+    # triples on four vertices), so uncapped draws stay at n <= 6
+    rng = random.Random(211)
+    capped = 0
+    for _ in range(300):
+        pattern = random_system(rng, rng.randint(3, 6), rng.randint(1, 3))
+        cap = rng.choice((None, 5, 50, 500, 3000))
+        n = rng.randint(3, 6 if cap is None else 7)
+        want = counter_turan(n, pattern, budget_nodes=cap)
+        assert kernel_result(n, pattern, cap) == want
+        capped += not want[1]
+    assert 50 <= capped <= 250
+
+
+M2_SYSTEM = expand(M2).system
+
+# every Turan call of the benchmark workloads (perfbench/tasks.py and
+# perfbench/clibatch.py), with its node cap
+BENCHMARK_TURAN = [
+    (5, expand(PATH2).system, None), (6, expand(PATH2).system, None),
+    (7, expand(PATH2).system, None), (6, expand(PATH3).system, None),
+    (7, expand(PATH3).system, None), (6, expand(S3).system, None),
+    (5, M2_SYSTEM, None), (6, M2_SYSTEM, None),
+    (8, BOOK, 40_000), (6, BOOK, 2_000),
+    (7, expand(PATH3).system, 50_000), (7, M2_SYSTEM, 50_000),
+]
+
+
+@pytest.mark.parametrize("n, pattern, cap", BENCHMARK_TURAN)
+def test_turan_equals_counter_reference_on_benchmark_instances(n, pattern, cap):
+    assert kernel_result(n, pattern, cap) == counter_turan(n, pattern, budget_nodes=cap)
 
 
 def test_turan_deadline_is_checked_every_1024_nodes():
