@@ -1,10 +1,11 @@
 """Command line interface.
 
 Every capability is exposed as a subcommand; run with no arguments for
-the list.  Graph and triple-system files use the text format ("n m"
-header plus edge lines) or the JSON mirror when the filename ends in
-.json; families, lists, and colorings are JSON only (schemas in the
-README).
+the list.  Each handler imports the library modules it uses when it runs,
+so the usage path loads none and a subcommand loads only its own.  Graph
+and triple-system files use the text format ("n m" header plus edge
+lines) or the JSON mirror when the filename ends in .json; families,
+lists, and colorings are JSON only (schemas in the README).
 
 Common flags: --json for machine output (the human output renders the
 same dictionary), --seed (default 0), --budget-ms / --budget-nodes for
@@ -16,7 +17,8 @@ and EXPANSIONS_WORKERS supply defaults when the flag is absent.
 The budgeted searches, turan (also per audit-theorem1 row) and
 multicolor --structured, share one rule: the node cap is exact (a search
 stopped by it has counted cap + 1 nodes) and the deadline is checked
-every 1,024 nodes.
+every 1,024 nodes (for turan also every 1,024 maps while it lists the
+pattern's copies).
 
 Exit codes: 0 success, 1 unknown subcommand (usage printed), 2 invalid
 input, 3 budget exhausted (the flagged partial result is still printed;
@@ -29,20 +31,6 @@ import argparse
 import json
 import os
 import sys
-
-from .core import Graph, TripleSystem, canonical_edge
-from .crosscuts import (best_crosscut_pair, complete_forest_to_tree, crosscut_audit,
-                        crosscut_number, expand, forest_lambda, min_crosscut)
-from .extraction import (AugmentedFamily, SetFamily, find_biclique_avoiding_lists,
-                         find_sunflower, full_subgraph, random_list_filter,
-                         select_disjoint_augmented)
-from .io import (graph_to_json_dict, int_list, json_int, json_list, load_graph,
-                 load_triples, triples_to_json_dict)
-from .ramsey import (GridColoring, build_list_assignment, classify,
-                     extract_multicoloring, find_classified_subgrid,
-                     find_structured_multicoloring)
-from .search import (audit_forest_bound, audit_sigma_jump, contains,
-                     contains_expansion, lower_bound_construction, turan_number)
 
 ENV_PREFIX = "EXPANSIONS_"
 DEFAULT_SEED = 0
@@ -85,72 +73,80 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _load_set_family(path: str) -> SetFamily:
+def _load_set_family(path: str):
+    from . import extraction, io
     obj = _load_json(path)
     if not isinstance(obj, dict) or "sets" not in obj:
         raise ValueError("set family JSON must be an object with 'sets'")
-    return SetFamily.from_sets(int_list(s, "each set") for s in json_list(obj, "sets"))
+    return extraction.SetFamily.from_sets(io.int_list(s, "each set")
+                                          for s in io.json_list(obj, "sets"))
 
 
-def _load_augmented(path: str) -> AugmentedFamily:
+def _load_augmented(path: str):
+    from . import extraction, io
     obj = _load_json(path)
     if not isinstance(obj, dict) or "pairs" not in obj:
         raise ValueError("augmented family JSON must be an object with 'pairs'")
     pairs = []
-    for row in json_list(obj, "pairs"):
+    for row in io.json_list(obj, "pairs"):
         if not isinstance(row, dict) or "set" not in row or "element" not in row:
             raise ValueError("each pair must be an object with 'set' and 'element'")
-        pairs.append((int_list(row["set"], "each pair's set"),
-                      json_int(row["element"], "each pair's element")))
-    return AugmentedFamily.from_pairs(pairs)
+        pairs.append((io.int_list(row["set"], "each pair's set"),
+                      io.json_int(row["element"], "each pair's element")))
+    return extraction.AugmentedFamily.from_pairs(pairs)
 
 
 def _load_lists(path: str) -> dict:
+    from . import core, io
     obj = _load_json(path)
     if not isinstance(obj, dict) or "lists" not in obj:
         raise ValueError("lists JSON must be an object with 'lists'")
     out = {}
-    for row in json_list(obj, "lists"):
+    for row in io.json_list(obj, "lists"):
         if not isinstance(row, dict) or "edge" not in row or "set" not in row:
             raise ValueError("each list entry must be an object with 'edge' and 'set'")
-        u, v = int_list(row["edge"], "each list entry's edge", 2)
-        out[canonical_edge(u, v)] = frozenset(int_list(row["set"], "each list entry's set"))
+        u, v = io.int_list(row["edge"], "each list entry's edge", 2)
+        out[core.canonical_edge(u, v)] = frozenset(io.int_list(row["set"],
+                                                               "each list entry's set"))
     return out
 
 
-def _load_coloring(path: str) -> GridColoring:
+def _load_coloring(path: str):
+    from . import io, ramsey
     obj = _load_json(path)
     if not isinstance(obj, dict) or not {"X", "Y", "edges"} <= set(obj):
         raise ValueError("coloring JSON must be an object with 'X', 'Y', 'edges'")
     colors = {}
-    for row in json_list(obj, "edges"):
-        x, y, c = int_list(row, "each coloring row [x, y, c]", 3)
+    for row in io.json_list(obj, "edges"):
+        x, y, c = io.int_list(row, "each coloring row [x, y, c]", 3)
         colors[(x, y)] = c
-    return GridColoring(tuple(int_list(obj["X"], "coloring 'X'")),
-                        tuple(int_list(obj["Y"], "coloring 'Y'")), colors)
+    return ramsey.GridColoring(tuple(io.int_list(obj["X"], "coloring 'X'")),
+                               tuple(io.int_list(obj["Y"], "coloring 'Y'")), colors)
 
 
 # ---------------------------------------------------------------- handlers
 
 def _cmd_expand(args, settings):
-    graph = load_graph(args.graph)
-    exp = expand(graph)
-    out = triples_to_json_dict(exp.system)
+    from . import crosscuts, io
+    graph = io.load_graph(args.graph)
+    exp = crosscuts.expand(graph)
+    out = io.triples_to_json_dict(exp.system)
     out["enlargement"] = [[u, v, w] for (u, v), w in sorted(exp.enlargement.items())]
     return out, False
 
 
 def _cmd_sigma(args, settings):
+    from . import crosscuts, io
     if (args.graph is None) == (args.triples is None):
         raise ValueError("give exactly one of --graph or --triples")
     if args.graph:
-        pair = best_crosscut_pair(load_graph(args.graph))
+        pair = crosscuts.best_crosscut_pair(io.load_graph(args.graph))
         return {
             "sigma": pair.weight,
             "I": sorted(pair.independent),
             "R": [list(e) for e in sorted(pair.uncovered)],
         }, False
-    found = min_crosscut(load_triples(args.triples))
+    found = crosscuts.min_crosscut(io.load_triples(args.triples))
     if found is None:
         return {"sigma": None, "witness": None}, False
     size, witness = found
@@ -158,53 +154,61 @@ def _cmd_sigma(args, settings):
 
 
 def _cmd_crosscut_audit(args, settings):
-    return crosscut_audit(load_graph(args.graph)), False
+    from . import crosscuts, io
+    return crosscuts.crosscut_audit(io.load_graph(args.graph)), False
 
 
 def _cmd_lambda(args, settings):
-    return {"lambda": forest_lambda(load_graph(args.graph))}, False
+    from . import crosscuts, io
+    return {"lambda": crosscuts.forest_lambda(io.load_graph(args.graph))}, False
 
 
 def _cmd_complete_tree(args, settings):
-    tree = complete_forest_to_tree(load_graph(args.graph))
-    out = graph_to_json_dict(tree)
-    out["sigma"] = crosscut_number(tree)
+    from . import crosscuts, io
+    tree = crosscuts.complete_forest_to_tree(io.load_graph(args.graph))
+    out = io.graph_to_json_dict(tree)
+    out["sigma"] = crosscuts.crosscut_number(tree)
     return out, False
 
 
 def _cmd_full_subgraph(args, settings):
-    system = load_triples(args.triples)
-    result = full_subgraph(system, args.d)
-    out = triples_to_json_dict(result)
+    from . import extraction, io
+    system = io.load_triples(args.triples)
+    result = extraction.full_subgraph(system, args.d)
+    out = io.triples_to_json_dict(result)
     out["removed"] = len(system.edges) - len(result.edges)
     return out, False
 
 
 def _cmd_sunflower(args, settings):
+    from . import extraction
     family = _load_set_family(args.family)
-    flower = find_sunflower(family, args.petals)
+    flower = extraction.find_sunflower(family, args.petals)
     if flower is None:
         return {"found": False, "petals": None, "core": None}, False
     return {"found": True, "petals": list(flower.petals), "core": sorted(flower.core)}, False
 
 
 def _cmd_trim_select(args, settings):
+    from . import extraction
     family = _load_augmented(args.family)
-    picked = select_disjoint_augmented(family)
+    picked = extraction.select_disjoint_augmented(family)
     return {"m": len(family), "selected": picked, "count": len(picked)}, False
 
 
 def _cmd_biclique(args, settings):
-    grid = load_graph(args.grid)
+    from . import extraction, io
+    grid = io.load_graph(args.grid)
     lists = _load_lists(args.lists)
-    host = load_triples(args.host)
+    host = io.load_triples(args.host)
     found = None
     if args.prefilter:
-        kept, filtered = random_list_filter(grid, lists, settings["seed"])
+        kept, filtered = extraction.random_list_filter(grid, lists, settings["seed"])
         if filtered.edges:
-            found = find_biclique_avoiding_lists(filtered, lists, args.t, host)
+            found = extraction.find_biclique_avoiding_lists(filtered, lists, args.t,
+                                                            host)
     if found is None:
-        found = find_biclique_avoiding_lists(grid, lists, args.t, host)
+        found = extraction.find_biclique_avoiding_lists(grid, lists, args.t, host)
     if found is None:
         return {"found": False, "X": None, "Y": None}, False
     xs, ys = found
@@ -212,13 +216,15 @@ def _cmd_biclique(args, settings):
 
 
 def _cmd_classify(args, settings):
-    labels = classify(_load_coloring(args.coloring))
+    from . import ramsey
+    labels = ramsey.classify(_load_coloring(args.coloring))
     return {"labels": sorted(labels) if labels else ["none"]}, False
 
 
 def _cmd_ramsey_subgrid(args, settings):
+    from . import ramsey
     coloring = _load_coloring(args.coloring)
-    found = find_classified_subgrid(coloring, args.s)
+    found = ramsey.find_classified_subgrid(coloring, args.s)
     if found is None:
         return {"found": False, "X": None, "Y": None, "labels": None}, False
     xs, ys, labels = found
@@ -233,19 +239,21 @@ def _lists_payload(assignment):
 
 
 def _cmd_lists(args, settings):
-    host = load_triples(args.host)
-    assignment = build_list_assignment(host, _int_list(args.x), _int_list(args.y))
+    from . import io, ramsey
+    host = io.load_triples(args.host)
+    assignment = ramsey.build_list_assignment(host, _int_list(args.x), _int_list(args.y))
     return {"X": list(assignment.rows), "Y": list(assignment.cols),
             "lists": _lists_payload(assignment)}, False
 
 
 def _cmd_multicolor(args, settings):
-    host = load_triples(args.host)
-    assignment = build_list_assignment(host, _int_list(args.x), _int_list(args.y))
+    from . import io, ramsey
+    host = io.load_triples(args.host)
+    assignment = ramsey.build_list_assignment(host, _int_list(args.x), _int_list(args.y))
     if args.structured:
         budget = settings["budget_nodes"] if settings["budget_nodes"] is not None else 500_000
-        result = find_structured_multicoloring(assignment, args.m, args.s, budget,
-                                               settings["budget_ms"])
+        result = ramsey.find_structured_multicoloring(assignment, args.m, args.s, budget,
+                                                      settings["budget_ms"])
         out = {
             "status": result.status,
             "X": list(result.rows) if result.rows else None,
@@ -258,7 +266,7 @@ def _cmd_multicolor(args, settings):
             "nodes": result.nodes,
         }
         return out, result.status == "budget-exhausted"
-    found = extract_multicoloring(assignment, args.m)
+    found = ramsey.extract_multicoloring(assignment, args.m)
     if found is None:
         return {"found": False, "colorings": None}, False
     return {"found": True, "colorings": [
@@ -267,13 +275,14 @@ def _cmd_multicolor(args, settings):
 
 
 def _cmd_contains(args, settings):
-    host = load_triples(args.host)
+    from . import io, search
+    host = io.load_triples(args.host)
     if (args.pattern is None) == (args.expansion_of is None):
         raise ValueError("give exactly one of --pattern or --expansion-of")
     if args.pattern:
-        cert = contains(host, load_triples(args.pattern))
+        cert = search.contains(host, io.load_triples(args.pattern))
     else:
-        cert = contains_expansion(host, load_graph(args.expansion_of))
+        cert = search.contains_expansion(host, io.load_graph(args.expansion_of))
     if cert is None:
         return {"found": False, "map": None, "kind": None}, False
     return {"found": True,
@@ -282,34 +291,38 @@ def _cmd_contains(args, settings):
 
 
 def _cmd_construct(args, settings):
-    system = lower_bound_construction(args.n, args.core)
-    out = triples_to_json_dict(system)
+    from . import io, search
+    system = search.lower_bound_construction(args.n, args.core)
+    out = io.triples_to_json_dict(system)
     out["core_size"] = args.core
     return out, False
 
 
 def _cmd_turan(args, settings):
+    from . import crosscuts, io, search
     if (args.pattern is None) == (args.expansion_of is None):
         raise ValueError("give exactly one of --pattern or --expansion-of")
     if args.pattern:
-        forbidden = load_triples(args.pattern)
+        forbidden = io.load_triples(args.pattern)
     else:
-        forbidden = expand(load_graph(args.expansion_of)).system
-    result = turan_number(args.n, forbidden,
-                          settings["budget_ms"], settings["budget_nodes"])
+        forbidden = crosscuts.expand(io.load_graph(args.expansion_of)).system
+    result = search.turan_number(args.n, forbidden,
+                                 settings["budget_ms"], settings["budget_nodes"])
     return result.as_dict(), not result.exact
 
 
 def _cmd_audit_theorem1(args, settings):
-    forest = load_graph(args.graph)
-    report = audit_forest_bound(forest, _int_list(args.n_list),
-                                settings["budget_ms"], settings["budget_nodes"])
+    from . import io, search
+    forest = io.load_graph(args.graph)
+    report = search.audit_forest_bound(forest, _int_list(args.n_list),
+                                       settings["budget_ms"], settings["budget_nodes"])
     return report, any(row.get("turan") and not row["turan"]["exact"]
                        for row in report["rows"])
 
 
 def _cmd_audit_jump(args, settings):
-    return audit_sigma_jump(load_graph(args.graph), args.n), False
+    from . import io, search
+    return search.audit_sigma_jump(io.load_graph(args.graph), args.n), False
 
 
 # ------------------------------------------------------------------ wiring

@@ -206,7 +206,9 @@ class Budget:
     """Node cap and deadline shared by the exhaustive searches; None
     disables either.  spend() counts a node and raises BudgetExhausted once
     the count exceeds the cap, so a search stopped by the cap has counted
-    cap + 1 nodes; the deadline is read only every 1,024 nodes."""
+    cap + 1 nodes; the deadline is read only every 1,024 nodes.  Set-up
+    work before the first node reads it through expired(), which counts
+    nothing."""
 
     def __init__(self, budget_ms: int | None = None, budget_nodes: int | None = None):
         self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
@@ -220,6 +222,9 @@ class Budget:
         if self.deadline is not None and self.nodes % 1024 == 0 \
                 and time.monotonic() > self.deadline:
             raise BudgetExhausted
+
+    def expired(self) -> bool:
+        return self.deadline is not None and time.monotonic() > self.deadline
 
 
 def shadow(system: TripleSystem) -> Graph:

@@ -9,7 +9,9 @@ for complete bipartite grids whose edges avoid their own forbidden lists.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Iterable
 
@@ -115,12 +117,19 @@ def find_sunflower(family: SetFamily, petal_count: int) -> Sunflower | None:
 
 
 def _sunflower(items: list[tuple[int, frozenset[int]]], want: int):
+    # Frequencies are counted once and then only fall, as sets drop out and
+    # as core elements leave the sets that stay; a heap of (-count, element)
+    # with stale entries skipped gives the most frequent, smallest element.
+    items = [(idx, set(s)) for idx, s in items]
+    freq = Counter(x for _, s in items for x in s)
+    heap = [(-c, x) for x, c in freq.items()]
+    heapify(heap)
     core: set[int] = set()
     while True:
-        taken: list[tuple[int, frozenset[int]]] = []
+        taken: list[tuple[int, set[int]]] = []
         union: set[int] = set()
         for idx, s in items:
-            if not (s & union):
+            if s.isdisjoint(union):
                 taken.append((idx, s))
                 union |= s
         if len(taken) >= want:
@@ -128,15 +137,24 @@ def _sunflower(items: list[tuple[int, frozenset[int]]], want: int):
             core.update(picked[0][1].intersection(*(s for _, s in picked[1:])))
             return [idx for idx, _ in picked], frozenset(core)
 
-        freq: dict[int, int] = {}
-        for _, s in items:
-            for x in s:
-                freq[x] = freq.get(x, 0) + 1
-        if not freq:
+        while heap and freq[heap[0][1]] != -heap[0][0]:
+            heappop(heap)
+        if not heap:
             return None
-        x = min(freq, key=lambda el: (-freq[el], el))
+        x = heap[0][1]
         core.add(x)
-        items = [(idx, s - {x}) for idx, s in items if x in s]
+        kept = []
+        for idx, s in items:
+            if x in s:
+                s.discard(x)
+                kept.append((idx, s))
+            else:
+                for y in s:
+                    freq[y] -= 1
+                    if freq[y]:
+                        heappush(heap, (-freq[y], y))
+        del freq[x]
+        items = kept
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,8 @@ class EmbeddingCertificate:
         )
 
 
-def _embeddings(edges, host_n: int, holds=None, host_degree=None, twin_classes=None):
+def _embeddings(edges, host_n: int, holds=None, host_degree=None, twin_classes=None,
+                pattern_twins=None):
     """Yield every injective map of the vertices of the pattern edges into
     range(host_n) under which each edge e passes holds(mapping, used, e)
     (None: every edge passes).
@@ -60,6 +61,10 @@ def _embeddings(edges, host_n: int, holds=None, host_degree=None, twin_classes=N
     every used vertex, so its subtree mirrors one already searched: a
     caller stopping at the first map it accepts, by tests invariant under
     host automorphisms, gets the same first map with or without pruning.
+    With pattern_twins (classes of pattern vertices any two of which swap
+    by a pattern automorphism), the members of a class take increasing
+    images: a map out of that order is one in order composed with such
+    swaps, so the image edge sets are the same and the maps fewer.
     The yielded dict is live.
     """
     degree: dict[int, int] = {}
@@ -75,6 +80,11 @@ def _embeddings(edges, host_n: int, holds=None, host_degree=None, twin_classes=N
     candidates = [range(host_n) if host_degree is None
                   else [h for h in range(host_n) if host_degree[h] >= degree[v]]
                   for v in support]
+    after = [-1] * len(support)  # level of the previous member of the pattern twin class
+    for cls in pattern_twins or ():
+        levels = sorted(position[v] for v in cls if v in position)
+        for a, b in zip(levels, levels[1:]):
+            after[b] = a
     below: list[tuple[int, ...]] = [()] * host_n
     for cls in twin_classes or ():
         for k, h in enumerate(cls):
@@ -102,7 +112,8 @@ def _embeddings(edges, host_n: int, holds=None, host_degree=None, twin_classes=N
             used.discard(h)
         if v in mapping:
             i += 1
-            rest[i] = iter(candidates[i])
+            rest[i] = iter(candidates[i]) if after[i] < 0 else \
+                filter(mapping[support[after[i]]].__lt__, candidates[i])
         else:
             i -= 1
 
@@ -266,12 +277,16 @@ class TuranResult:
         }
 
 
-def _pattern_copies(pattern: TripleSystem, n: int) -> list[int]:
+def _pattern_copies(pattern: TripleSystem, n: int,
+                    budget: Budget | None = None) -> list[int] | None:
     """Copies of the pattern in the complete triple system on n vertices,
     one int bitmask each, ascending: bit i is the i-th triple of
     combinations(range(n), 3).  A map's mask ORs the bits of its image
-    triples, read from an n x n x n table; the |Aut| maps of one copy all
-    give its mask, and the set keeps it once."""
+    triples, read from an n x n x n table.  Pattern twins take increasing
+    images, which leaves |Aut| / (product of the twin class factorials)
+    maps per copy; they all give its mask, and the set keeps it once.  The
+    budget's deadline is read every 1,024 maps (maps are not nodes); None
+    once it has passed."""
     if pattern.n > n:
         return []
     pattern_edges = pattern.sorted_edges()
@@ -282,7 +297,10 @@ def _pattern_copies(pattern: TripleSystem, n: int) -> list[int]:
         for a, b, c in permutations(t):
             bit[a][b][c] = 1 << i
     copies = set()
-    for mapping in _embeddings(pattern_edges, n):
+    maps = _embeddings(pattern_edges, n, pattern_twins=pattern.twin_classes)
+    for count, mapping in enumerate(maps, 1):
+        if count % 1024 == 0 and budget is not None and budget.expired():
+            return None
         mask = 0
         for a, b, c in pattern_edges:
             mask |= bit[mapping[a]][mapping[b]][mapping[c]]
@@ -310,12 +328,16 @@ def turan_number(
     test (refuse i if a copy would be full), so the nodes, their order,
     the witness and the node count are the same as under counting.  On
     budget exhaustion the incumbent is returned with exact=False: a valid
-    lower bound, witnessed, but possibly not maximal.
+    lower bound, witnessed, but possibly not maximal; a deadline passed
+    while the copies are listed leaves the empty one (value 0, 0 nodes).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     all_triples = list(combinations(range(n), 3))
-    copies = _pattern_copies(forbidden, n)
+    budget = Budget(budget_ms, budget_nodes)
+    copies = _pattern_copies(forbidden, n, budget)
+    if copies is None:  # the deadline passed while listing copies
+        return TuranResult(n, 0, False, (), "branch-and-bound", 0)
     if 0 in copies:
         raise ValueError("an edgeless pattern that fits is contained in every host")
     if not copies:
@@ -327,7 +349,6 @@ def turan_number(
     for mask in copies:
         last = mask.bit_length() - 1
         closing[last].append(mask ^ (1 << last))
-    budget = Budget(budget_ms, budget_nodes)
     included = 0  # bitmask of the chosen triples
     chosen: list[int] = []  # their indices, ascending
     value, witness = -1, ()

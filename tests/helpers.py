@@ -306,6 +306,37 @@ def counter_turan(n: int, forbidden: TripleSystem, budget_ms=None, budget_nodes=
     return value, exact, budget.nodes, witness
 
 
+# ------------------------------------------------------- sunflower oracle
+
+def recount_sunflower(items: list[tuple[int, frozenset[int]]], want: int):
+    """The link loop extraction._sunflower ran before it counted
+    frequencies incrementally: every pass recounts all frequencies and
+    copies every remaining set.  Kept as the reference the incremental
+    version is tested against; returns (petal indices, core) or None."""
+    core: set[int] = set()
+    while True:
+        taken: list[tuple[int, frozenset[int]]] = []
+        union: set[int] = set()
+        for idx, s in items:
+            if not (s & union):
+                taken.append((idx, s))
+                union |= s
+        if len(taken) >= want:
+            picked = taken[:want]
+            core.update(picked[0][1].intersection(*(s for _, s in picked[1:])))
+            return [idx for idx, _ in picked], frozenset(core)
+
+        freq: dict[int, int] = {}
+        for _, s in items:
+            for x in s:
+                freq[x] = freq.get(x, 0) + 1
+        if not freq:
+            return None
+        x = min(freq, key=lambda el: (-freq[el], el))
+        core.add(x)
+        items = [(idx, s - {x}) for idx, s in items if x in s]
+
+
 # ------------------------------------------------------------ grid oracle
 
 def brute_subgrid_labels(colors, xs, ys):

@@ -8,7 +8,8 @@ from expansions import (AugmentedFamily, Graph, SetFamily, Sunflower, TripleSyst
                         full_subgraph, random_list_filter, select_disjoint_augmented,
                         shadow, sunflower_threshold)
 
-from helpers import random_system
+from expansions.extraction import _sunflower
+from helpers import random_system, recount_sunflower
 
 
 # --------------------------------------------------------- full subgraph
@@ -132,6 +133,25 @@ def test_sunflower_guarantee_at_exact_threshold():
                 flower = find_sunflower(fam, petals)
                 assert flower is not None, (k, petals, fam)
                 assert flower.check(fam)
+
+
+def test_sunflower_equals_recount_reference_on_random_families():
+    # counting frequencies once and updating them must not change a petal or
+    # the core; some families get duplicates, empty sets and a shuffled order
+    rng = random.Random(53)
+    outcomes = set()
+    for trial in range(300):
+        k = rng.randint(1, 4)
+        sets = list(random_family(rng, k, rng.randint(1, 9 if k == 1 else 40)).sets)
+        if trial % 3 == 0:
+            sets += rng.sample(sets, rng.randint(0, len(sets))) + [frozenset()]
+            rng.shuffle(sets)
+        items = list(enumerate(sets))
+        petals = rng.randint(1, 5)
+        want = recount_sunflower(items, petals)
+        assert _sunflower(items, petals) == want, (sets, petals)
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
 
 
 # --------------------------------------------------- augmented selection

@@ -363,6 +363,13 @@ def test_turan_deadline_is_checked_every_1024_nodes():
     assert contains(TripleSystem(7, frozenset(result.witness)), expand(PATH2).system) is None
 
 
+def test_turan_deadline_covers_the_copy_listing():
+    # P2+ at n = 20 has 1.86 M maps to list before the first node; a spent
+    # deadline stops the listing at its first check with the empty lower bound
+    result = turan_number(20, expand(PATH2).system, budget_ms=0)
+    assert (result.value, result.exact, result.nodes, result.witness) == (0, False, 0, ())
+
+
 def test_turan_as_dict_round_trips_fields():
     result = turan_number(4, expand(PATH2).system)
     d = result.as_dict()
