@@ -8,11 +8,10 @@ lines) or the JSON mirror when the filename ends in .json; families,
 lists, and colorings are JSON only (schemas in the README).
 
 Common flags: --json for machine output (the human output renders the
-same dictionary), --seed (default 0), --budget-ms / --budget-nodes for
-the budgeted searches, and --workers (accepted for interface stability;
-execution is sequential and results never depend on it).  Environment
-variables EXPANSIONS_SEED, EXPANSIONS_BUDGET_MS, EXPANSIONS_BUDGET_NODES
-and EXPANSIONS_WORKERS supply defaults when the flag is absent.
+same dictionary), --seed (default 0), and --budget-ms / --budget-nodes for
+the budgeted searches.  Environment variables EXPANSIONS_SEED,
+EXPANSIONS_BUDGET_MS and EXPANSIONS_BUDGET_NODES supply defaults when the
+flag is absent.
 
 The budgeted searches, turan (also per audit-theorem1 row) and
 multicolor --structured, share one rule: the node cap is exact (a search
@@ -32,33 +31,28 @@ import json
 import os
 import sys
 
-ENV_PREFIX = "EXPANSIONS_"
-DEFAULT_SEED = 0
+# the common flags an environment variable can supply, and their defaults
+ENV_DEFAULTS = {"seed": 0, "budget_ms": None, "budget_nodes": None}
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_PREFIX + name} must be an integer, got {raw!r}") from None
+def _env_defaults(args) -> None:
+    """Fill each common flag left absent from its environment variable or default."""
+    for dest, fallback in ENV_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            name = "EXPANSIONS_" + dest.upper()
+            raw = os.environ.get(name)
+            try:
+                setattr(args, dest, fallback if raw is None else int(raw))
+            except ValueError:
+                raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
-def _settings(args) -> dict:
-    def pick(flag_value, env_name, fallback):
-        if flag_value is not None:
-            return flag_value
-        env = _env_int(env_name)
-        return env if env is not None else fallback
-
-    return {
-        "seed": pick(args.seed, "SEED", DEFAULT_SEED),
-        "budget_ms": pick(args.budget_ms, "BUDGET_MS", None),
-        "budget_nodes": pick(args.budget_nodes, "BUDGET_NODES", None),
-        "workers": pick(args.workers, "WORKERS", 1),
-    }
+def _one_of(args, a: str, b: str) -> str:
+    """Which of the options a and b was given; ValueError unless exactly one."""
+    given = [dest for dest in (a, b) if getattr(args, dest) is not None]
+    if len(given) != 1:
+        raise ValueError(f"give exactly one of --{a} or --{b}".replace("_", "-"))
+    return given[0]
 
 
 def _int_list(raw: str) -> list[int]:
@@ -68,29 +62,19 @@ def _int_list(raw: str) -> list[int]:
         raise ValueError(f"expected comma-separated integers, got {raw!r}") from None
 
 
-def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _load_set_family(path: str):
     from . import extraction, io
-    obj = _load_json(path)
-    if not isinstance(obj, dict) or "sets" not in obj:
-        raise ValueError("set family JSON must be an object with 'sets'")
+    obj = io.json_object(io.read_json(path), "set family JSON", "sets")
     return extraction.SetFamily.from_sets(io.int_list(s, "each set")
                                           for s in io.json_list(obj, "sets"))
 
 
 def _load_augmented(path: str):
     from . import extraction, io
-    obj = _load_json(path)
-    if not isinstance(obj, dict) or "pairs" not in obj:
-        raise ValueError("augmented family JSON must be an object with 'pairs'")
+    obj = io.json_object(io.read_json(path), "augmented family JSON", "pairs")
     pairs = []
     for row in io.json_list(obj, "pairs"):
-        if not isinstance(row, dict) or "set" not in row or "element" not in row:
-            raise ValueError("each pair must be an object with 'set' and 'element'")
+        io.json_object(row, "each pair", "set", "element")
         pairs.append((io.int_list(row["set"], "each pair's set"),
                       io.json_int(row["element"], "each pair's element")))
     return extraction.AugmentedFamily.from_pairs(pairs)
@@ -98,13 +82,10 @@ def _load_augmented(path: str):
 
 def _load_lists(path: str) -> dict:
     from . import core, io
-    obj = _load_json(path)
-    if not isinstance(obj, dict) or "lists" not in obj:
-        raise ValueError("lists JSON must be an object with 'lists'")
+    obj = io.json_object(io.read_json(path), "lists JSON", "lists")
     out = {}
     for row in io.json_list(obj, "lists"):
-        if not isinstance(row, dict) or "edge" not in row or "set" not in row:
-            raise ValueError("each list entry must be an object with 'edge' and 'set'")
+        io.json_object(row, "each list entry", "edge", "set")
         u, v = io.int_list(row["edge"], "each list entry's edge", 2)
         out[core.canonical_edge(u, v)] = frozenset(io.int_list(row["set"],
                                                                "each list entry's set"))
@@ -113,9 +94,7 @@ def _load_lists(path: str) -> dict:
 
 def _load_coloring(path: str):
     from . import io, ramsey
-    obj = _load_json(path)
-    if not isinstance(obj, dict) or not {"X", "Y", "edges"} <= set(obj):
-        raise ValueError("coloring JSON must be an object with 'X', 'Y', 'edges'")
+    obj = io.json_object(io.read_json(path), "coloring JSON", "X", "Y", "edges")
     colors = {}
     for row in io.json_list(obj, "edges"):
         x, y, c = io.int_list(row, "each coloring row [x, y, c]", 3)
@@ -126,7 +105,7 @@ def _load_coloring(path: str):
 
 # ---------------------------------------------------------------- handlers
 
-def _cmd_expand(args, settings):
+def _cmd_expand(args):
     from . import crosscuts, io
     graph = io.load_graph(args.graph)
     exp = crosscuts.expand(graph)
@@ -135,11 +114,9 @@ def _cmd_expand(args, settings):
     return out, False
 
 
-def _cmd_sigma(args, settings):
+def _cmd_sigma(args):
     from . import crosscuts, io
-    if (args.graph is None) == (args.triples is None):
-        raise ValueError("give exactly one of --graph or --triples")
-    if args.graph:
+    if _one_of(args, "graph", "triples") == "graph":
         pair = crosscuts.best_crosscut_pair(io.load_graph(args.graph))
         return {
             "sigma": pair.weight,
@@ -153,17 +130,17 @@ def _cmd_sigma(args, settings):
     return {"sigma": size, "witness": sorted(witness)}, False
 
 
-def _cmd_crosscut_audit(args, settings):
+def _cmd_crosscut_audit(args):
     from . import crosscuts, io
     return crosscuts.crosscut_audit(io.load_graph(args.graph)), False
 
 
-def _cmd_lambda(args, settings):
+def _cmd_lambda(args):
     from . import crosscuts, io
     return {"lambda": crosscuts.forest_lambda(io.load_graph(args.graph))}, False
 
 
-def _cmd_complete_tree(args, settings):
+def _cmd_complete_tree(args):
     from . import crosscuts, io
     tree = crosscuts.complete_forest_to_tree(io.load_graph(args.graph))
     out = io.graph_to_json_dict(tree)
@@ -171,7 +148,7 @@ def _cmd_complete_tree(args, settings):
     return out, False
 
 
-def _cmd_full_subgraph(args, settings):
+def _cmd_full_subgraph(args):
     from . import extraction, io
     system = io.load_triples(args.triples)
     result = extraction.full_subgraph(system, args.d)
@@ -180,7 +157,7 @@ def _cmd_full_subgraph(args, settings):
     return out, False
 
 
-def _cmd_sunflower(args, settings):
+def _cmd_sunflower(args):
     from . import extraction
     family = _load_set_family(args.family)
     flower = extraction.find_sunflower(family, args.petals)
@@ -189,21 +166,21 @@ def _cmd_sunflower(args, settings):
     return {"found": True, "petals": list(flower.petals), "core": sorted(flower.core)}, False
 
 
-def _cmd_trim_select(args, settings):
+def _cmd_trim_select(args):
     from . import extraction
     family = _load_augmented(args.family)
     picked = extraction.select_disjoint_augmented(family)
     return {"m": len(family), "selected": picked, "count": len(picked)}, False
 
 
-def _cmd_biclique(args, settings):
+def _cmd_biclique(args):
     from . import extraction, io
     grid = io.load_graph(args.grid)
     lists = _load_lists(args.lists)
     host = io.load_triples(args.host)
     found = None
     if args.prefilter:
-        kept, filtered = extraction.random_list_filter(grid, lists, settings["seed"])
+        kept, filtered = extraction.random_list_filter(grid, lists, args.seed)
         if filtered.edges:
             found = extraction.find_biclique_avoiding_lists(filtered, lists, args.t,
                                                             host)
@@ -215,13 +192,13 @@ def _cmd_biclique(args, settings):
     return {"found": True, "X": sorted(xs), "Y": sorted(ys)}, False
 
 
-def _cmd_classify(args, settings):
+def _cmd_classify(args):
     from . import ramsey
     labels = ramsey.classify(_load_coloring(args.coloring))
     return {"labels": sorted(labels) if labels else ["none"]}, False
 
 
-def _cmd_ramsey_subgrid(args, settings):
+def _cmd_ramsey_subgrid(args):
     from . import ramsey
     coloring = _load_coloring(args.coloring)
     found = ramsey.find_classified_subgrid(coloring, args.s)
@@ -231,6 +208,10 @@ def _cmd_ramsey_subgrid(args, settings):
     return {"found": True, "X": list(xs), "Y": list(ys), "labels": sorted(labels)}, False
 
 
+def _colorings(colorings) -> list:
+    return [[[x, y, chi[(x, y)]] for (x, y) in sorted(chi)] for chi in colorings]
+
+
 def _lists_payload(assignment):
     return [
         {"edge": [x, y], "set": sorted(assignment.lists[(x, y)])}
@@ -238,7 +219,7 @@ def _lists_payload(assignment):
     ]
 
 
-def _cmd_lists(args, settings):
+def _cmd_lists(args):
     from . import io, ramsey
     host = io.load_triples(args.host)
     assignment = ramsey.build_list_assignment(host, _int_list(args.x), _int_list(args.y))
@@ -246,40 +227,33 @@ def _cmd_lists(args, settings):
             "lists": _lists_payload(assignment)}, False
 
 
-def _cmd_multicolor(args, settings):
+def _cmd_multicolor(args):
     from . import io, ramsey
     host = io.load_triples(args.host)
     assignment = ramsey.build_list_assignment(host, _int_list(args.x), _int_list(args.y))
     if args.structured:
-        budget = settings["budget_nodes"] if settings["budget_nodes"] is not None else 500_000
+        budget = args.budget_nodes if args.budget_nodes is not None else 500_000
         result = ramsey.find_structured_multicoloring(assignment, args.m, args.s, budget,
-                                                      settings["budget_ms"])
+                                                      args.budget_ms)
         out = {
             "status": result.status,
             "X": list(result.rows) if result.rows else None,
             "Y": list(result.cols) if result.cols else None,
             "labels": list(result.labels) if result.labels else None,
-            "colorings": [
-                [[x, y, chi[(x, y)]] for (x, y) in sorted(chi)]
-                for chi in result.result.colorings
-            ] if result.result else None,
+            "colorings": _colorings(result.result.colorings) if result.result else None,
             "nodes": result.nodes,
         }
         return out, result.status == "budget-exhausted"
     found = ramsey.extract_multicoloring(assignment, args.m)
     if found is None:
         return {"found": False, "colorings": None}, False
-    return {"found": True, "colorings": [
-        [[x, y, chi[(x, y)]] for (x, y) in sorted(chi)] for chi in found.colorings
-    ]}, False
+    return {"found": True, "colorings": _colorings(found.colorings)}, False
 
 
-def _cmd_contains(args, settings):
+def _cmd_contains(args):
     from . import io, search
     host = io.load_triples(args.host)
-    if (args.pattern is None) == (args.expansion_of is None):
-        raise ValueError("give exactly one of --pattern or --expansion-of")
-    if args.pattern:
+    if _one_of(args, "pattern", "expansion_of") == "pattern":
         cert = search.contains(host, io.load_triples(args.pattern))
     else:
         cert = search.contains_expansion(host, io.load_graph(args.expansion_of))
@@ -290,7 +264,7 @@ def _cmd_contains(args, settings):
             "kind": cert.kind}, False
 
 
-def _cmd_construct(args, settings):
+def _cmd_construct(args):
     from . import io, search
     system = search.lower_bound_construction(args.n, args.core)
     out = io.triples_to_json_dict(system)
@@ -298,29 +272,26 @@ def _cmd_construct(args, settings):
     return out, False
 
 
-def _cmd_turan(args, settings):
+def _cmd_turan(args):
     from . import crosscuts, io, search
-    if (args.pattern is None) == (args.expansion_of is None):
-        raise ValueError("give exactly one of --pattern or --expansion-of")
-    if args.pattern:
+    if _one_of(args, "pattern", "expansion_of") == "pattern":
         forbidden = io.load_triples(args.pattern)
     else:
         forbidden = crosscuts.expand(io.load_graph(args.expansion_of)).system
-    result = search.turan_number(args.n, forbidden,
-                                 settings["budget_ms"], settings["budget_nodes"])
+    result = search.turan_number(args.n, forbidden, args.budget_ms, args.budget_nodes)
     return result.as_dict(), not result.exact
 
 
-def _cmd_audit_theorem1(args, settings):
+def _cmd_audit_theorem1(args):
     from . import io, search
     forest = io.load_graph(args.graph)
     report = search.audit_forest_bound(forest, _int_list(args.n_list),
-                                       settings["budget_ms"], settings["budget_nodes"])
+                                       args.budget_ms, args.budget_nodes)
     return report, any(row.get("turan") and not row["turan"]["exact"]
                        for row in report["rows"])
 
 
-def _cmd_audit_jump(args, settings):
+def _cmd_audit_jump(args):
     from . import io, search
     return search.audit_sigma_jump(io.load_graph(args.graph), args.n), False
 
@@ -329,10 +300,8 @@ def _cmd_audit_jump(args, settings):
 
 def _add_common(parser):
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--budget-ms", type=int, default=None)
-    parser.add_argument("--budget-nodes", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=None)
+    for dest in ENV_DEFAULTS:
+        parser.add_argument("--" + dest.replace("_", "-"), type=int)
 
 
 COMMANDS: dict[str, tuple] = {}
@@ -411,10 +380,6 @@ def _usage() -> str:
     return "\n".join(lines)
 
 
-def _flat(value) -> str:
-    return json.dumps(value)
-
-
 def _render(obj, indent=0) -> list[str]:
     pad = "  " * indent
     lines = []
@@ -429,9 +394,9 @@ def _render(obj, indent=0) -> list[str]:
                     lines.append(f"{pad}  -")
                     lines += _render(item, indent + 2)
             else:
-                lines.append(f"{pad}{key}: {_flat(value)}")
+                lines.append(f"{pad}{key}: {json.dumps(value)}")
     else:
-        lines.append(f"{pad}{_flat(obj)}")
+        lines.append(f"{pad}{json.dumps(obj)}")
     return lines
 
 
@@ -461,8 +426,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:
-        settings = _settings(args)
-        result, exhausted = handler(args, settings)
+        _env_defaults(args)
+        result, exhausted = handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -263,54 +263,41 @@ def find_biclique_avoiding_lists(
     color = grid_graph.two_coloring()
     adj = grid_graph.adjacency
     for comp in sorted(grid_graph.components(), key=min):
-        if len(comp) < 2 * t:
-            continue
         side = sorted(v for v in comp if color[v] == 0)
         other = sorted(v for v in comp if color[v] == 1)
         if len(side) < t or len(other) < t:
             continue
         for xs in combinations(side, t):
             xset = set(xs)
-            candidates = []
+            unions = {}  # candidate y -> union of its lists over xs
             for y in other:
                 if all(y in adj[x] for x in xs):
-                    row_lists = [lists[canonical_edge(x, y)] for x in xs]
-                    if all(not (lst & xset) and y not in lst for lst in row_lists):
-                        candidates.append(y)
-            if len(candidates) < t:
-                continue
-            picked = _complete_y_side(xs, candidates, lists, t)
+                    union = frozenset().union(*(lists[canonical_edge(x, y)] for x in xs))
+                    if not (union & xset) and y not in union:
+                        unions[y] = union
+            picked = _first_compatible(unions, t)
             if picked is not None:
                 return frozenset(xs), frozenset(picked)
     return None
 
 
-def _complete_y_side(xs, candidates, lists, t):
-    chosen: list[int] = []
-
-    def ok(y: int) -> bool:
-        for x in xs:
-            new_list = lists[canonical_edge(x, y)]
-            if any(prev in new_list for prev in chosen):
-                return False
-            for prev in chosen:
-                if y in lists[canonical_edge(x, prev)]:
-                    return False
-        return True
-
-    def walk(start: int):
-        if len(chosen) == t:
-            return True
-        for i in range(start, len(candidates)):
-            y = candidates[i]
-            if ok(y):
-                chosen.append(y)
-                if walk(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return list(chosen) if walk(0) else None
+def _first_compatible(unions: dict[int, frozenset[int]], t: int) -> list[int] | None:
+    """The lexicographically first t candidates (the keys of unions, in
+    order) none of which lies in another's union; None if no t do."""
+    ys = list(unions)
+    stack: list[int] = []  # positions in ys of the chosen candidates
+    i = 0
+    while len(stack) < t:
+        if len(ys) - i >= t - len(stack):  # enough candidates remain
+            y = ys[i]
+            if all(ys[p] not in unions[y] and y not in unions[ys[p]] for p in stack):
+                stack.append(i)
+            i += 1
+        elif stack:
+            i = stack.pop() + 1
+        else:
+            return None
+    return [ys[p] for p in stack]
 
 
 def random_list_filter(

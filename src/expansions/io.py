@@ -1,4 +1,5 @@
-"""Text and JSON serialization for graphs and triple systems.
+"""Text and JSON serialization for graphs and triple systems, and the one
+reader and shape checks every JSON input file of the package goes through.
 
 Text format: a header line "n m" followed by m edge lines, "u v" for graphs
 and "u v w" for triple systems.  Blank lines and trailing whitespace are
@@ -46,24 +47,34 @@ def parse_triples_text(text: str) -> TripleSystem:
     return TripleSystem.from_edges(n, rows)
 
 
-def graph_to_text(graph: Graph) -> str:
-    lines = [f"{graph.n} {len(graph.edges)}"]
-    lines += [f"{u} {v}" for u, v in graph.sorted_edges()]
-    return "\n".join(lines) + "\n"
-
-
-def triples_to_text(system: TripleSystem) -> str:
+def _to_text(system: Graph | TripleSystem) -> str:
     lines = [f"{system.n} {len(system.edges)}"]
-    lines += [f"{u} {v} {w}" for u, v, w in system.sorted_edges()]
+    lines += [" ".join(map(str, e)) for e in system.sorted_edges()]
     return "\n".join(lines) + "\n"
 
 
-def graph_to_json_dict(graph: Graph) -> dict:
-    return {"n": graph.n, "edges": [list(e) for e in graph.sorted_edges()]}
-
-
-def triples_to_json_dict(system: TripleSystem) -> dict:
+def _to_json_dict(system: Graph | TripleSystem) -> dict:
     return {"n": system.n, "edges": [list(e) for e in system.sorted_edges()]}
+
+
+graph_to_text = triples_to_text = _to_text
+graph_to_json_dict = triples_to_json_dict = _to_json_dict
+
+
+def read_json(path: str):
+    """The decoded JSON file; nesting too deep to decode is a ValueError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def json_object(obj, what: str, *keys: str) -> dict:
+    """obj itself, once checked to be a JSON object with every given key."""
+    if not isinstance(obj, dict) or not set(keys) <= set(obj):
+        raise ValueError(f"{what} must be an object with {', '.join(map(repr, keys))}")
+    return obj
 
 
 def _is_int(value) -> bool:
@@ -96,8 +107,7 @@ def json_list(obj: dict, key: str) -> list:
 
 
 def _edges_from_json_dict(obj, width: int, kind: str) -> tuple[int, list[list[int]]]:
-    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise ValueError(f"{kind} JSON must be an object with 'n' and 'edges'")
+    json_object(obj, f"{kind} JSON", "n", "edges")
     n = json_int(obj["n"], f"{kind} 'n'")
     return n, [int_list(e, f"{kind} edge", width) for e in json_list(obj, "edges")]
 
@@ -110,18 +120,17 @@ def triples_from_json_dict(obj: dict) -> TripleSystem:
     return TripleSystem.from_edges(*_edges_from_json_dict(obj, 3, "triple-system"))
 
 
+def _load(path: str, parse_text, from_json_dict):
+    if path.endswith(".json"):
+        return from_json_dict(read_json(path))
+    with open(path) as fh:
+        return parse_text(fh.read())
+
+
 def load_graph(path: str) -> Graph:
     """Read a graph file, JSON when the name ends in .json, text otherwise."""
-    with open(path) as fh:
-        text = fh.read()
-    if path.endswith(".json"):
-        return graph_from_json_dict(json.loads(text))
-    return parse_graph_text(text)
+    return _load(path, parse_graph_text, graph_from_json_dict)
 
 
 def load_triples(path: str) -> TripleSystem:
-    with open(path) as fh:
-        text = fh.read()
-    if path.endswith(".json"):
-        return triples_from_json_dict(json.loads(text))
-    return parse_triples_text(text)
+    return _load(path, parse_triples_text, triples_from_json_dict)

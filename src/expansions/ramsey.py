@@ -37,6 +37,8 @@ class GridColoring:
     colors: dict[Cell, int]
 
     def __post_init__(self):
+        if not self.rows or not self.cols:
+            raise ValueError("both grid sides must be nonempty")
         if set(self.rows) & set(self.cols):
             raise ValueError("grid sides must be disjoint")
         if len(set(self.rows)) != len(self.rows) or len(set(self.cols)) != len(self.cols):
@@ -49,31 +51,24 @@ class GridColoring:
         return self.colors[(x, y)]
 
 
+def _canonical(lines) -> bool:
+    """Each line is constant, and no two lines share a color."""
+    return (all(len(set(line)) == 1 for line in lines)
+            and len({line[0] for line in lines}) == len(lines))
+
+
 def _labels(rows, cols, colors) -> frozenset[str]:
-    values = [colors[(x, y)] for x in rows for y in cols]
+    matrix = [[colors[(x, y)] for y in cols] for x in rows]
+    values = [c for row in matrix for c in row]
     labels = set()
     if len(set(values)) == 1:
         labels.add(MONOCHROMATIC)
     if len(set(values)) == len(values):
         labels.add(RAINBOW)
-    row_colors = []
-    for x in rows:
-        cs = {colors[(x, y)] for y in cols}
-        if len(cs) > 1:
-            break
-        row_colors.append(cs.pop())
-    else:
-        if len(set(row_colors)) == len(row_colors):
-            labels.add(ROW_CANONICAL)
-    col_colors = []
-    for y in cols:
-        cs = {colors[(x, y)] for x in rows}
-        if len(cs) > 1:
-            break
-        col_colors.append(cs.pop())
-    else:
-        if len(set(col_colors)) == len(col_colors):
-            labels.add(COLUMN_CANONICAL)
+    if _canonical(matrix):
+        labels.add(ROW_CANONICAL)
+    if _canonical(list(zip(*matrix))):
+        labels.add(COLUMN_CANONICAL)
     return frozenset(labels)
 
 

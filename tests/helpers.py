@@ -11,7 +11,7 @@ import random
 from itertools import combinations, permutations
 
 from expansions import CrosscutPair, Graph, TripleSystem
-from expansions.core import Budget, BudgetExhausted
+from expansions.core import Budget, BudgetExhausted, canonical_edge
 
 
 # ------------------------------------------------------------ labeled trees
@@ -407,3 +407,38 @@ def random_forest(rng: random.Random, n: int) -> Graph:
         if rng.random() < 0.7:
             edges.append((rng.randrange(v), v))
     return Graph.from_edges(n, edges)
+
+
+# --------------------------------------------------- biclique completion
+
+def recursive_y_completion(xs, candidates, lists, t):
+    """The recursive completion extraction.find_biclique_avoiding_lists ran
+    before it became a loop over each candidate's list union: the first t
+    candidates, in order, such that no chosen y lies in the list of an
+    edge from xs to another chosen y.  Kept as the reference the loop is
+    tested against; returns the chosen ys or None."""
+    chosen: list[int] = []
+
+    def ok(y: int) -> bool:
+        for x in xs:
+            new_list = lists[canonical_edge(x, y)]
+            if any(prev in new_list for prev in chosen):
+                return False
+            for prev in chosen:
+                if y in lists[canonical_edge(x, prev)]:
+                    return False
+        return True
+
+    def walk(start: int):
+        if len(chosen) == t:
+            return True
+        for i in range(start, len(candidates)):
+            y = candidates[i]
+            if ok(y):
+                chosen.append(y)
+                if walk(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return list(chosen) if walk(0) else None

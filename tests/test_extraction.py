@@ -8,8 +8,8 @@ from expansions import (AugmentedFamily, Graph, SetFamily, Sunflower, TripleSyst
                         full_subgraph, random_list_filter, select_disjoint_augmented,
                         shadow, sunflower_threshold)
 
-from expansions.extraction import _sunflower
-from helpers import random_system, recount_sunflower
+from expansions.extraction import _first_compatible, _sunflower
+from helpers import random_system, recount_sunflower, recursive_y_completion
 
 
 # --------------------------------------------------------- full subgraph
@@ -252,6 +252,26 @@ def test_biclique_validates_inputs():
         find_biclique_avoiding_lists(grid2, {}, 1, host)
     with pytest.raises(ValueError):
         find_biclique_avoiding_lists(grid2, {(0, 2): frozenset({4})}, 0, host)
+
+
+def test_biclique_completion_matches_recursive_reference():
+    # candidates come in sorted order, with lists that miss xs and the
+    # candidate itself, drawn from a small pool so that they often hit
+    # other candidates
+    rng = random.Random(71)
+    found = 0
+    for _ in range(4000):
+        xs = range(rng.randint(1, 3))
+        candidates = sorted(rng.sample(range(10, 22), rng.randint(0, 9)))
+        lists = {(x, y): frozenset(rng.sample([z for z in range(10, 22) if z != y],
+                                              rng.randint(0, 3)))
+                 for x in xs for y in candidates}
+        unions = {y: frozenset().union(*(lists[(x, y)] for x in xs)) for y in candidates}
+        t = rng.randint(1, 5)
+        want = recursive_y_completion(xs, candidates, lists, t)
+        assert _first_compatible(unions, t) == want, (candidates, lists, t)
+        found += want is not None
+    assert 0 < found < 4000
 
 
 def test_biclique_rejects_odd_cycles():

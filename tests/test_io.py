@@ -63,3 +63,13 @@ def test_load_dispatches_on_extension(tmp_path):
     tri_path = tmp_path / "h.json"
     tri_path.write_text(json.dumps(triples_to_json_dict(h)))
     assert load_triples(str(tri_path)) == h
+
+
+def test_over_deep_json_is_a_value_error(tmp_path):
+    # the decoder's RecursionError must not escape as a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValueError, match="deep"):
+        load_graph(str(deep))
+    with pytest.raises(ValueError, match="deep"):
+        load_triples(str(deep))

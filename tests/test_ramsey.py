@@ -62,6 +62,9 @@ def test_grid_coloring_validation():
         GridColoring((0,), (1,), {})
     with pytest.raises(ValueError, match="repeat"):
         GridColoring((0, 0), (1,), {(0, 1): 3})
+    for rows, cols in (((), (1,)), ((1,), ())):
+        with pytest.raises(ValueError, match="nonempty"):
+            GridColoring(rows, cols, {})
 
 
 def test_classify_agrees_with_matrix_oracle_sweep():
