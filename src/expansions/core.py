@@ -9,6 +9,7 @@ The node and time budget shared by the exhaustive searches lives here too.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -199,29 +200,36 @@ def _twin_classes(degree: list[int],
 
 
 class BudgetExhausted(Exception):
-    """Raised by Budget.spend once the node cap or the deadline is passed."""
+    """Raised by Budget.check once the node cap or the deadline is passed."""
 
 
 class Budget:
     """Node cap and deadline shared by the exhaustive searches; None
-    disables either.  spend() counts a node and raises BudgetExhausted once
-    the count exceeds the cap, so a search stopped by the cap has counted
-    cap + 1 nodes; the deadline is read only every 1,024 nodes.  Set-up
-    work before the first node reads it through expired(), which counts
-    nothing."""
+    disables either.  check(nodes) is the one stopping rule: past the cap
+    (so a search stopped by it has counted cap + 1 nodes), or at a multiple
+    of 1,024 past the deadline.  A hot loop keeps its own count and calls
+    check() only at next_check(); spend() counts one node and checks it.
+    Set-up before the first node reads the deadline through expired()."""
 
     def __init__(self, budget_ms: int | None = None, budget_nodes: int | None = None):
         self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         self.node_cap = budget_nodes
         self.nodes = 0
 
+    def next_check(self, nodes: int) -> float:
+        """The first count after nodes at which check() can stop a search."""
+        due = math.inf if self.node_cap is None else self.node_cap + 1
+        return due if self.deadline is None else min(due, nodes - nodes % 1024 + 1024)
+
+    def check(self, nodes: int) -> float:
+        """Record the count; stop here or return the next checkpoint."""
+        self.nodes = nodes
+        if self.node_cap is not None and nodes > self.node_cap or nodes % 1024 == 0 and self.expired():
+            raise BudgetExhausted
+        return self.next_check(nodes)
+
     def spend(self) -> None:
-        self.nodes += 1
-        if self.node_cap is not None and self.nodes > self.node_cap:
-            raise BudgetExhausted
-        if self.deadline is not None and self.nodes % 1024 == 0 \
-                and time.monotonic() > self.deadline:
-            raise BudgetExhausted
+        self.check(self.nodes + 1)
 
     def expired(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline

@@ -28,6 +28,16 @@ COLUMN_CANONICAL = "column-canonical"
 Cell = tuple[int, int]
 
 
+def _check_sides(rows: tuple[int, ...], cols: tuple[int, ...]) -> None:
+    """Grid sides must be nonempty, disjoint and free of repeated vertices."""
+    if not rows or not cols:
+        raise ValueError("both grid sides must be nonempty")
+    if set(rows) & set(cols):
+        raise ValueError("grid sides must be disjoint")
+    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
+        raise ValueError("grid sides must not repeat vertices")
+
+
 @dataclass(frozen=True)
 class GridColoring:
     """Total coloring of the cells rows x cols; sides must be disjoint."""
@@ -37,12 +47,7 @@ class GridColoring:
     colors: dict[Cell, int]
 
     def __post_init__(self):
-        if not self.rows or not self.cols:
-            raise ValueError("both grid sides must be nonempty")
-        if set(self.rows) & set(self.cols):
-            raise ValueError("grid sides must be disjoint")
-        if len(set(self.rows)) != len(self.rows) or len(set(self.cols)) != len(self.cols):
-            raise ValueError("grid sides must not repeat vertices")
+        _check_sides(self.rows, self.cols)
         want = {(x, y) for x in self.rows for y in self.cols}
         if set(self.colors) != want:
             raise ValueError("coloring must cover exactly the grid cells")
@@ -105,13 +110,10 @@ class ListAssignment:
 
 def build_list_assignment(host: TripleSystem, rows: Iterable[int], cols: Iterable[int]) -> ListAssignment:
     """Lists from a host system: third vertices of each grid pair, minus
-    the grid's own vertices.  Every grid pair must lie in the host shadow."""
-    rows = tuple(rows)
-    cols = tuple(cols)
-    if not rows or not cols:
-        raise ValueError("both grid sides must be nonempty")
-    if set(rows) & set(cols):
-        raise ValueError("grid sides must be disjoint")
+    the grid's own vertices.  The sides follow the GridColoring rules, and
+    every grid pair must lie in the host shadow."""
+    rows, cols = tuple(rows), tuple(cols)
+    _check_sides(rows, cols)
     grid_vertices = set(rows) | set(cols)
     host_pairs = shadow(host).edges
     lists: dict[Cell, frozenset[int]] = {}

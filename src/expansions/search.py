@@ -267,14 +267,7 @@ class TuranResult:
     nodes: int
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "value": self.value,
-            "exact": self.exact,
-            "witness": [list(e) for e in self.witness],
-            "method": self.method,
-            "nodes": self.nodes,
-        }
+        return {**vars(self), "witness": [list(e) for e in self.witness]}
 
 
 def _pattern_copies(pattern: TripleSystem, n: int,
@@ -308,6 +301,14 @@ def _pattern_copies(pattern: TripleSystem, n: int,
     return sorted(copies)
 
 
+def _bits(positions: list[int]) -> int:
+    """The int with the given bits set, in time linear in its length."""
+    row = bytearray(positions[-1] // 8 + 1 if positions else 0)
+    for p in positions:
+        row[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(row, "little")
+
+
 def turan_number(
     n: int,
     forbidden: TripleSystem,
@@ -321,15 +322,17 @@ def turan_number(
     loop with the included indices as its stack (no recursion limit).  A
     branch dies when even taking every remaining triple cannot beat the
     incumbent, and a triple is never included if it completes a copy.
-    Copies and the included set are bitmasks (see _pattern_copies).  Only
-    triples before triple i are included when i is decided, so i can
-    complete only the copies whose last triple it is, and is refused when
-    the rest of one of them is all included.  That is the per-copy count
-    test (refuse i if a copy would be full), so the nodes, their order,
-    the witness and the node count are the same as under counting.  On
-    budget exhaustion the incumbent is returned with exact=False: a valid
-    lower bound, witnessed, but possibly not maximal; a deadline passed
-    while the copies are listed leaves the empty one (value 0, 0 nodes).
+    Copies (see _pattern_copies) are bit lanes, in order of their last
+    triple: closes[i] has those ending at triple i, inside[i] those holding
+    i elsewhere.  planes[k] has the copies with at least k of their other
+    m - 1 triples included (m = pattern size); including i ORs planes[k-1]
+    & inside[i] into planes[k], and popping it restores the saved planes.
+    Only triples before i are included when i is decided, so refusing i
+    when planes[m-1] & closes[i] is nonzero is the per-copy count test:
+    same nodes, order, witness and node count.  The budget is consulted
+    only at its checkpoints (Budget.next_check).  On exhaustion the
+    incumbent is returned with exact=False: a witnessed lower bound; a
+    deadline passed while listing copies leaves the empty one (value 0).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -345,30 +348,37 @@ def turan_number(
         return TuranResult(n, len(witness), True, witness, "branch-and-bound", 0)
 
     total = len(all_triples)
-    closing: list[list[int]] = [[] for _ in range(total)]
-    for mask in copies:
-        last = mask.bit_length() - 1
-        closing[last].append(mask ^ (1 << last))
-    included = 0  # bitmask of the chosen triples
-    chosen: list[int] = []  # their indices, ascending
-    value, witness = -1, ()
-    exact = True
+    closing, elsewhere = [[] for _ in range(total)], [[] for _ in range(total)]
+    for lane, mask in enumerate(copies):  # ascending, so in order of the last triple
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            (elsewhere if mask else closing)[low.bit_length() - 1].append(lane)
+    closes, inside = [_bits(c) for c in closing], [_bits(e) for e in elsewhere]
+    top = len(forbidden.edges) - 1
+    planes, ks = [-1] + [0] * top, range(top, 0, -1)
+    saved: list[list[int]] = []  # the planes before each inclusion
+    chosen: list[int] = []  # the included indices, ascending
+    value, witness, exact = 0, (), True  # the empty set is free
+    nodes, due = 0, budget.next_check(0)
     idx = 0  # next triple to decide; each pass of the loop is one node
     try:
         while True:
-            budget.spend()
-            if len(chosen) > value:
-                value, witness = len(chosen), tuple(all_triples[i] for i in chosen)
-            if idx < total and len(chosen) + (total - idx) > value:
-                for rest in closing[idx]:
-                    if included & rest == rest:
-                        break  # including this triple would complete a copy
-                else:
-                    included |= 1 << idx
+            nodes += 1
+            if nodes >= due:
+                due = budget.check(nodes)
+            depth = len(chosen)
+            if depth > value:
+                value, witness = depth, tuple(all_triples[i] for i in chosen)
+            if idx < total and depth + total - idx > value:
+                if not planes[top] & closes[idx]:  # else including idx completes a copy
+                    saved.append(planes[:])
+                    for k in ks:
+                        planes[k] |= planes[k - 1] & inside[idx]
                     chosen.append(idx)
             elif chosen:  # dead end: take the exclude branch of the last inclusion
                 idx = chosen.pop()
-                included ^= 1 << idx
+                planes = saved.pop()
             else:
                 break
             idx += 1
@@ -377,7 +387,7 @@ def turan_number(
     system = TripleSystem(n, frozenset(witness))
     if contains(system, forbidden) is not None:
         raise RuntimeError("search produced a witness containing the forbidden pattern")
-    return TuranResult(n, value, exact, witness, "branch-and-bound", budget.nodes)
+    return TuranResult(n, value, exact, witness, "branch-and-bound", nodes)
 
 
 def audit_forest_bound(

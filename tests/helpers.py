@@ -280,7 +280,7 @@ def counter_turan(n: int, forbidden: TripleSystem, budget_ms=None, budget_nodes=
     budget = Budget(budget_ms, budget_nodes)
     total = len(all_triples)
     included: list[int] = []  # indices of the chosen triples, ascending
-    value, witness = -1, ()
+    value, witness = 0, ()  # the empty set is free
     exact = True
     idx = 0  # next triple to decide; each pass of the loop is one node
     try:

@@ -56,6 +56,8 @@ def test_invalid_input_exits_two(tmp_path, capsys):
 
 # a JSON file nested deeper than the decoder's recursion limit
 DEEP = "[" * 100_000 + "]" * 100_000
+# a well-formed host, for the cases whose argv is at fault
+HOST = {"n": 6, "edges": [[0, 2, 4], [0, 3, 5], [1, 2, 5], [1, 3, 4]]}
 # a subcommand's argv, which the malformed file completes, and the file's
 # content; "*.txt" arguments name the well-formed files of write_grid_inputs
 MALFORMED = {
@@ -71,6 +73,9 @@ MALFORMED = {
     "deep lists": (["biclique", "--grid", "grid.txt", "--t", "1", "--host", "host.txt",
                     "--lists"], DEEP),
     "deep coloring": (["classify", "--coloring"], DEEP),
+    "repeated grid vertex in lists": (["lists", "--x", "0,0", "--y", "2", "--host"], HOST),
+    "repeated grid vertex in multicolor": (["multicolor", "--x", "0,0", "--y", "2", "--m", "1",
+                                            "--host"], HOST),
 }
 
 

@@ -138,6 +138,16 @@ def test_build_list_assignment_validation():
         build_list_assignment(h, (), (0,))
 
 
+def test_build_list_assignment_rejects_repeated_grid_vertices():
+    # the same rule and message as a coloring with a repeated side vertex
+    h = TripleSystem.from_edges(4, [(0, 1, 2), (0, 1, 3)])
+    for rows, cols in [((0, 0), (1,)), ((0,), (1, 1))]:
+        with pytest.raises(ValueError, match="grid sides must not repeat vertices"):
+            build_list_assignment(h, rows, cols)
+        with pytest.raises(ValueError, match="grid sides must not repeat vertices"):
+            GridColoring(rows, cols, {(x, y): 0 for x in rows for y in cols})
+
+
 # ----------------------------------------------------------- multicoloring
 
 def full_host(n):

@@ -336,6 +336,42 @@ def test_turan_equals_counter_reference_on_random_patterns():
     assert 50 <= capped <= 250
 
 
+def test_turan_equals_counter_reference_on_four_triple_patterns():
+    # four triples per copy, so three planes; the other cross-checks need at most two
+    rng = random.Random(307)
+    capped = 0
+    for _ in range(60):
+        pattern = random_system(rng, rng.randint(4, 7), 4)
+        cap = rng.choice((None, 50, 500, 3000))
+        n = rng.randint(4, 6 if cap is None else 7)
+        want = counter_turan(n, pattern, budget_nodes=cap)
+        assert kernel_result(n, pattern, cap) == want
+        capped += not want[1]
+    assert 10 <= capped <= 50
+
+
+def test_turan_of_a_single_triple_is_zero():
+    # no planes: every triple is a copy, so each node refuses one triple
+    single = TripleSystem.from_edges(3, [(0, 1, 2)])
+    for n in range(3, 7):
+        result = kernel_result(n, single, None)
+        assert result == (0, True, comb(n, 3) + 1, ()) == counter_turan(n, single)
+
+
+@pytest.mark.parametrize("budget_ms", [None, 0])
+@pytest.mark.parametrize("cap", [0, 1, 1023, 1024, 1025])
+def test_turan_budget_checkpoints(cap, budget_ms):
+    # the exact search takes 10,436 nodes; it stops past the cap, or at
+    # node 1,024 once the deadline has passed, whichever comes first
+    pattern = expand(PATH2).system
+    result = turan_number(7, pattern, budget_ms=budget_ms, budget_nodes=cap)
+    got = (result.value, result.exact, result.nodes, result.witness)
+    assert got == counter_turan(7, pattern, budget_ms=budget_ms, budget_nodes=cap)
+    assert result.nodes == (min(cap + 1, 1024) if budget_ms == 0 else cap + 1)
+    assert not result.exact and result.value == len(result.witness) >= 0
+    assert contains(TripleSystem(7, frozenset(result.witness)), pattern) is None
+
+
 M2_SYSTEM = expand(M2).system
 
 # every Turan call of the benchmark workloads (perfbench/tasks.py and
