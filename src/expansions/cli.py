@@ -8,10 +8,9 @@ lines) or the JSON mirror when the filename ends in .json; families,
 lists, and colorings are JSON only (schemas in the README).
 
 Common flags: --json for machine output (the human output renders the
-same dictionary), --seed (default 0), and --budget-ms / --budget-nodes for
-the budgeted searches.  Environment variables EXPANSIONS_SEED,
-EXPANSIONS_BUDGET_MS and EXPANSIONS_BUDGET_NODES supply defaults when the
-flag is absent.
+same dictionary), and --budget-ms / --budget-nodes for the budgeted
+searches.  Environment variables EXPANSIONS_BUDGET_MS and
+EXPANSIONS_BUDGET_NODES supply defaults when the flag is absent.
 
 The budgeted searches, turan (also per audit-theorem1 row) and
 multicolor --structured, share one rule: the node cap is exact (a search
@@ -31,18 +30,18 @@ import json
 import os
 import sys
 
-# the common flags an environment variable can supply, and their defaults
-ENV_DEFAULTS = {"seed": 0, "budget_ms": None, "budget_nodes": None}
+# the common flags an environment variable can supply
+ENV_FLAGS = ("budget_ms", "budget_nodes")
 
 
 def _env_defaults(args) -> None:
-    """Fill each common flag left absent from its environment variable or default."""
-    for dest, fallback in ENV_DEFAULTS.items():
-        if getattr(args, dest) is None:
-            name = "EXPANSIONS_" + dest.upper()
-            raw = os.environ.get(name)
+    """Fill each common flag left absent from its environment variable, if set."""
+    for dest in ENV_FLAGS:
+        name = "EXPANSIONS_" + dest.upper()
+        raw = os.environ.get(name)
+        if getattr(args, dest) is None and raw is not None:
             try:
-                setattr(args, dest, fallback if raw is None else int(raw))
+                setattr(args, dest, int(raw))
             except ValueError:
                 raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
@@ -178,14 +177,7 @@ def _cmd_biclique(args):
     grid = io.load_graph(args.grid)
     lists = _load_lists(args.lists)
     host = io.load_triples(args.host)
-    found = None
-    if args.prefilter:
-        kept, filtered = extraction.random_list_filter(grid, lists, args.seed)
-        if filtered.edges:
-            found = extraction.find_biclique_avoiding_lists(filtered, lists, args.t,
-                                                            host)
-    if found is None:
-        found = extraction.find_biclique_avoiding_lists(grid, lists, args.t, host)
+    found = extraction.find_biclique_avoiding_lists(grid, lists, args.t, host)
     if found is None:
         return {"found": False, "X": None, "Y": None}, False
     xs, ys = found
@@ -232,7 +224,7 @@ def _cmd_multicolor(args):
     host = io.load_triples(args.host)
     assignment = ramsey.build_list_assignment(host, _int_list(args.x), _int_list(args.y))
     if args.structured:
-        budget = args.budget_nodes if args.budget_nodes is not None else 500_000
+        budget = ramsey.DEFAULT_BUDGET_NODES if args.budget_nodes is None else args.budget_nodes
         result = ramsey.find_structured_multicoloring(assignment, args.m, args.s, budget,
                                                       args.budget_ms)
         out = {
@@ -300,7 +292,7 @@ def _cmd_audit_jump(args):
 
 def _add_common(parser):
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    for dest in ENV_DEFAULTS:
+    for dest in ENV_FLAGS:
         parser.add_argument("--" + dest.replace("_", "-"), type=int)
 
 
@@ -333,8 +325,7 @@ _register("biclique", "complete bipartite subgrid avoiding its edge lists",
           lambda p: (p.add_argument("--grid", required=True),
                      p.add_argument("--lists", required=True),
                      p.add_argument("--t", type=int, required=True),
-                     p.add_argument("--host", required=True),
-                     p.add_argument("--prefilter", action="store_true")), _cmd_biclique)
+                     p.add_argument("--host", required=True)), _cmd_biclique)
 _register("classify", "structured labels of a grid coloring",
           lambda p: p.add_argument("--coloring", required=True), _cmd_classify)
 _register("ramsey-subgrid", "first classified s-by-s subgrid of a coloring",

@@ -4,7 +4,8 @@ Vertices are always 0..n-1 with n stored explicitly, so isolated vertices
 are representable.  Graph edges are canonical pairs (u, v) with u < v and
 triples are canonical sorted 3-tuples.  Both containers are immutable;
 derived structures (adjacency, codegree tables) are cached on first use.
-The node and time budget shared by the exhaustive searches lives here too.
+The node and time budget shared by the exhaustive searches lives here too,
+with the lexicographic search for pairwise compatible candidates.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Iterable
 
 Edge = tuple[int, int]
@@ -233,6 +234,37 @@ class Budget:
 
     def expired(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
+
+
+def first_compatible(candidates: Iterable, t: int, compatible: Callable[[object, object], bool],
+                     budget: Budget | None = None) -> list | None:
+    """The lexicographically first t pairwise compatible candidates, in the
+    order the iterable yields them; None if no t are.  Candidates are drawn
+    only when the search reaches them, and once the iterable is used up a
+    branch stops as soon as too few remain.  With a budget, each candidate
+    tried is one node."""
+    source = iter(candidates)
+    seen: list = []  # the candidates drawn so far
+    total = math.inf  # how many there are, known once source is used up
+    stack: list[int] = []  # positions in seen of the chosen candidates
+    i = 0
+    while len(stack) < t:
+        if i == len(seen) < total:
+            seen.extend(islice(source, 1))
+            if i == len(seen):
+                total = i
+        if total - i >= t - len(stack):  # enough candidates may remain
+            if budget is not None:
+                budget.spend()
+            y = seen[i]
+            if all(compatible(seen[p], y) for p in stack):
+                stack.append(i)
+            i += 1
+        elif stack:
+            i = stack.pop() + 1
+        else:
+            return None
+    return [seen[p] for p in stack]
 
 
 def shadow(system: TripleSystem) -> Graph:

@@ -15,7 +15,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Iterable
 
-from .core import Edge, Graph, TripleSystem, canonical_edge, shadow
+from .core import Edge, Graph, TripleSystem, canonical_edge, first_compatible, shadow
 
 
 def full_subgraph(system: TripleSystem, d: int) -> TripleSystem:
@@ -275,29 +275,11 @@ def find_biclique_avoiding_lists(
                     union = frozenset().union(*(lists[canonical_edge(x, y)] for x in xs))
                     if not (union & xset) and y not in union:
                         unions[y] = union
-            picked = _first_compatible(unions, t)
+            picked = first_compatible(unions, t, lambda a, b: a not in unions[b]
+                                      and b not in unions[a])
             if picked is not None:
                 return frozenset(xs), frozenset(picked)
     return None
-
-
-def _first_compatible(unions: dict[int, frozenset[int]], t: int) -> list[int] | None:
-    """The lexicographically first t candidates (the keys of unions, in
-    order) none of which lies in another's union; None if no t do."""
-    ys = list(unions)
-    stack: list[int] = []  # positions in ys of the chosen candidates
-    i = 0
-    while len(stack) < t:
-        if len(ys) - i >= t - len(stack):  # enough candidates remain
-            y = ys[i]
-            if all(ys[p] not in unions[y] and y not in unions[ys[p]] for p in stack):
-                stack.append(i)
-            i += 1
-        elif stack:
-            i = stack.pop() + 1
-        else:
-            return None
-    return [ys[p] for p in stack]
 
 
 def random_list_filter(

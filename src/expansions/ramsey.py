@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .core import Budget, BudgetExhausted, TripleSystem, canonical_edge, neighborhood, shadow
+from .core import (Budget, BudgetExhausted, TripleSystem, canonical_edge, first_compatible,
+                   neighborhood, shadow)
 
 MONOCHROMATIC = "monochromatic"
 RAINBOW = "rainbow"
@@ -152,10 +153,13 @@ def extract_multicoloring(assignment: ListAssignment, m: int) -> Multicoloring |
         raise ValueError("round count must be positive")
     if any(len(lst) < m for lst in assignment.lists.values()):
         return None
-    rounds = []
-    for i in range(m):
-        rounds.append({cell: sorted(lst)[i] for cell, lst in assignment.lists.items()})
-    return Multicoloring(tuple(rounds))
+    smallest = {cell: sorted(lst)[:m] for cell, lst in assignment.lists.items()}
+    return Multicoloring(tuple({cell: colors[i] for cell, colors in smallest.items()}
+                               for i in range(m)))
+
+
+# the node cap of the structured search when none is given
+DEFAULT_BUDGET_NODES = 500_000
 
 
 @dataclass(frozen=True)
@@ -176,115 +180,86 @@ class StructuredSearch:
 
 
 def find_structured_multicoloring(
-    assignment: ListAssignment, m: int, s: int, budget_nodes: int | None = 500_000,
+    assignment: ListAssignment, m: int, s: int, budget_nodes: int | None = DEFAULT_BUDGET_NODES,
     budget_ms: int | None = None,
 ) -> StructuredSearch:
     """On some s-by-s subgrid: a rainbow list coloring, or m structured
     list colorings with pairwise disjoint color sets.
 
     Subgrids are scanned in sorted order.  Per subgrid the rainbow branch
-    runs first (exact backtracking for an injective choice from the
-    lists); the disjoint branch then stacks m colorings, each either
-    monochromatic or canonical along one side, never reusing a color.
+    runs first (the first injective choice from the lists, shortest list
+    first); the disjoint branch then takes the lexicographically first m
+    pairwise color-disjoint rounds in one fixed order: monochromatic,
+    then row-canonical, then column-canonical, each by its colors read
+    along its lines.  Disjointness does not depend on the order of the
+    rounds, so any m disjoint rounds sort into an increasing stack, and
+    the first stack among all orderings is the first increasing one:
+    the same witness a search over every ordering finds first.
+
+    Nodes: one per subgrid, one per level entered while choosing colors
+    along cells or lines, and one per round tried for the stack.
     """
     if m < 1 or s < 1:
         raise ValueError("round count and subgrid size must be positive")
+    lists = assignment.lists
     budget = Budget(budget_ms, budget_nodes)
     try:
         for xs in combinations(sorted(assignment.rows), s):
             for ys in combinations(sorted(assignment.cols), s):
                 budget.spend()
-                cells = [(x, y) for x in xs for y in ys]
-                lists = {c: assignment.lists[c] for c in cells}
-                rainbow = _rainbow_coloring(cells, lists, budget)
+                cells = sorted(((x, y) for x in xs for y in ys), key=lambda c: len(lists[c]))
+                rainbow = next(_distinct_choices([lists[c] for c in cells], budget), None)
                 if rainbow is not None:
-                    return StructuredSearch(
-                        "found", xs, ys, Multicoloring((rainbow,)), (RAINBOW,), budget.nodes)
-                stacked = _disjoint_structured(xs, ys, lists, m, budget)
-                if stacked is not None:
-                    rounds, labels = stacked
-                    return StructuredSearch(
-                        "found", xs, ys, Multicoloring(tuple(rounds)), tuple(labels), budget.nodes)
+                    return StructuredSearch("found", xs, ys,
+                                            Multicoloring((dict(zip(cells, rainbow)),)),
+                                            (RAINBOW,), budget.nodes)
+                stack = first_compatible(_structured_rounds(xs, ys, lists, budget), m,
+                                         _disjoint, budget)
+                if stack is not None:
+                    return StructuredSearch("found", xs, ys,
+                                            Multicoloring(tuple(r[2] for r in stack)),
+                                            tuple(r[0] for r in stack), budget.nodes)
     except BudgetExhausted:
         return StructuredSearch("budget-exhausted", None, None, None, None, budget.nodes)
     return StructuredSearch("absent", None, None, None, None, budget.nodes)
 
 
-def _rainbow_coloring(cells, lists, budget) -> dict[Cell, int] | None:
-    order = sorted(cells, key=lambda c: len(lists[c]))
-    used: set[int] = set()
-    chosen: dict[Cell, int] = {}
-    rest: list = [None] * len(order)  # untried colors per level
-    i = 0
-    while i < len(order):
-        cell = order[i]
-        if cell in chosen:  # back from the level below: lift this level's choice
-            used.remove(chosen.pop(cell))
+def _structured_rounds(xs, ys, lists, budget):
+    """Every structured round on the subgrid xs by ys, as (label, colors,
+    coloring): one color per line, distinct across lines, from the
+    colors all cells of the line list.  The single line of all cells
+    gives the monochromatic rounds, then come rows, then columns."""
+    cells = [(x, y) for x in xs for y in ys]
+    for label, lines in ((MONOCHROMATIC, [cells]),
+                         (ROW_CANONICAL, [[(x, y) for y in ys] for x in xs]),
+                         (COLUMN_CANONICAL, [[(x, y) for x in xs] for y in ys])):
+        pools = [set(lists[line[0]]).intersection(*(lists[c] for c in line[1:]))
+                 for line in lines]
+        for picks in _distinct_choices(pools, budget):
+            yield label, frozenset(picks), {c: color for line, color in zip(lines, picks)
+                                            for c in line}
+
+
+def _disjoint(a, b) -> bool:
+    """Two rounds from _structured_rounds share no color."""
+    return a[1].isdisjoint(b[1])
+
+
+def _distinct_choices(pools, budget):
+    """Every choice of one color from each pool, no color twice, in
+    lexicographic order; entering a level is one node."""
+    picks: dict[int, None] = {}  # colors chosen above, kept in order with fast lookup
+    budget.spend()
+    rest = [iter(sorted(pools[0]))]  # the untried colors of each open level
+    while rest:
+        color = next((c for c in rest[-1] if c not in picks), None)
+        if color is None:
+            rest.pop()
+            if picks:
+                picks.popitem()
+        elif len(rest) == len(pools):
+            yield (*picks, color)
         else:
+            picks[color] = None
             budget.spend()
-            rest[i] = iter(sorted(lists[cell]))
-        color = next((c for c in rest[i] if c not in used), None)
-        if color is not None:
-            used.add(color)
-            chosen[cell] = color
-            i += 1
-        elif i == 0:
-            return None
-        else:
-            i -= 1
-    return chosen
-
-
-def _disjoint_structured(xs, ys, lists, m, budget):
-    rounds: list[dict[Cell, int]] = []
-    labels: list[str] = []
-    used: set[int] = set()
-
-    def common(cells) -> frozenset[int]:
-        out = lists[cells[0]]
-        for c in cells[1:]:
-            out = out & lists[c]
-        return out
-
-    def place(kind: str) -> list[tuple[dict[Cell, int], set[int]]]:
-        # enumerate candidate colorings of one round, cheapest first
-        if kind == MONOCHROMATIC:
-            pool = sorted(common([(x, y) for x in xs for y in ys]) - used)
-            return [({(x, y): c for x in xs for y in ys}, {c}) for c in pool]
-        side, lines = (xs, "row") if kind == ROW_CANONICAL else (ys, "col")
-        choices: list[tuple[dict[Cell, int], set[int]]] = []
-
-        def build(i: int, acc: dict[Cell, int], mine: set[int]):
-            budget.spend()
-            if i == len(side):
-                choices.append((dict(acc), set(mine)))
-                return
-            v = side[i]
-            cells = [(v, y) for y in ys] if lines == "row" else [(x, v) for x in xs]
-            for c in sorted(common(cells) - used - mine):
-                for cell in cells:
-                    acc[cell] = c
-                build(i + 1, acc, mine | {c})
-            for cell in cells:
-                acc.pop(cell, None)
-
-        build(0, {}, set())
-        return choices
-
-    def walk(i: int) -> bool:
-        if i == m:
-            return True
-        budget.spend()
-        for kind in (MONOCHROMATIC, ROW_CANONICAL, COLUMN_CANONICAL):
-            for coloring, colors in place(kind):
-                rounds.append(coloring)
-                labels.append(kind)
-                used.update(colors)
-                if walk(i + 1):
-                    return True
-                used.difference_update(colors)
-                rounds.pop()
-                labels.pop()
-        return False
-
-    return (rounds, labels) if walk(0) else None
+            rest.append(iter(sorted(pools[len(rest)])))

@@ -130,6 +130,15 @@ def _fill(mapping: dict[int, int], n: int, host_n: int) -> dict[int, int]:
     return full
 
 
+def _checked(mapping: dict[int, int], kind: str, host: TripleSystem,
+             pattern: TripleSystem) -> EmbeddingCertificate:
+    """The certificate of a map the search found, once it is checked."""
+    cert = EmbeddingCertificate(mapping, kind)
+    if not cert.check(host, pattern):
+        raise RuntimeError("search produced a map that is not a copy of the pattern")
+    return cert
+
+
 def contains(host: TripleSystem, pattern: TripleSystem) -> EmbeddingCertificate | None:
     """First copy of the pattern in the host, or None (exact).
 
@@ -147,7 +156,7 @@ def contains(host: TripleSystem, pattern: TripleSystem) -> EmbeddingCertificate 
         return None
     pattern_edges = pattern.sorted_edges()
     if not pattern_edges:
-        return EmbeddingCertificate({v: v for v in range(pattern.n)}, "generic")
+        return _checked({v: v for v in range(pattern.n)}, "generic", host, pattern)
     triples = host.edges
     host_degree = [0] * host.n
     for e in triples:
@@ -161,7 +170,7 @@ def contains(host: TripleSystem, pattern: TripleSystem) -> EmbeddingCertificate 
                              host.twin_classes), None)
     if found is None:
         return None
-    return EmbeddingCertificate(_fill(found, pattern.n, host.n), "generic")
+    return _checked(_fill(found, pattern.n, host.n), "generic", host, pattern)
 
 
 def contains_expansion(host: TripleSystem, base: Graph) -> EmbeddingCertificate | None:
@@ -221,7 +230,7 @@ def contains_expansion(host: TripleSystem, base: Graph) -> EmbeddingCertificate 
     full = dict(mapping)
     for e, w in thirds.items():
         full[exp.enlargement[e]] = w
-    return EmbeddingCertificate(_fill(full, base.n, host.n), "expansion")
+    return _checked(_fill(full, base.n, host.n), "expansion", host, exp.system)
 
 
 def graph_contains(host: Graph, pattern: Graph) -> bool:

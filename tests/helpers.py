@@ -442,3 +442,80 @@ def recursive_y_completion(xs, candidates, lists, t):
         return False
 
     return list(chosen) if walk(0) else None
+
+
+# ------------------------------------------------- structured multicoloring
+
+def recursive_structured_search(lists, rows, cols, m, s):
+    """The subgrid search ramsey.find_structured_multicoloring ran before
+    its disjoint branch became one lexicographic loop over the rounds: per
+    subgrid the first rainbow choice (shortest list first), else a
+    recursive stack of m color-disjoint rounds that lists every candidate
+    round again at every level, in every order.  Kept as the reference the
+    loop is tested against, without a budget; returns (status, rows, cols,
+    labels, colorings)."""
+    for xs in combinations(sorted(rows), s):
+        for ys in combinations(sorted(cols), s):
+            cells = sorted([(x, y) for x in xs for y in ys], key=lambda c: len(lists[c]))
+            rainbow = _recursive_rainbow(cells, lists, {})
+            if rainbow is not None:
+                return "found", xs, ys, ("rainbow",), (rainbow,)
+            stacked = _recursive_stack(xs, ys, lists, m, [], [], set())
+            if stacked is not None:
+                labels, rounds = stacked
+                return "found", xs, ys, tuple(labels), tuple(rounds)
+    return "absent", None, None, None, None
+
+
+def _recursive_rainbow(cells, lists, chosen):
+    if len(chosen) == len(cells):
+        return dict(chosen)
+    cell = cells[len(chosen)]
+    for c in sorted(lists[cell]):
+        if c not in chosen.values():
+            chosen[cell] = c
+            if _recursive_rainbow(cells, lists, chosen) is not None:
+                return dict(chosen)
+            del chosen[cell]
+    return None
+
+
+def _candidate_rounds(kind, xs, ys, lists, used):
+    # every round of one kind avoiding the used colors, in increasing
+    # color order along its lines
+    if kind == "monochromatic":
+        lines = [[(x, y) for x in xs for y in ys]]
+    elif kind == "row-canonical":
+        lines = [[(x, y) for y in ys] for x in xs]
+    else:
+        lines = [[(x, y) for x in xs] for y in ys]
+    pools = [sorted(frozenset.intersection(*(lists[c] for c in line)) - used)
+             for line in lines]
+    out = []
+
+    def build(i, picks):
+        if i == len(lines):
+            out.append(({c: color for line, color in zip(lines, picks) for c in line},
+                        set(picks)))
+            return
+        for color in pools[i]:
+            if color not in picks:
+                build(i + 1, picks + [color])
+
+    build(0, [])
+    return out
+
+
+def _recursive_stack(xs, ys, lists, m, labels, rounds, used):
+    if len(rounds) == m:
+        return list(labels), list(rounds)
+    for kind in ("monochromatic", "row-canonical", "column-canonical"):
+        for coloring, colors in _candidate_rounds(kind, xs, ys, lists, used):
+            labels.append(kind)
+            rounds.append(coloring)
+            found = _recursive_stack(xs, ys, lists, m, labels, rounds, used | colors)
+            if found is not None:
+                return found
+            labels.pop()
+            rounds.pop()
+    return None

@@ -358,7 +358,7 @@ def test_multicolor_structured_honours_budget_ms(capsys, tmp_path):
     argv = ["multicolor", "--host", str(tri), "--x", "0,1,2,3,4,5", "--y", "6,7,8,9,10,11",
             "--m", "3", "--structured", "--s", "2"]
     code, out = run_json(capsys, argv)
-    assert (code, out["status"], out["nodes"]) == (0, "absent", 6489)
+    assert (code, out["status"], out["nodes"]) == (0, "absent", 4083)
     code, out = run_json(capsys, argv + ["--budget-ms", "0"])
     assert (code, out["status"], out["nodes"]) == (3, "budget-exhausted", 1024)
 
@@ -390,6 +390,15 @@ def test_workers_flag_is_rejected(capsys, path2_file):
     # execution is sequential: there is no --workers option to accept
     assert main(["turan", "--n", "5", "--expansion-of", path2_file, "--workers", "4"]) == 2
     assert "--workers" in capsys.readouterr().err
+
+
+def test_seed_and_prefilter_flags_are_rejected(capsys, path2_file):
+    # every subcommand is deterministic: no --seed, and no random biclique prefilter
+    assert main(["sigma", "--graph", path2_file, "--seed", "1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert main(["biclique", "--grid", path2_file, "--lists", "lists.json", "--t", "1",
+                 "--host", "host.txt", "--prefilter"]) == 2
+    assert "--prefilter" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- fuzzing

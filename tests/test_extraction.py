@@ -8,7 +8,8 @@ from expansions import (AugmentedFamily, Graph, SetFamily, Sunflower, TripleSyst
                         full_subgraph, random_list_filter, select_disjoint_augmented,
                         shadow, sunflower_threshold)
 
-from expansions.extraction import _first_compatible, _sunflower
+from expansions.core import first_compatible
+from expansions.extraction import _sunflower
 from helpers import random_system, recount_sunflower, recursive_y_completion
 
 
@@ -269,7 +270,8 @@ def test_biclique_completion_matches_recursive_reference():
         unions = {y: frozenset().union(*(lists[(x, y)] for x in xs)) for y in candidates}
         t = rng.randint(1, 5)
         want = recursive_y_completion(xs, candidates, lists, t)
-        assert _first_compatible(unions, t) == want, (candidates, lists, t)
+        assert first_compatible(unions, t, lambda a, b: a not in unions[b]
+                                and b not in unions[a]) == want, (candidates, lists, t)
         found += want is not None
     assert 0 < found < 4000
 

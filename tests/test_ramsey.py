@@ -6,9 +6,9 @@ import pytest
 from expansions import (COLUMN_CANONICAL, MONOCHROMATIC, RAINBOW, ROW_CANONICAL,
                         GridColoring, TripleSystem, build_list_assignment, classify,
                         expand, extract_multicoloring, find_classified_subgrid,
-                        find_structured_multicoloring, Graph)
+                        find_structured_multicoloring, Graph, ListAssignment)
 
-from helpers import brute_subgrid_labels
+from helpers import brute_subgrid_labels, recursive_structured_search
 
 
 def grid(rows, cols, matrix):
@@ -263,10 +263,40 @@ def test_structured_search_rainbow_deeper_than_the_recursion_limit():
     assert out.result.check(la)
 
 
+def random_list_assignment(rng):
+    # lists hold at least half of a palette of at most six colors, so that
+    # rainbow subgrids are often impossible and the disjoint rounds decide
+    rows = tuple(range(rng.randint(1, 4)))
+    cols = tuple(range(10, 10 + rng.randint(1, 4)))
+    palette = range(20, 20 + rng.randint(1, 6))
+    lists = {(x, y): frozenset(rng.sample(palette, rng.randint(len(palette) // 2,
+                                                               len(palette))))
+             for x in rows for y in cols}
+    return ListAssignment(rows, cols, lists)
+
+
+def test_structured_search_matches_recursive_reference():
+    rng = random.Random(83)
+    kinds = []
+    for _ in range(1500):
+        la = random_list_assignment(rng)
+        # subgrids of the largest size or one less; 1-by-1 ones are rainbow or empty
+        m, s = rng.randint(1, 4), max(1, min(len(la.rows), len(la.cols)) - rng.randint(0, 1))
+        out = find_structured_multicoloring(la, m, s, budget_nodes=None)
+        want = recursive_structured_search(la.lists, la.rows, la.cols, m, s)
+        colorings = out.result.colorings if out.result else None
+        assert (out.status, out.rows, out.cols, out.labels, colorings) == want, (la, m, s)
+        kinds.append(want[3])
+    # every kind of round ends some stack, and some stacks mix kinds
+    assert {labels[-1] for labels in kinds if labels} == {
+        RAINBOW, MONOCHROMATIC, ROW_CANONICAL, COLUMN_CANONICAL}
+    assert None in kinds and any(labels and len(set(labels)) > 1 for labels in kinds)
+
+
 def three_color_grid(side=6):
     # every cell lists two of three colors: no 2x2 rainbow, and three rounds
     # with disjoint colors would need all three on every cell, so the search
-    # scans every subgrid and proves absence after 6,489 nodes
+    # scans every subgrid and proves absence after 4,083 nodes
     xs, ys = tuple(range(side)), tuple(range(side, 2 * side))
     host = TripleSystem.from_edges(2 * side + 3, [
         (x, y, 2 * side + c) for x in xs for y in ys for c in range(3) if c != (x + y) % 3])
@@ -276,7 +306,7 @@ def three_color_grid(side=6):
 def test_structured_search_node_cap_is_exact_and_deadline_checked_every_1024_nodes():
     la = three_color_grid()
     full = find_structured_multicoloring(la, m=3, s=2)
-    assert (full.status, full.nodes) == ("absent", 6489)
+    assert (full.status, full.nodes) == ("absent", 4083)
     capped = find_structured_multicoloring(la, m=3, s=2, budget_nodes=2000)
     assert (capped.status, capped.nodes) == ("budget-exhausted", 2001)
     out = find_structured_multicoloring(la, m=3, s=2, budget_ms=0)

@@ -8,6 +8,7 @@ from expansions import (Graph, TripleSystem, audit_forest_bound, audit_sigma_jum
                         contains, contains_expansion, crosscut_number, expand,
                         graph_contains, lower_bound_construction, trees, turan_number)
 
+from expansions import search
 from expansions.search import _pattern_copies
 from helpers import (brute_contains, brute_graph_contains, brute_turan, counter_copies,
                      counter_turan, random_graph, random_system)
@@ -76,6 +77,20 @@ def test_contains_expansion_needs_distinct_enlargement_vertices():
     cert = contains_expansion(host2, PATH2)
     assert cert is not None
     assert cert.check(host2, expand(PATH2).system)
+
+
+def test_containment_refuses_a_map_that_is_no_copy(monkeypatch):
+    # a kernel that sends two pattern vertices to host vertex 0: each
+    # pattern triple lands on a host triple, but the map is not injective
+    host = TripleSystem.from_edges(5, [(0, 1, 2), (0, 1, 3)])
+    pattern = expand(PATH2).system
+    monkeypatch.setattr(search, "_embeddings",
+                        lambda *args, **kwargs: iter([{0: 0, 1: 1, 2: 0, 3: 2, 4: 3}]))
+    with pytest.raises(RuntimeError, match="not a copy"):
+        contains(host, pattern)
+    monkeypatch.setattr(search, "_embeddings", lambda *args, **kwargs: iter([{0: 0, 1: 1, 2: 0}]))
+    with pytest.raises(RuntimeError, match="not a copy"):
+        contains_expansion(host, PATH2)
 
 
 def test_graph_contains_basics():
