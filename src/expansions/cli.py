@@ -7,20 +7,16 @@ and triple-system files use the text format ("n m" header plus edge
 lines) or the JSON mirror when the filename ends in .json; families,
 lists, and colorings are JSON only (schemas in the README).
 
-Common flags: --json for machine output (the human output renders the
-same dictionary), and --budget-ms / --budget-nodes for the budgeted
-searches.  Environment variables EXPANSIONS_BUDGET_MS and
-EXPANSIONS_BUDGET_NODES supply defaults when the flag is absent.
-
-The budgeted searches, turan (also per audit-theorem1 row) and
-multicolor --structured, share one rule: the node cap is exact (a search
-stopped by it has counted cap + 1 nodes) and the deadline is checked
-every 1,024 nodes (for turan also every 1,024 maps while it lists the
-pattern's copies).
+Every subcommand takes --json for machine output (the human output
+renders the same dictionary).  Only the subcommands with a budgeted
+search, turan, audit-theorem1 (per row) and multicolor (--structured),
+take --budget-ms and --budget-nodes, which EXPANSIONS_BUDGET_MS and
+EXPANSIONS_BUDGET_NODES supply when absent; their --help has the rule.
 
 Exit codes: 0 success, 1 unknown subcommand (usage printed), 2 invalid
 input, 3 budget exhausted (the flagged partial result is still printed;
-audit-theorem1 exits 3 when any row's Turan search is inexact).
+audit-theorem1 exits 3 when any row's Turan search is inexact), and
+the same when the reader closes the output early.
 """
 
 from __future__ import annotations
@@ -30,16 +26,16 @@ import json
 import os
 import sys
 
-# the common flags an environment variable can supply
+# the budget flags an environment variable can supply
 ENV_FLAGS = ("budget_ms", "budget_nodes")
 
 
 def _env_defaults(args) -> None:
-    """Fill each common flag left absent from its environment variable, if set."""
+    """Fill each budget flag the subcommand takes but was not given from its variable."""
     for dest in ENV_FLAGS:
         name = "EXPANSIONS_" + dest.upper()
         raw = os.environ.get(name)
-        if getattr(args, dest) is None and raw is not None:
+        if getattr(args, dest, 0) is None and raw is not None:
             try:
                 setattr(args, dest, int(raw))
             except ValueError:
@@ -290,10 +286,15 @@ def _cmd_audit_jump(args):
 
 # ------------------------------------------------------------------ wiring
 
-def _add_common(parser):
-    parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    for dest in ENV_FLAGS:
-        parser.add_argument("--" + dest.replace("_", "-"), type=int)
+def _add_budget(parser, setup=""):
+    """The deadline and node cap of a budgeted search; setup names the work
+    before its first node, which only the deadline bounds."""
+    parser.add_argument("--budget-ms", type=int, help="deadline in ms, read every 1,024 nodes"
+                        + (f" and every 1,024 maps of {setup}" if setup else "")
+                        + " (default: $EXPANSIONS_BUDGET_MS)")
+    parser.add_argument("--budget-nodes", type=int, help="exact node cap: a stopped search"
+                        " has counted cap + 1 nodes" + (f"; {setup} is uncapped" if setup else "")
+                        + " (default: $EXPANSIONS_BUDGET_NODES)")
 
 
 COMMANDS: dict[str, tuple] = {}
@@ -341,7 +342,8 @@ _register("multicolor", "multicoloring from lists, or the structured subgrid sea
                      p.add_argument("--y", required=True),
                      p.add_argument("--m", type=int, required=True),
                      p.add_argument("--structured", action="store_true"),
-                     p.add_argument("--s", type=int, default=1)), _cmd_multicolor)
+                     p.add_argument("--s", type=int, default=1),
+                     _add_budget(p)), _cmd_multicolor)
 _register("contains", "copy of a pattern (or of a graph expansion) in a host",
           lambda p: (p.add_argument("--host", required=True),
                      p.add_argument("--pattern"),
@@ -352,10 +354,12 @@ _register("construct", "all triples meeting a core in exactly one vertex",
 _register("turan", "maximum edges avoiding a copy of the pattern",
           lambda p: (p.add_argument("--n", type=int, required=True),
                      p.add_argument("--pattern"),
-                     p.add_argument("--expansion-of")), _cmd_turan)
+                     p.add_argument("--expansion-of"),
+                     _add_budget(p, "the copy listing")), _cmd_turan)
 _register("audit-theorem1", "construction versus exact counts for a forest expansion",
           lambda p: (p.add_argument("--graph", required=True),
-                     p.add_argument("--n-list", required=True)), _cmd_audit_theorem1)
+                     p.add_argument("--n-list", required=True),
+                     _add_budget(p, "the copy listing")), _cmd_audit_theorem1)
 _register("audit-jump", "core construction dictated by the crosscut number",
           lambda p: (p.add_argument("--graph", required=True),
                      p.add_argument("--n", type=int, required=True)), _cmd_audit_jump)
@@ -391,13 +395,6 @@ def _render(obj, indent=0) -> list[str]:
     return lines
 
 
-def _emit(result: dict, as_json: bool):
-    if as_json:
-        print(json.dumps(result, indent=2))
-    else:
-        print("\n".join(_render(result)))
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help"):
@@ -411,7 +408,7 @@ def main(argv=None) -> int:
     help_text, configure, handler = COMMANDS[name]
     parser = argparse.ArgumentParser(prog=f"expansions {name}", description=help_text)
     configure(parser)
-    _add_common(parser)
+    parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     try:
         args = parser.parse_args(argv[1:])
     except SystemExit as exc:
@@ -422,7 +419,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(result, args.json)
+    try:
+        print(json.dumps(result, indent=2) if args.json else "\n".join(_render(result)))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early; keep the exit-time flush quiet too
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     return 3 if exhausted else 0
 
 

@@ -54,9 +54,10 @@ def _embeddings(edges, host_n: int, holds=None, host_degree=None, twin_classes=N
     Pattern vertices are placed in descending degree order, each onto
     host vertices in increasing order, so maps come out in lexicographic
     order of their images in placement order; e is tested once its last
-    vertex is placed.  With host_degree, a vertex of pattern degree d
-    only goes to host vertices of degree >= d.  With twin_classes, a host
-    vertex is tried only when every smaller member of its class is used.
+    vertex is placed, and no edges give one map, the empty one.  With
+    host_degree, a vertex of pattern degree d only goes to host vertices
+    of degree >= d.  With twin_classes, a host vertex is tried only when
+    every smaller member of its class is used.
     Swapping it with an unused smaller twin is an automorphism fixing
     every used vertex, so its subtree mirrors one already searched: a
     caller stopping at the first map it accepts, by tests invariant under
@@ -72,6 +73,9 @@ def _embeddings(edges, host_n: int, holds=None, host_degree=None, twin_classes=N
         for v in e:
             degree[v] = degree.get(v, 0) + 1
     support = sorted(degree, key=lambda v: (-degree[v], v))
+    if not support:
+        yield {}
+        return
     position = {v: i for i, v in enumerate(support)}
     check_at: list[list] = [[] for _ in support]
     if holds is not None:
@@ -155,8 +159,6 @@ def contains(host: TripleSystem, pattern: TripleSystem) -> EmbeddingCertificate 
     if pattern.n > host.n:
         return None
     pattern_edges = pattern.sorted_edges()
-    if not pattern_edges:
-        return _checked({v: v for v in range(pattern.n)}, "generic", host, pattern)
     triples = host.edges
     host_degree = [0] * host.n
     for e in triples:
@@ -189,10 +191,6 @@ def contains_expansion(host: TripleSystem, base: Graph) -> EmbeddingCertificate 
     if exp.system.n > host.n:
         return None
     base_edges = base.sorted_edges()
-    if not base_edges:
-        cert = contains(host, exp.system)
-        return None if cert is None else EmbeddingCertificate(cert.mapping, "expansion")
-
     hoods = host.pair_neighborhoods
     nothing: frozenset[int] = frozenset()
 
@@ -239,8 +237,6 @@ def graph_contains(host: Graph, pattern: Graph) -> bool:
     if pattern.n > host.n:
         return False
     pattern_edges = pattern.sorted_edges()
-    if not pattern_edges:
-        return True
     adj = host.adjacency
 
     def holds(mapping, used, e):
@@ -292,8 +288,6 @@ def _pattern_copies(pattern: TripleSystem, n: int,
     if pattern.n > n:
         return []
     pattern_edges = pattern.sorted_edges()
-    if not pattern_edges:
-        return [0]
     bit = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i, t in enumerate(combinations(range(n), 3)):
         for a, b, c in permutations(t):
@@ -331,17 +325,18 @@ def turan_number(
     loop with the included indices as its stack (no recursion limit).  A
     branch dies when even taking every remaining triple cannot beat the
     incumbent, and a triple is never included if it completes a copy.
-    Copies (see _pattern_copies) are bit lanes, in order of their last
-    triple: closes[i] has those ending at triple i, inside[i] those holding
-    i elsewhere.  planes[k] has the copies with at least k of their other
-    m - 1 triples included (m = pattern size); including i ORs planes[k-1]
-    & inside[i] into planes[k], and popping it restores the saved planes.
-    Only triples before i are included when i is decided, so refusing i
-    when planes[m-1] & closes[i] is nonzero is the per-copy count test:
-    same nodes, order, witness and node count.  The budget is consulted
-    only at its checkpoints (Budget.next_check).  On exhaustion the
-    incumbent is returned with exact=False: a witnessed lower bound; a
-    deadline passed while listing copies leaves the empty one (value 0).
+    Each copy (see _pattern_copies) is one bit lane: holds[i] has the
+    lanes of the copies holding triple i, and planes[k], for k < m (the
+    pattern size), those with at least k of their triples included.
+    Including i ORs planes[k-1] & holds[i] into planes[k], from the top
+    plane down; popping it restores the saved planes.  Triple i is not
+    included while it is decided, so including it completes a copy
+    exactly when planes[m-1] & holds[i] is nonzero, and no copy ever
+    reaches m: a per-copy count of included triples, kept for every copy
+    at once.  The budget is consulted only at its checkpoints
+    (Budget.next_check).  On exhaustion the incumbent is returned with
+    exact=False: a witnessed lower bound; a deadline passed while listing
+    copies leaves the empty one (value 0).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -357,13 +352,15 @@ def turan_number(
         return TuranResult(n, len(witness), True, witness, "branch-and-bound", 0)
 
     total = len(all_triples)
-    closing, elsewhere = [[] for _ in range(total)], [[] for _ in range(total)]
-    for lane, mask in enumerate(copies):  # ascending, so in order of the last triple
+    holders: list[list[int]] = [[] for _ in range(total)]
+    for lane, mask in enumerate(copies):
         while mask:
             low = mask & -mask
             mask ^= low
-            (elsewhere if mask else closing)[low.bit_length() - 1].append(lane)
-    closes, inside = [_bits(c) for c in closing], [_bits(e) for e in elsewhere]
+            holders[low.bit_length() - 1].append(lane)
+    del copies  # the search reads holds only; free the copies and lane lists
+    holds = [_bits(h) for h in holders]
+    del holders
     top = len(forbidden.edges) - 1
     planes, ks = [-1] + [0] * top, range(top, 0, -1)
     saved: list[list[int]] = []  # the planes before each inclusion
@@ -380,10 +377,10 @@ def turan_number(
             if depth > value:
                 value, witness = depth, tuple(all_triples[i] for i in chosen)
             if idx < total and depth + total - idx > value:
-                if not planes[top] & closes[idx]:  # else including idx completes a copy
+                if not planes[top] & holds[idx]:  # else including idx completes a copy
                     saved.append(planes[:])
                     for k in ks:
-                        planes[k] |= planes[k - 1] & inside[idx]
+                        planes[k] |= planes[k - 1] & holds[idx]
                     chosen.append(idx)
             elif chosen:  # dead end: take the exclude branch of the last inclusion
                 idx = chosen.pop()

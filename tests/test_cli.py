@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import sys
 import tempfile
 
 import pytest
@@ -399,6 +401,41 @@ def test_seed_and_prefilter_flags_are_rejected(capsys, path2_file):
     assert main(["biclique", "--grid", path2_file, "--lists", "lists.json", "--t", "1",
                  "--host", "host.txt", "--prefilter"]) == 2
     assert "--prefilter" in capsys.readouterr().err
+
+
+def test_budget_flags_only_on_budgeted_searches(capsys, path2_file, monkeypatch):
+    # sigma runs no budgeted search, so it takes no budget flag and reads no budget variable
+    assert main(["sigma", "--graph", path2_file, "--budget-ms", "5"]) == 2
+    assert "--budget-ms" in capsys.readouterr().err
+    for raw in ("20", "not-a-number"):
+        monkeypatch.setenv("EXPANSIONS_BUDGET_NODES", raw)
+        assert main(["sigma", "--graph", path2_file]) == 0
+
+
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_output_pipe_ends_quietly_with_the_result_code(capsys, monkeypatch,
+                                                              path2_file, tmp_path):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        assert main(["sigma", "--graph", path2_file, "--json"]) == 0
+        assert main(["turan", "--n", "7", "--expansion-of", path2_file,
+                     "--budget-nodes", "20"]) == 3
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
 
 
 # ------------------------------------------------------------- fuzzing

@@ -66,6 +66,11 @@ def test_contains_expansion_agrees_with_generic_search():
         if via_expansion is not None:
             assert via_expansion.check(host, expand(base).system)
             assert via_expansion.kind == "expansion"
+    # an edgeless base maps identically, and only when it fits
+    host = TripleSystem.from_edges(4, [(0, 1, 2)])
+    cert = contains_expansion(host, Graph.from_edges(3, []))
+    assert (cert.mapping, cert.kind) == ({0: 0, 1: 1, 2: 2}, "expansion")
+    assert contains_expansion(host, Graph.from_edges(5, [])) is None
 
 
 def test_contains_expansion_needs_distinct_enlargement_vertices():
