@@ -9,7 +9,7 @@ lists, and colorings are JSON only (schemas in the README).
 
 Every subcommand takes --json for machine output (the human output
 renders the same dictionary).  Only the subcommands with a budgeted
-search, turan, audit-theorem1 (per row) and multicolor (--structured),
+search, turan, audit-theorem1 (per row) and multicolor --structured,
 take --budget-ms and --budget-nodes, which EXPANSIONS_BUDGET_MS and
 EXPANSIONS_BUDGET_NODES supply when absent; their --help has the rule.
 
@@ -31,7 +31,9 @@ ENV_FLAGS = ("budget_ms", "budget_nodes")
 
 
 def _env_defaults(args) -> None:
-    """Fill each budget flag the subcommand takes but was not given from its variable."""
+    """Fill each budget flag a search will read but was not given from its variable."""
+    if not getattr(args, "structured", True):
+        return
     for dest in ENV_FLAGS:
         name = "EXPANSIONS_" + dest.upper()
         raw = os.environ.get(name)
@@ -216,6 +218,8 @@ def _cmd_lists(args):
 
 
 def _cmd_multicolor(args):
+    if not args.structured and (args.budget_ms, args.budget_nodes) != (None, None):
+        raise ValueError("--budget-ms and --budget-nodes bound the --structured search only")
     from . import io, ramsey
     host = io.load_triples(args.host)
     assignment = ramsey.build_list_assignment(host, _int_list(args.x), _int_list(args.y))

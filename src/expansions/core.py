@@ -157,12 +157,7 @@ class TripleSystem:
 
     @cached_property
     def pair_neighborhoods(self) -> dict[Edge, frozenset[int]]:
-        hoods: dict[Edge, set[int]] = {}
-        for a, b, c in self.edges:
-            hoods.setdefault((a, b), set()).add(c)
-            hoods.setdefault((a, c), set()).add(b)
-            hoods.setdefault((b, c), set()).add(a)
-        return {pair: frozenset(s) for pair, s in hoods.items()}
+        return {pair: frozenset(s) for pair, s in _pair_completions(self.edges).items()}
 
     @cached_property
     def twin_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -182,6 +177,17 @@ class TripleSystem:
 
     def sorted_edges(self) -> list[Triple]:
         return sorted(self.edges)
+
+
+def _pair_completions(triples: Iterable[Triple]) -> dict[Edge, set[int]]:
+    """For every pair inside a triple, the third vertices completing it to
+    one; uncached, for a search that needs it only while it runs."""
+    hoods: dict[Edge, set[int]] = {}
+    for a, b, c in triples:
+        hoods.setdefault((a, b), set()).add(c)
+        hoods.setdefault((a, c), set()).add(b)
+        hoods.setdefault((b, c), set()).add(a)
+    return hoods
 
 
 def _twin_classes(degree: list[int],

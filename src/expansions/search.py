@@ -1,11 +1,14 @@
 """Exact containment search and small-instance Turan numbers.
 
 Containment means a copy: an injective vertex map sending every edge of
-the pattern onto an edge of the host.  The Turan routine maximizes the
-edge count of a host on n vertices avoiding such a copy, by lexicographic
-include/exclude branching over all triples with an optimistic-count
-prune, over int bitmasks of the triples in lex order.  Budgets turn the
-answer into a flagged lower bound, never a silently wrong exact value.
+the pattern onto an edge of the host.  One kernel with one edge rule,
+_embeddings, finds copies for contains (contains_expansion is contains on
+the expansion), graph_contains and the Turan copy listing.  The Turan
+routine maximizes the edge count of a host on n vertices avoiding such a
+copy, by lexicographic include/exclude branching over all triples with an
+optimistic-count prune, over int bitmasks of the triples in lex order.
+Budgets turn the answer into a flagged lower bound, never a silently
+wrong exact value.
 
 The audit helpers compare the guaranteed construction (all triples
 meeting a small core exactly once) against exact counts where feasible.
@@ -20,7 +23,8 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterable
 
-from .core import Budget, BudgetExhausted, Graph, Triple, TripleSystem, canonical_triple
+from .core import (Budget, BudgetExhausted, Graph, Triple, TripleSystem, _pair_completions,
+                   canonical_triple)
 from .crosscuts import crosscut_number, expand
 
 
@@ -45,28 +49,36 @@ class EmbeddingCertificate:
         )
 
 
-def _embeddings(edges, host_n: int, holds=None, host_degree=None, twin_classes=None,
+def _embeddings(edges, host_n: int, completions=None, host_degree=None, twin_classes=None,
                 pattern_twins=None):
-    """Yield every injective map of the vertices of the pattern edges into
-    range(host_n) under which each edge e passes holds(mapping, used, e)
-    (None: every edge passes).
+    """Yield every injective map of the vertices of the pattern edges
+    (pairs or triples) into range(host_n) sending each edge onto a host
+    edge.  completions, keyed by the images of all but one vertex of an
+    edge (that image, or the sorted pair), holds the host vertices that
+    complete them to a host edge; None accepts every map.
 
     Pattern vertices are placed in descending degree order, each onto
     host vertices in increasing order, so maps come out in lexicographic
-    order of their images in placement order; e is tested once its last
-    vertex is placed, and no edges give one map, the empty one.  With
-    host_degree, a vertex of pattern degree d only goes to host vertices
-    of degree >= d.  With twin_classes, a host vertex is tried only when
-    every smaller member of its class is used.
-    Swapping it with an unused smaller twin is an automorphism fixing
-    every used vertex, so its subtree mirrors one already searched: a
-    caller stopping at the first map it accepts, by tests invariant under
-    host automorphisms, gets the same first map with or without pruning.
-    With pattern_twins (classes of pattern vertices any two of which swap
-    by a pattern automorphism), the members of a class take increasing
-    images: a map out of that order is one in order composed with such
-    swaps, so the image edge sets are the same and the maps fewer.
-    The yielded dict is live.
+    order of their images in placement order; no edges give one map, the
+    empty one.  The edge rule: the vertex closing edges is drawn from the
+    completions of their placed images, intersected, and once an edge has
+    one vertex left to place, those must hold an unused vertex or the
+    branch dies.  Neither drops a copy.  With host_degree, a vertex of
+    pattern degree d only goes to host vertices of degree >= d.
+
+    With twin_classes, a host vertex is tried only when its next smaller
+    twin is used.  Each placed vertex passed that test and the last placed
+    is lifted first, so the used members of a class are its smallest: the
+    test is that every smaller twin is used.  Swapping a vertex with an
+    unused smaller twin is an automorphism fixing every used vertex, so
+    its subtree mirrors one already searched: a caller stopping at the
+    first map it accepts, by tests invariant under host automorphisms,
+    gets the same first map with or without pruning.  With pattern_twins
+    (classes of pattern vertices any two of which swap by a pattern
+    automorphism), the members of a class take increasing images: a map
+    out of that order is one in order composed with such swaps, so the
+    image edge sets are the same and the maps fewer.  The yielded dict is
+    live.
     """
     degree: dict[int, int] = {}
     for e in edges:
@@ -77,10 +89,13 @@ def _embeddings(edges, host_n: int, holds=None, host_degree=None, twin_classes=N
         yield {}
         return
     position = {v: i for i, v in enumerate(support)}
-    check_at: list[list] = [[] for _ in support]
-    if holds is not None:
+    closing: list[list] = [[] for _ in support]  # placed vertices of the edges each level closes
+    short: list[list] = [[] for _ in support]  # ... of the edges left one vertex short there
+    if completions is not None:
         for e in edges:
-            check_at[max(position[v] for v in e)].append(e)
+            *placed, v = sorted(e, key=position.__getitem__)
+            closing[position[v]].append(placed)
+            short[position[placed[-1]]].append(placed)
     candidates = [range(host_n) if host_degree is None
                   else [h for h in range(host_n) if host_degree[h] >= degree[v]]
                   for v in support]
@@ -89,26 +104,37 @@ def _embeddings(edges, host_n: int, holds=None, host_degree=None, twin_classes=N
         levels = sorted(position[v] for v in cls if v in position)
         for a, b in zip(levels, levels[1:]):
             after[b] = a
-    below: list[tuple[int, ...]] = [()] * host_n
+    smaller = [-1] * host_n  # the next smaller twin; -1, always used, for none
     for cls in twin_classes or ():
-        for k, h in enumerate(cls):
-            below[h] = cls[:k]
+        for g, h in zip(cls, cls[1:]):
+            smaller[h] = g
+
+    mapping: dict[int, int] = {}
+    used = {-1}
+    nothing: frozenset[int] = frozenset()
+
+    def completing(placed):
+        if len(placed) == 1:
+            return completions[mapping[placed[0]]]
+        a, b = mapping[placed[0]], mapping[placed[1]]
+        return completions.get((a, b) if a < b else (b, a), nothing)
 
     last = len(support) - 1
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
     rest = [iter(candidates[0])] + [None] * last  # untried candidates per level
     i = 0
     while i >= 0:
-        v, checks = support[i], check_at[i]
+        v, ahead = support[i], short[i]
         if v in mapping:  # back from the level below: lift this level's choice
             used.discard(mapping.pop(v))
         for h in rest[i]:
-            if h in used or below[h] and any(t not in used for t in below[h]):
+            if h in used or smaller[h] not in used:
                 continue
             mapping[v] = h
             used.add(h)
-            if not checks or all(holds(mapping, used, e) for e in checks):
+            for p in ahead:
+                if completing(p) <= used:  # no unused vertex can close the edge
+                    break
+            else:
                 if i < last:
                     break
                 yield mapping
@@ -116,8 +142,12 @@ def _embeddings(edges, host_n: int, holds=None, host_degree=None, twin_classes=N
             used.discard(h)
         if v in mapping:
             i += 1
-            rest[i] = iter(candidates[i]) if after[i] < 0 else \
-                filter(mapping[support[after[i]]].__lt__, candidates[i])
+            level = candidates[i]
+            if closing[i]:
+                pools = [completing(p) for p in closing[i]]
+                level = sorted(pools[0].intersection(*pools[1:], level))
+            rest[i] = iter(level) if after[i] < 0 else \
+                filter(mapping[support[after[i]]].__lt__, level)
         else:
             i -= 1
 
@@ -143,107 +173,57 @@ def _checked(mapping: dict[int, int], kind: str, host: TripleSystem,
     return cert
 
 
+def _contains(host: TripleSystem, pattern: TripleSystem,
+              kind: str) -> EmbeddingCertificate | None:
+    """The first copy of the pattern in the host, as a certificate of the
+    given kind: the search behind contains and contains_expansion."""
+    if pattern.n > host.n:
+        return None
+    host_degree = [0] * host.n
+    for e in host.edges:
+        for h in e:
+            host_degree[h] += 1
+    found = next(_embeddings(pattern.sorted_edges(), host.n, _pair_completions(host.edges),
+                             host_degree, host.twin_classes), None)
+    if found is None:
+        return None
+    return _checked(_fill(found, pattern.n, host.n), kind, host, pattern)
+
+
 def contains(host: TripleSystem, pattern: TripleSystem) -> EmbeddingCertificate | None:
     """First copy of the pattern in the host, or None (exact).
 
-    Support vertices are placed in descending pattern-degree order; a
-    pattern edge is checked the moment its last vertex is placed, and
-    host vertices of insufficient degree are never tried.  Of each host
-    twin class (vertices whose swap is a host automorphism) only the
-    smallest unused member is tried; this skips only subtrees that
-    mirror one already searched, so the copy returned is the first in
-    increasing host order, the same as without pruning.  Pattern
-    vertices outside any edge only need distinct images, assigned at the
-    end from the smallest unused host vertices.
+    The edge rule of _embeddings: a triple's last vertex is drawn from the
+    host pair neighbourhood of its other two images, which must hold an
+    unused vertex once those are placed; a host twin is tried only once
+    its next smaller twin is used.  The copy returned is the first in
+    placement order (descending pattern degree), as a plain scan's would
+    be.  Pattern vertices outside any edge get the smallest unused host
+    vertices, at the end.
     """
-    if pattern.n > host.n:
-        return None
-    pattern_edges = pattern.sorted_edges()
-    triples = host.edges
-    host_degree = [0] * host.n
-    for e in triples:
-        for h in e:
-            host_degree[h] += 1
-
-    def holds(mapping, used, e):
-        return tuple(sorted([mapping[e[0]], mapping[e[1]], mapping[e[2]]])) in triples
-
-    found = next(_embeddings(pattern_edges, host.n, holds, host_degree,
-                             host.twin_classes), None)
-    if found is None:
-        return None
-    return _checked(_fill(found, pattern.n, host.n), "generic", host, pattern)
+    return _contains(host, pattern, "generic")
 
 
 def contains_expansion(host: TripleSystem, base: Graph) -> EmbeddingCertificate | None:
-    """Copy of the expansion of a graph in the host, or None (exact).
-
-    Equivalent to contains(host, expand(base).system) but exploits the
-    expansion shape: first embed the base graph into the host shadow,
-    pruning on empty third-vertex pools, then assign distinct enlargement
-    vertices by augmenting-path matching between base edges and pools.
-    The base embedding tries only the smallest unused member of each
-    host twin class, which leaves the first copy found unchanged (see
-    contains); it is what makes the freeness proofs in the core
-    constructions fast, where all vertices outside the core are twins.
+    """Copy of the expansion of a graph in the host, or None (exact):
+    contains(host, expand(base).system), the same map, in a certificate of
+    kind "expansion".  Each enlargement vertex is drawn from the pair
+    neighbourhood of its base edge's images.  In a core construction the
+    vertices outside the core are all twins, so the twin rule keeps its
+    freeness proofs fast.
     """
-    exp = expand(base)
-    if exp.system.n > host.n:
-        return None
-    base_edges = base.sorted_edges()
-    hoods = host.pair_neighborhoods
-    nothing: frozenset[int] = frozenset()
-
-    def pool(mapping, e) -> frozenset[int]:
-        u, v = mapping[e[0]], mapping[e[1]]
-        return hoods.get((u, v) if u < v else (v, u), nothing)
-
-    def holds(mapping, used, e):
-        return not pool(mapping, e) <= used
-
-    def match_thirds(mapping) -> dict[tuple[int, int], int] | None:
-        used = set(mapping.values())
-        owner: dict[int, tuple[int, int]] = {}
-
-        def augment(e, visited: set[int]) -> bool:
-            for w in sorted(pool(mapping, e) - used):
-                if w not in visited:
-                    visited.add(w)
-                    if w not in owner or augment(owner[w], visited):
-                        owner[w] = e
-                        return True
-            return False
-
-        for e in base_edges:
-            if not augment(e, set()):
-                return None
-        return {e: w for w, e in owner.items()}
-
-    for mapping in _embeddings(base_edges, host.n, holds, twin_classes=host.twin_classes):
-        thirds = match_thirds(mapping)
-        if thirds is not None:
-            break
-    else:
-        return None
-    full = dict(mapping)
-    for e, w in thirds.items():
-        full[exp.enlargement[e]] = w
-    return _checked(_fill(full, base.n, host.n), "expansion", host, exp.system)
+    return _contains(host, expand(base).system, "expansion")
 
 
 def graph_contains(host: Graph, pattern: Graph) -> bool:
     """Copy of a graph pattern inside a graph host (exact, boolean); the
-    same search and twin pruning as contains."""
+    same search and twin pruning as contains, drawing from the host
+    adjacency."""
     if pattern.n > host.n:
         return False
-    pattern_edges = pattern.sorted_edges()
     adj = host.adjacency
-
-    def holds(mapping, used, e):
-        return mapping[e[1]] in adj[mapping[e[0]]]
-
     host_degree = [len(adj[h]) for h in range(host.n)]
-    return next(_embeddings(pattern_edges, host.n, holds, host_degree,
+    return next(_embeddings(pattern.sorted_edges(), host.n, adj, host_degree,
                             host.twin_classes), None) is not None
 
 

@@ -412,6 +412,26 @@ def test_budget_flags_only_on_budgeted_searches(capsys, path2_file, monkeypatch)
         assert main(["sigma", "--graph", path2_file]) == 0
 
 
+def test_multicolor_budget_flags_need_structured(capsys, tmp_path, monkeypatch):
+    # only the structured search reads a budget: given without it, a flag
+    # exits 2; set in the environment, a budget is ignored there
+    host = tmp_path / "host.txt"
+    host.write_text(triples_to_text(TripleSystem.from_edges(6, [(0, 2, 4), (0, 3, 5),
+                                                                (1, 2, 5), (1, 3, 4)])))
+    argv = ["multicolor", "--host", str(host), "--x", "0,1", "--y", "2,3", "--m", "1"]
+    for flags in (["--budget-ms", "0"], ["--budget-nodes", "0"],
+                  ["--budget-ms", "0", "--budget-nodes", "0"]):
+        assert main(argv + flags) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "--structured" in err[0]
+    for raw in ("0", "not-a-number"):
+        monkeypatch.setenv("EXPANSIONS_BUDGET_MS", raw)
+        monkeypatch.setenv("EXPANSIONS_BUDGET_NODES", raw)
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+    assert main(argv + ["--structured"]) == 2  # read there, so the bad value is refused
+
+
 class ClosedPipe(io.TextIOBase):
     """A stdout whose reader has gone: every write raises BrokenPipeError."""
 

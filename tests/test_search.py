@@ -9,7 +9,7 @@ from expansions import (Graph, TripleSystem, audit_forest_bound, audit_sigma_jum
                         graph_contains, lower_bound_construction, trees, turan_number)
 
 from expansions import search
-from expansions.search import _pattern_copies
+from expansions.search import _embeddings, _pattern_copies
 from helpers import (brute_contains, brute_graph_contains, brute_turan, counter_copies,
                      counter_turan, random_graph, random_system)
 
@@ -56,6 +56,7 @@ def test_contains_matches_permutation_oracle_sweep():
 
 
 def test_contains_expansion_agrees_with_generic_search():
+    # contains_expansion is contains on the expansion: the same map, re-kinded
     rng = random.Random(73)
     for _ in range(40):
         base = random_graph(rng, rng.randint(2, 4), 0.6)
@@ -64,7 +65,7 @@ def test_contains_expansion_agrees_with_generic_search():
         via_generic = contains(host, expand(base).system)
         assert (via_expansion is None) == (via_generic is None)
         if via_expansion is not None:
-            assert via_expansion.check(host, expand(base).system)
+            assert via_expansion.mapping == via_generic.mapping
             assert via_expansion.kind == "expansion"
     # an edgeless base maps identically, and only when it fits
     host = TripleSystem.from_edges(4, [(0, 1, 2)])
@@ -151,7 +152,10 @@ FANO = TripleSystem.from_edges(7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (
                                    (2, 3, 6), (2, 4, 5)])
 
 # first copies found by the search before twin pruning existed; pruning
-# must not change which copy comes first
+# must not change which copy comes first.  The contains_expansion copies
+# of the four core constructions are the lexicographically first ones,
+# recorded once it became contains on the expansion; their base images
+# are those of the earlier matching search (see below)
 RECORDED_WITNESSES = [
     (contains, lambda: lower_bound_construction(8, 1), lambda: expand(PATH2).system,
      [(0, 1), (1, 0), (2, 2), (3, 3), (4, 4)]),
@@ -167,13 +171,13 @@ RECORDED_WITNESSES = [
     (contains, lambda: random_system(random.Random(2), 9, 24), lambda: expand(PATH2).system,
      [(0, 1), (1, 0), (2, 2), (3, 5), (4, 3)]),
     (contains_expansion, lambda: lower_bound_construction(9, 1), lambda: PATH2,
-     [(0, 1), (1, 0), (2, 2), (3, 4), (4, 3)]),
+     [(0, 1), (1, 0), (2, 2), (3, 3), (4, 4)]),
     (contains_expansion, lambda: lower_bound_construction(10, 2), lambda: P4,
-     [(0, 3), (1, 0), (2, 2), (3, 1), (4, 4), (5, 8), (6, 7), (7, 6), (8, 5)]),
+     [(0, 3), (1, 0), (2, 2), (3, 1), (4, 4), (5, 5), (6, 6), (7, 7), (8, 8)]),
     (contains_expansion, lambda: lower_bound_construction(10, 3), lambda: S3,
-     [(0, 0), (1, 3), (2, 4), (3, 5), (4, 8), (5, 7), (6, 6)]),
+     [(0, 0), (1, 3), (2, 4), (3, 5), (4, 6), (5, 7), (6, 8)]),
     (contains_expansion, lambda: lower_bound_construction(8, 2), lambda: M2,
-     [(0, 0), (1, 2), (2, 1), (3, 3), (4, 5), (5, 4)]),
+     [(0, 0), (1, 2), (2, 1), (3, 3), (4, 4), (5, 5)]),
     (contains_expansion, lambda: FANO, lambda: PATH2,
      [(0, 1), (1, 0), (2, 3), (3, 2), (4, 4)]),
     (contains_expansion, lambda: lower_bound_construction(9, 1), lambda: P4, None),
@@ -191,6 +195,62 @@ RECORDED_WITNESSES = [
 def test_first_witness_is_unchanged_by_twin_pruning(search, host, pattern, want):
     cert = search(host(), pattern())
     assert (None if cert is None else sorted(cert.mapping.items())) == want
+
+
+# the copies contains_expansion returned when it assigned the enlargement
+# vertices by augmenting-path matching after embedding the base graph; the
+# lexicographically first copy differs only in the enlargement images
+MATCHED_EXPANSION_WITNESSES = [
+    (lambda: lower_bound_construction(9, 1), PATH2, [(0, 1), (1, 0), (2, 2), (3, 4), (4, 3)]),
+    (lambda: lower_bound_construction(10, 2), P4,
+     [(0, 3), (1, 0), (2, 2), (3, 1), (4, 4), (5, 8), (6, 7), (7, 6), (8, 5)]),
+    (lambda: lower_bound_construction(10, 3), S3,
+     [(0, 0), (1, 3), (2, 4), (3, 5), (4, 8), (5, 7), (6, 6)]),
+    (lambda: lower_bound_construction(8, 2), M2, [(0, 0), (1, 2), (2, 1), (3, 3), (4, 5), (5, 4)]),
+]
+
+
+@pytest.mark.parametrize("host, base, matched", MATCHED_EXPANSION_WITNESSES,
+                         ids=["P2-core1", "P4-core2", "S3-core3", "M2-core2"])
+def test_expansion_witness_keeps_the_matched_base_images(host, base, matched):
+    cert = contains_expansion(host(), base)
+    got = sorted(cert.mapping.items())
+    assert got[:base.n] == matched[:base.n]
+    assert got != matched  # the enlargement images are lexicographically first now
+    assert [w for _, w in got[base.n:]] == sorted(w for _, w in matched[base.n:])
+
+
+def _first_maps(edges, host_n, completions, host_degree, twin_classes):
+    found = [next(_embeddings(edges, host_n, completions, host_degree, classes), None)
+             for classes in (None, twin_classes)]
+    return [None if m is None else dict(m) for m in found]
+
+
+def test_prefix_twin_rule_keeps_the_first_map():
+    # a member of a host twin class is tried only once its next smaller
+    # twin is used; on twin-rich hosts the first map is the unpruned one
+    rng = random.Random(113)
+    hosts = [lower_bound_construction(10, 1), lower_bound_construction(9, 2)]
+    hosts += [twin_rich_system(rng) for _ in range(150)]
+    assert max(len(cls) for cls in hosts[0].twin_classes) == 9
+    for host in hosts:
+        host_degree = [sum(h in e for e in host.edges) for h in range(host.n)]
+        pattern = expand(random_graph(rng, rng.randint(2, 5), 0.6)).system \
+            if rng.random() < 0.5 else random_system(rng, rng.randint(3, 6), rng.randint(1, 3))
+        plain, pruned = _first_maps(pattern.sorted_edges(), host.n, host.pair_neighborhoods,
+                                    host_degree, host.twin_classes)
+        assert plain == pruned
+    for _ in range(150):
+        n = rng.randint(3, 9)
+        side = rng.randint(0, n)  # complete bipartite, or complete, plus one edge
+        pairs = [(u, v) for u, v in combinations(range(n), 2)
+                 if (u < side) != (v < side) or side == n]
+        host = Graph.from_edges(n, pairs + rng.sample(list(combinations(range(n), 2)), 1))
+        adj = host.adjacency
+        pattern = random_graph(rng, rng.randint(2, 6), rng.random())
+        plain, pruned = _first_maps(pattern.sorted_edges(), n, adj,
+                                    [len(adj[h]) for h in range(n)], host.twin_classes)
+        assert plain == pruned
 
 
 def test_core_constructions_separate_every_tree_on_seven_vertices():
