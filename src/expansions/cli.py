@@ -2,10 +2,11 @@
 
 Every capability is exposed as a subcommand; run with no arguments for
 the list.  Each handler imports the library modules it uses when it runs,
-so the usage path loads none and a subcommand loads only its own.  Graph
-and triple-system files use the text format ("n m" header plus edge
-lines) or the JSON mirror when the filename ends in .json; families,
-lists, and colorings are JSON only (schemas in the README).
+so the usage path loads none and a subcommand loads only its own; main
+imports argparse and json only once the subcommand is known.  Graph and
+triple-system files use the text format ("n m" header plus edge lines)
+or the JSON mirror when the filename ends in .json; families, lists, and
+colorings are JSON only (schemas in the README).
 
 Every subcommand takes --json for machine output (the human output
 renders the same dictionary).  Only the subcommands with a budgeted
@@ -21,8 +22,6 @@ the same when the reader closes the output early.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 
@@ -380,6 +379,7 @@ def _usage() -> str:
 
 
 def _render(obj, indent=0) -> list[str]:
+    import json
     pad = "  " * indent
     lines = []
     if isinstance(obj, dict):
@@ -409,6 +409,8 @@ def main(argv=None) -> int:
         print(f"unknown subcommand: {name}", file=sys.stderr)
         print(_usage(), file=sys.stderr)
         return 1
+    import argparse
+    import json
     help_text, configure, handler = COMMANDS[name]
     parser = argparse.ArgumentParser(prog=f"expansions {name}", description=help_text)
     configure(parser)

@@ -5,20 +5,61 @@ are representable.  Graph edges are canonical pairs (u, v) with u < v and
 triples are canonical sorted 3-tuples.  Both containers are immutable;
 derived structures (adjacency, codegree tables) are cached on first use.
 The node and time budget shared by the exhaustive searches lives here too,
-with the lexicographic search for pairwise compatible candidates.
+with the lexicographic search for pairwise compatible candidates and
+Record, the import-free base of every value class.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from functools import cached_property
 from itertools import combinations, islice
-from typing import Callable, Iterable
+from operator import attrgetter
 
 Edge = tuple[int, int]
 Triple = tuple[int, int, int]
+_set = object.__setattr__  # stores a field of a Record
+
+
+class Record:
+    """Base of the immutable value classes, plain Python so that importing
+    them costs no inspect import.  The fields are the names annotated in a
+    subclass body, in order: taken positionally or by keyword and checked
+    by __post_init__, they give __eq__, __hash__ and a __repr__ naming
+    each.  Setting or deleting raises AttributeError; cached_property works."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = dict(zip(fields, args), **kwargs)
+        if len(args) > len(fields) or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        for field in fields:
+            _set(self, field, values[field])
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, *value):  # also __delattr__
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def canonical_edge(u: int, v: int) -> Edge:
@@ -34,19 +75,27 @@ def canonical_triple(u: int, v: int, w: int) -> Triple:
     return (a, b, c)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Simple undirected graph; edges are canonical (u, v) pairs with u < v."""
 
     n: int
     edges: frozenset[Edge]
 
-    def __post_init__(self):
-        if self.n < 0:
+    # written out, as the searches build and compare containers in hot paths
+    def __init__(self, n: int, edges: frozenset[Edge]):
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        for e in self.edges:
-            if len(e) != 2 or not (0 <= e[0] < e[1] < self.n):
-                raise ValueError(f"bad edge {e} for n={self.n}")
+        for e in edges:
+            if len(e) != 2 or not (0 <= e[0] < e[1] < n):
+                raise ValueError(f"bad edge {e} for n={n}")
+        _set(self, "n", n)
+        _set(self, "edges", edges)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
 
     @staticmethod
     def from_edges(n: int, pairs: Iterable[Iterable[int]]) -> "Graph":
@@ -128,19 +177,22 @@ class Graph:
         return frozenset(e for e in self.edges if self.degree(e[0]) == 1 or self.degree(e[1]) == 1)
 
 
-@dataclass(frozen=True)
-class TripleSystem:
+class TripleSystem(Record):
     """3-uniform set system; edges are canonical sorted triples."""
 
     n: int
     edges: frozenset[Triple]
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, edges: frozenset[Triple]):
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        for e in self.edges:
-            if len(e) != 3 or not (0 <= e[0] < e[1] < e[2] < self.n):
-                raise ValueError(f"bad triple {e} for n={self.n}")
+        for e in edges:
+            if len(e) != 3 or not (0 <= e[0] < e[1] < e[2] < n):
+                raise ValueError(f"bad triple {e} for n={n}")
+        _set(self, "n", n)
+        _set(self, "edges", edges)
+
+    __eq__, __hash__ = Graph.__eq__, Graph.__hash__
 
     @staticmethod
     def from_edges(n: int, triples: Iterable[Iterable[int]]) -> "TripleSystem":

@@ -18,14 +18,12 @@ applies the tie-break (maximum |I|, then lexicographically smallest I).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
-from .core import Edge, Graph, TripleSystem, canonical_edge
+from .core import Edge, Graph, Record, TripleSystem, canonical_edge
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(Record):
     """A graph together with its expansion triple system.
 
     Enlargement vertices are assigned in sorted edge order: the i-th edge
@@ -131,8 +129,7 @@ def min_crosscut(system: TripleSystem) -> tuple[int, frozenset[int]] | None:
     return (size, frozenset(witness))
 
 
-@dataclass(frozen=True)
-class CrosscutPair:
+class CrosscutPair(Record):
     """An independent set I with the edges R the base graph leaves disjoint from it.
 
     The pair weight |I| + |R| equals the crosscut number of the expansion

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from typing import Iterable
 
-from .core import Edge, Graph, TripleSystem, canonical_edge, first_compatible, shadow
+from .core import Edge, Graph, Record, TripleSystem, canonical_edge, first_compatible, shadow
 
 
 def full_subgraph(system: TripleSystem, d: int) -> TripleSystem:
@@ -44,8 +43,7 @@ def full_subgraph(system: TripleSystem, d: int) -> TripleSystem:
     return TripleSystem(system.n, frozenset(remaining))
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(Record):
     """An indexed family of finite sets over integer elements."""
 
     sets: tuple[frozenset[int], ...]
@@ -65,8 +63,7 @@ class SetFamily:
         return len(self.sets)
 
 
-@dataclass(frozen=True)
-class Sunflower:
+class Sunflower(Record):
     """Indices of family members whose pairwise intersections all equal core."""
 
     petals: tuple[int, ...]
@@ -157,8 +154,7 @@ def _sunflower(items: list[tuple[int, frozenset[int]]], want: int):
         items = kept
 
 
-@dataclass(frozen=True)
-class AugmentedFamily:
+class AugmentedFamily(Record):
     """Pairs (A_i, a_i): the A_i pairwise disjoint, the a_i distinct.
 
     Each a_i may or may not lie inside its own A_i; the augmented sets

@@ -14,12 +14,11 @@ distinct colors per cell across rounds form a multicoloring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import combinations
-from typing import Iterable
 
-from .core import (Budget, BudgetExhausted, TripleSystem, canonical_edge, first_compatible,
-                   neighborhood, shadow)
+from .core import (Budget, BudgetExhausted, Record, TripleSystem, canonical_edge,
+                   first_compatible, neighborhood, shadow)
 
 MONOCHROMATIC = "monochromatic"
 RAINBOW = "rainbow"
@@ -39,8 +38,7 @@ def _check_sides(rows: tuple[int, ...], cols: tuple[int, ...]) -> None:
         raise ValueError("grid sides must not repeat vertices")
 
 
-@dataclass(frozen=True)
-class GridColoring:
+class GridColoring(Record):
     """Total coloring of the cells rows x cols; sides must be disjoint."""
 
     rows: tuple[int, ...]
@@ -97,8 +95,7 @@ def find_classified_subgrid(
     return None
 
 
-@dataclass(frozen=True)
-class ListAssignment:
+class ListAssignment(Record):
     """Color lists on the cells of a complete grid."""
 
     rows: tuple[int, ...]
@@ -126,8 +123,7 @@ def build_list_assignment(host: TripleSystem, rows: Iterable[int], cols: Iterabl
     return ListAssignment(rows, cols, lists)
 
 
-@dataclass(frozen=True)
-class Multicoloring:
+class Multicoloring(Record):
     """Rounds of cell colorings with per-cell distinct colors across rounds."""
 
     colorings: tuple[dict[Cell, int], ...]
@@ -162,8 +158,7 @@ def extract_multicoloring(assignment: ListAssignment, m: int) -> Multicoloring |
 DEFAULT_BUDGET_NODES = 500_000
 
 
-@dataclass(frozen=True)
-class StructuredSearch:
+class StructuredSearch(Record):
     """Outcome of find_structured_multicoloring.
 
     status is "found", "absent", or "budget-exhausted"; the last means the

@@ -18,18 +18,16 @@ here extrapolates to asymptotics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import combinations, permutations
 from math import comb
-from typing import Iterable
 
-from .core import (Budget, BudgetExhausted, Graph, Triple, TripleSystem, _pair_completions,
-                   canonical_triple)
+from .core import (Budget, BudgetExhausted, Graph, Record, Triple, TripleSystem,
+                   _pair_completions, canonical_triple)
 from .crosscuts import crosscut_number, expand
 
 
-@dataclass(frozen=True)
-class EmbeddingCertificate:
+class EmbeddingCertificate(Record):
     """Injective vertex map witnessing a copy of a pattern in a host."""
 
     mapping: dict[int, int]
@@ -240,8 +238,7 @@ def lower_bound_construction(n: int, core_size: int) -> TripleSystem:
                                      for x, y in combinations(range(core_size, n), 2)))
 
 
-@dataclass(frozen=True)
-class TuranResult:
+class TuranResult(Record):
     """Outcome of the forbidden-pattern edge-maximization search."""
 
     n: int

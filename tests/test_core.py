@@ -1,12 +1,15 @@
 import random
+from functools import cached_property
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from expansions import (Graph, TripleSystem, canonical_edge, canonical_triple,
-                        codegree, edge_codegree_extremes, is_linear, neighborhood,
-                        remove_vertices, shadow)
+from expansions import (AugmentedFamily, CrosscutPair, EmbeddingCertificate, Expansion, Graph,
+                        GridColoring, ListAssignment, Multicoloring, SetFamily,
+                        StructuredSearch, Sunflower, TripleSystem, TuranResult, canonical_edge,
+                        canonical_triple, codegree, edge_codegree_extremes, is_linear,
+                        neighborhood, remove_vertices, shadow)
 
 from helpers import (brute_two_coloring, brute_twin_pairs, random_forest, random_graph,
                      random_system)
@@ -211,3 +214,69 @@ def test_two_coloring_colors_each_component_from_its_smallest_vertex():
 def test_two_coloring_rejects_odd_cycle(edges):
     with pytest.raises(ValueError, match="bipartite"):
         Graph.from_edges(7, edges).two_coloring()
+
+
+PATH = Graph(3, frozenset({(0, 1), (1, 2)}))
+PATH_PLUS = TripleSystem(5, frozenset({(0, 1, 3), (1, 2, 4)}))
+
+# every value class: its fields in declaration order, and fields its
+# validation rejects with the message it gives (None when it validates nothing)
+VALUE_CLASSES = [
+    (Graph, {"n": 3, "edges": frozenset({(0, 1), (1, 2)})},
+     ({"n": 2, "edges": frozenset({(0, 2)})}, "bad edge \\(0, 2\\) for n=2")),
+    (TripleSystem, {"n": 5, "edges": frozenset({(0, 1, 3), (1, 2, 4)})},
+     ({"n": -1, "edges": frozenset()}, "vertex count must be nonnegative")),
+    (Expansion, {"base": PATH, "system": PATH_PLUS, "enlargement": {(0, 1): 3, (1, 2): 4}}, None),
+    (CrosscutPair, {"independent": frozenset({1}), "uncovered": frozenset()}, None),
+    (EmbeddingCertificate, {"mapping": {0: 2, 1: 0}, "kind": "direct"}, None),
+    (TuranResult, {"n": 5, "value": 4, "exact": True, "witness": ((0, 1, 2), (0, 1, 3)),
+                   "method": "branch-and-bound", "nodes": 17}, None),
+    (GridColoring, {"rows": (0, 1), "cols": (2,), "colors": {(0, 2): 5, (1, 2): 6}},
+     ({"rows": (0, 1), "cols": (1, 2), "colors": {}}, "grid sides must be disjoint")),
+    (ListAssignment, {"rows": (0,), "cols": (1,), "lists": {(0, 1): frozenset({2})}}, None),
+    (Multicoloring, {"colorings": ({(0, 1): 2}, {(0, 1): 3})}, None),
+    (StructuredSearch, {"status": "absent", "rows": None, "cols": None, "result": None,
+                        "labels": None, "nodes": 3}, None),
+    (SetFamily, {"sets": (frozenset({1, 2}), frozenset({3}))}, None),
+    (Sunflower, {"petals": (0, 2), "core": frozenset({1})}, None),
+    (AugmentedFamily, {"pairs": ((frozenset({1}), 2), (frozenset({3}), 4))}, None),
+]
+
+
+@pytest.mark.parametrize("cls, fields, invalid", VALUE_CLASSES,
+                         ids=[row[0].__name__ for row in VALUE_CLASSES])
+def test_value_classes_are_frozen_records(cls, fields, invalid):
+    by_keyword = cls(**fields)
+    positional = cls(*fields.values())
+    reordered = cls(**dict(reversed(fields.items())))
+    assert by_keyword == positional == reordered and by_keyword is not positional
+    assert by_keyword != tuple(fields.values())
+    assert all(getattr(by_keyword, name) == value for name, value in fields.items())
+    if cls is TuranResult:
+        assert list(reordered.as_dict()) == list(fields)
+    try:
+        hash(tuple(fields.values()))
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(by_keyword)
+    else:
+        assert hash(by_keyword) == hash(positional)
+    for name in [*fields, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(by_keyword, name, None)
+        with pytest.raises(AttributeError):
+            delattr(by_keyword, name)
+    assert repr(by_keyword) == (f"{cls.__name__}("
+                                + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")")
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+    if invalid is not None:
+        bad, message = invalid
+        with pytest.raises(ValueError, match=message):
+            cls(**bad)
+    cached = [name for name, attr in vars(cls).items() if isinstance(attr, cached_property)]
+    assert bool(cached) == (cls in (Graph, TripleSystem))
+    for name in cached:
+        assert getattr(by_keyword, name) is getattr(by_keyword, name)
+        assert name in vars(by_keyword)
+    assert by_keyword == positional  # a cached value is not a field

@@ -20,12 +20,15 @@ def run_fresh(*argv: str) -> subprocess.CompletedProcess:
     return done
 
 
+def modules_after(code: str) -> set[str]:
+    """Every module loaded after running code in a fresh interpreter."""
+    out = run_fresh("-c", code + "\nimport sys\nprint('LOADED', *sys.modules)").stdout
+    return set(out.splitlines()[-1].split()[1:])
+
+
 def loaded_by(code: str) -> set[str]:
     """The package's modules loaded after running code in a fresh interpreter."""
-    report = ("import sys\nprint('LOADED', *(m.split('.', 1)[1] for m in sys.modules"
-              " if m.startswith('expansions.')))")
-    out = run_fresh("-c", code + "\n" + report).stdout
-    return set(out.splitlines()[-1].split()[1:])
+    return {m.split(".", 1)[1] for m in modules_after(code) if m.startswith("expansions.")}
 
 
 @pytest.fixture
@@ -47,6 +50,7 @@ def test_usage_path_loads_no_library_module():
                 if line.startswith("import time:")}
     assert "expansions" in imported
     assert not [m for m in imported if m.startswith("expansions.")]
+    assert not imported & {"argparse", "json"}
 
 
 def test_sigma_on_a_graph_loads_only_its_modules(path2):
@@ -61,6 +65,16 @@ def test_turan_loads_search_but_not_the_extraction_tools(path2):
                        f"assert cli.main(['turan', '--n', '5', '--expansion-of', {path2!r}]) == 0")
     assert "search" in loaded
     assert not loaded & {"ramsey", "extraction"}
+
+
+@pytest.mark.parametrize("argv", [["sigma", "--graph"], ["turan", "--n", "5", "--expansion-of"]],
+                         ids=["sigma", "turan"])
+def test_a_subcommand_loads_no_introspection_module(path2, argv):
+    # measured against a bare interpreter, so a site that preloads modules is no failure
+    ran = modules_after(f"from expansions import cli\nassert cli.main({argv + [path2]!r}) == 0")
+    loaded = ran - modules_after("pass")
+    assert "expansions.core" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def test_every_exported_name_is_its_module_attribute():
