@@ -268,9 +268,13 @@ class Budget:
     (so a search stopped by it has counted cap + 1 nodes), or at a multiple
     of 1,024 past the deadline.  A hot loop keeps its own count and calls
     check() only at next_check(); spend() counts one node and checks it.
-    Set-up before the first node reads the deadline through expired()."""
+    Set-up before the first node reads the deadline through expired().
+    A negative budget is a ValueError; 0 is valid."""
 
     def __init__(self, budget_ms: int | None = None, budget_nodes: int | None = None):
+        for name, given in (("budget_ms", budget_ms), ("budget_nodes", budget_nodes)):
+            if given is not None and given < 0:
+                raise ValueError(f"{name} must be nonnegative, got {given}")
         self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         self.node_cap = budget_nodes
         self.nodes = 0

@@ -256,19 +256,21 @@ def _pattern_copies(pattern: TripleSystem, n: int,
                     budget: Budget | None = None) -> list[int] | None:
     """Copies of the pattern in the complete triple system on n vertices,
     one int bitmask each, ascending: bit i is the i-th triple of
-    combinations(range(n), 3).  A map's mask ORs the bits of its image
-    triples, read from an n x n x n table.  Pattern twins take increasing
-    images, which leaves |Aut| / (product of the twin class factorials)
-    maps per copy; they all give its mask, and the set keeps it once.  The
-    budget's deadline is read every 1,024 maps (maps are not nodes); None
-    once it has passed."""
+    combinations(range(n), 3).  A map's mask ORs 1 << i over its image
+    triples, with i read from an n x n x n table of triple indices (small
+    ints, so the table grows with n^3, not with C(n, 3)^2 as a table of
+    the bits themselves would).  Pattern twins take increasing images,
+    which leaves |Aut| / (product of the twin class factorials) maps per
+    copy; they all give its mask, and the set keeps it once.  The budget's
+    deadline is read every 1,024 maps (maps are not nodes); None once it
+    has passed."""
     if pattern.n > n:
         return []
     pattern_edges = pattern.sorted_edges()
-    bit = [[[0] * n for _ in range(n)] for _ in range(n)]
+    index = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i, t in enumerate(combinations(range(n), 3)):
         for a, b, c in permutations(t):
-            bit[a][b][c] = 1 << i
+            index[a][b][c] = i
     copies = set()
     maps = _embeddings(pattern_edges, n, pattern_twins=pattern.twin_classes)
     for count, mapping in enumerate(maps, 1):
@@ -276,7 +278,7 @@ def _pattern_copies(pattern: TripleSystem, n: int,
             return None
         mask = 0
         for a, b, c in pattern_edges:
-            mask |= bit[mapping[a]][mapping[b]][mapping[c]]
+            mask |= 1 << index[mapping[a]][mapping[b]][mapping[c]]
         copies.add(mask)
     return sorted(copies)
 
@@ -305,15 +307,21 @@ def turan_number(
     Each copy (see _pattern_copies) is one bit lane: holds[i] has the
     lanes of the copies holding triple i, and planes[k], for k < m (the
     pattern size), those with at least k of their triples included.
-    Including i ORs planes[k-1] & holds[i] into planes[k], from the top
-    plane down; popping it restores the saved planes.  Triple i is not
-    included while it is decided, so including it completes a copy
-    exactly when planes[m-1] & holds[i] is nonzero, and no copy ever
-    reaches m: a per-copy count of included triples, kept for every copy
-    at once.  The budget is consulted only at its checkpoints
-    (Budget.next_check).  On exhaustion the incumbent is returned with
-    exact=False: a witnessed lower bound; a deadline passed while listing
-    copies leaves the empty one (value 0).
+    Plane 0 is every lane, so including i ORs holds[i] into planes[1] and
+    planes[k-1] & holds[i] into planes[k] for k from the top plane down
+    to 2; popping it restores the saved planes.  Triple i is not included
+    while it is decided, so including it completes a copy exactly when
+    planes[m-1] & holds[i] is nonzero, and no copy ever reaches m: a
+    per-copy count of included triples, kept for every copy at once.
+
+    The bound is one index, limit = min(total, depth + total - value):
+    triple idx is decided only while idx < limit.  It is recomputed only
+    where it can change (an improvement, an inclusion, a pop), so a
+    refused triple costs the node count, three comparisons and one AND.
+    The budget is consulted only at its checkpoints (Budget.next_check).
+    On exhaustion the incumbent is returned with exact=False: a witnessed
+    lower bound; a deadline passed while listing copies leaves the empty
+    one (value 0).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -336,37 +344,53 @@ def turan_number(
             mask ^= low
             holders[low.bit_length() - 1].append(lane)
     del copies  # the search reads holds only; free the copies and lane lists
-    holds = [_bits(h) for h in holders]
+    holds: list = holders  # each lane list gives way to its mask as that is built
+    for i, lanes in enumerate(holders):
+        holds[i] = _bits(lanes)
     del holders
     top = len(forbidden.edges) - 1
-    planes, ks = [-1] + [0] * top, range(top, 0, -1)
+    planes, ks = [-1] + [0] * top, range(top, 1, -1)
+    full = planes[top]  # the lanes one triple short of a copy; -1 when m = 1
     saved: list[list[int]] = []  # the planes before each inclusion
     chosen: list[int] = []  # the included indices, ascending
-    value, witness, exact = 0, (), True  # the empty set is free
+    value, best, exact = 0, [], True  # the empty set is free
     nodes, due = 0, budget.next_check(0)
-    idx = 0  # next triple to decide; each pass of the loop is one node
+    idx, depth, limit = 0, 0, total  # next triple to decide, len(chosen), the bound
     try:
-        while True:
+        while True:  # each pass is one node
             nodes += 1
             if nodes >= due:
                 due = budget.check(nodes)
-            depth = len(chosen)
             if depth > value:
-                value, witness = depth, tuple(all_triples[i] for i in chosen)
-            if idx < total and depth + total - idx > value:
-                if not planes[top] & holds[idx]:  # else including idx completes a copy
-                    saved.append(planes[:])
-                    for k in ks:
-                        planes[k] |= planes[k - 1] & holds[idx]
-                    chosen.append(idx)
-            elif chosen:  # dead end: take the exclude branch of the last inclusion
+                value, best, limit = depth, chosen[:], total
+            if idx < limit:
+                if full & holds[idx]:  # including idx completes a copy
+                    idx += 1
+                    continue
+                # a one-triple pattern refuses every triple, so here m >= 2
+                saved.append(planes[:])
+                held = holds[idx]
+                for k in ks:
+                    planes[k] |= planes[k - 1] & held
+                planes[1] |= held
+                full = planes[top]
+                chosen.append(idx)
+                depth += 1
+                limit += 1
+                if limit > total:
+                    limit = total
+            elif depth:  # dead end: take the exclude branch of the last inclusion
                 idx = chosen.pop()
                 planes = saved.pop()
+                full = planes[top]
+                depth -= 1
+                limit = depth + total - value  # below total: depth < value here
             else:
                 break
             idx += 1
     except BudgetExhausted:
         exact = False
+    witness = tuple(all_triples[i] for i in best)
     system = TripleSystem(n, frozenset(witness))
     if contains(system, forbidden) is not None:
         raise RuntimeError("search produced a witness containing the forbidden pattern")
@@ -389,10 +413,13 @@ def audit_forest_bound(
     """
     if not forest.is_forest():
         raise ValueError("audit expects a forest")
+    ns = sorted(set(ns))
+    if ns and ns[0] < 0:
+        raise ValueError("n must be nonnegative")
     sigma = crosscut_number(forest)
     core = sigma - 1
     rows = []
-    for n in sorted(set(ns)):
+    for n in ns:
         row: dict = {"n": n}
         if core > n:
             row["note"] = "core exceeds n; construction undefined"
@@ -430,6 +457,8 @@ def audit_sigma_jump(graph: Graph, n: int) -> dict:
     whether the graph sits inside the star-plus-one-edge graph or inside
     the complete bipartite graph with a side of two.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     sigma = crosscut_number(graph)
     report: dict = {
         "sigma": sigma,

@@ -432,6 +432,28 @@ def test_multicolor_budget_flags_need_structured(capsys, tmp_path, monkeypatch):
     assert main(argv + ["--structured"]) == 2  # read there, so the bad value is refused
 
 
+def test_negative_budgets_exit_two(capsys, path2_file, tmp_path, monkeypatch):
+    # a negative cap or deadline is invalid input, not a search stopped at its first node
+    host = tmp_path / "host.txt"
+    host.write_text(triples_to_text(TripleSystem.from_edges(6, [(0, 2, 4), (0, 3, 5),
+                                                                (1, 2, 5), (1, 3, 4)])))
+    turan = ["turan", "--n", "6", "--expansion-of", path2_file]
+    runs = [(turan + ["--budget-nodes", "-5"], {}), (turan + ["--budget-ms", "-5"], {}),
+            (["multicolor", "--host", str(host), "--x", "0,1", "--y", "2,3", "--m", "1",
+              "--structured", "--budget-nodes", "-1"], {}),
+            (turan, {"EXPANSIONS_BUDGET_NODES": "-7"}),
+            (turan, {"EXPANSIONS_BUDGET_MS": "-7"})]
+    for argv, env in runs:
+        with monkeypatch.context() as m:
+            for name, raw in env.items():
+                m.setenv(name, raw)
+            assert main(argv + ["--json"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "nonnegative" in err[0]
+        assert captured.out == ""
+
+
 class ClosedPipe(io.TextIOBase):
     """A stdout whose reader has gone: every write raises BrokenPipeError."""
 

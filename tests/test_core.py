@@ -10,6 +10,7 @@ from expansions import (AugmentedFamily, CrosscutPair, EmbeddingCertificate, Exp
                         StructuredSearch, Sunflower, TripleSystem, TuranResult, canonical_edge,
                         canonical_triple, codegree, edge_codegree_extremes, is_linear,
                         neighborhood, remove_vertices, shadow)
+from expansions.core import Budget, BudgetExhausted
 
 from helpers import (brute_two_coloring, brute_twin_pairs, random_forest, random_graph,
                      random_system)
@@ -280,3 +281,13 @@ def test_value_classes_are_frozen_records(cls, fields, invalid):
         assert getattr(by_keyword, name) is getattr(by_keyword, name)
         assert name in vars(by_keyword)
     assert by_keyword == positional  # a cached value is not a field
+
+
+def test_budget_rejects_negative_values_and_accepts_zero():
+    for kwargs in ({"budget_ms": -5}, {"budget_nodes": -1}, {"budget_ms": -1, "budget_nodes": 3}):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            Budget(**kwargs)
+    budget = Budget(budget_ms=0, budget_nodes=0)  # 0 stops at the first node
+    with pytest.raises(BudgetExhausted):
+        budget.spend()
+    assert budget.nodes == 1

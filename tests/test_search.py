@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -471,6 +472,21 @@ def test_turan_equals_counter_reference_on_benchmark_instances(n, pattern, cap):
     assert kernel_result(n, pattern, cap) == counter_turan(n, pattern, budget_nodes=cap)
 
 
+@pytest.mark.parametrize("n, pattern, cap", BENCHMARK_TURAN)
+def test_turan_equals_counter_reference_past_a_spent_deadline(n, pattern, cap):
+    # a spent deadline stops the first checkpoint it meets: map 1,024 of the
+    # copy listing (P3+ at n = 7, with the empty lower bound), or else node
+    # 1,024 of a longer search, in the middle of its tree (the book rows,
+    # with three-triple copies, as well as P2+ and M2+)
+    result = turan_number(n, pattern, budget_ms=0, budget_nodes=cap)
+    got = (result.value, result.exact, result.nodes, result.witness)
+    maps = _embeddings(pattern.sorted_edges(), n, pattern_twins=pattern.twin_classes)
+    if sum(1 for _ in maps) >= 1024:
+        assert got == (0, False, 0, ())
+    else:
+        assert got == counter_turan(n, pattern, budget_ms=0, budget_nodes=cap)
+
+
 def test_turan_deadline_is_checked_every_1024_nodes():
     # the exact search needs 10,436 nodes; a spent deadline stops it at the first check
     result = turan_number(7, expand(PATH2).system, budget_ms=0)
@@ -480,10 +496,20 @@ def test_turan_deadline_is_checked_every_1024_nodes():
 
 
 def test_turan_deadline_covers_the_copy_listing():
-    # P2+ at n = 20 has 1.86 M maps to list before the first node; a spent
+    # P2+ at n = 20 has 465,120 maps to list before the first node; a spent
     # deadline stops the listing at its first check with the empty lower bound
     result = turan_number(20, expand(PATH2).system, budget_ms=0)
     assert (result.value, result.exact, result.nodes, result.witness) == (0, False, 0, ())
+    # the set-up before that check is a table of triple indices, n^3 small
+    # ints: a table of the triple bits themselves took 40 MB here at n = 40
+    tracemalloc.start()
+    try:
+        result = turan_number(40, expand(PATH2).system, budget_ms=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.value, result.exact, result.nodes, result.witness) == (0, False, 0, ())
+    assert peak < 8_000_000
 
 
 def test_turan_as_dict_round_trips_fields():
@@ -509,6 +535,14 @@ def test_audit_forest_bound_reports_descriptive_rows():
             assert row["turan"]["exact"]
         else:
             assert row["turan"] is None
+
+
+def test_audits_reject_a_negative_n():
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        audit_forest_bound(PATH3, [-2, 5])
+    for graph in (PATH2, PATH3):  # crosscut numbers 1 and 2
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            audit_sigma_jump(graph, -5)
 
 
 def test_audit_forest_bound_nontrivial_core():
