@@ -38,9 +38,12 @@ def _env_defaults(args) -> None:
         raw = os.environ.get(name)
         if getattr(args, dest, 0) is None and raw is not None:
             try:
-                setattr(args, dest, int(raw))
+                value = int(raw)
             except ValueError:
                 raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+            setattr(args, dest, value)
 
 
 def _one_of(args, a: str, b: str) -> str:

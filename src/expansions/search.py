@@ -3,10 +3,10 @@
 Containment means a copy: an injective vertex map sending every edge of
 the pattern onto an edge of the host.  One kernel with one edge rule,
 _embeddings, finds copies for contains (contains_expansion is contains on
-the expansion), graph_contains and the Turan copy listing.  The Turan
-routine maximizes the edge count of a host on n vertices avoiding such a
-copy, by lexicographic include/exclude branching over all triples with an
-optimistic-count prune, over int bitmasks of the triples in lex order.
+the expansion), graph_contains and the shapes of the Turan copy listing.
+The Turan routine maximizes the edge count of a host on n vertices
+avoiding such a copy, by lexicographic include/exclude branching over all
+triples with an optimistic-count prune, over int bitmasks of the triples.
 Budgets turn the answer into a flagged lower bound, never a silently
 wrong exact value.
 
@@ -18,9 +18,11 @@ here extrapolates to asymptotics.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterable
-from itertools import combinations, permutations
+from itertools import accumulate, chain, combinations, permutations
 from math import comb
+from operator import itemgetter
 
 from .core import (Budget, BudgetExhausted, Graph, Record, Triple, TripleSystem,
                    _pair_completions, canonical_triple)
@@ -162,15 +164,6 @@ def _fill(mapping: dict[int, int], n: int, host_n: int) -> dict[int, int]:
     return full
 
 
-def _checked(mapping: dict[int, int], kind: str, host: TripleSystem,
-             pattern: TripleSystem) -> EmbeddingCertificate:
-    """The certificate of a map the search found, once it is checked."""
-    cert = EmbeddingCertificate(mapping, kind)
-    if not cert.check(host, pattern):
-        raise RuntimeError("search produced a map that is not a copy of the pattern")
-    return cert
-
-
 def _contains(host: TripleSystem, pattern: TripleSystem,
               kind: str) -> EmbeddingCertificate | None:
     """The first copy of the pattern in the host, as a certificate of the
@@ -185,7 +178,10 @@ def _contains(host: TripleSystem, pattern: TripleSystem,
                              host_degree, host.twin_classes), None)
     if found is None:
         return None
-    return _checked(_fill(found, pattern.n, host.n), kind, host, pattern)
+    cert = EmbeddingCertificate(_fill(found, pattern.n, host.n), kind)
+    if not cert.check(host, pattern):
+        raise RuntimeError("search produced a map that is not a copy of the pattern")
+    return cert
 
 
 def contains(host: TripleSystem, pattern: TripleSystem) -> EmbeddingCertificate | None:
@@ -252,43 +248,59 @@ class TuranResult(Record):
         return {**vars(self), "witness": [list(e) for e in self.witness]}
 
 
-def _pattern_copies(pattern: TripleSystem, n: int,
-                    budget: Budget | None = None) -> list[int] | None:
-    """Copies of the pattern in the complete triple system on n vertices,
-    one int bitmask each, ascending: bit i is the i-th triple of
-    combinations(range(n), 3).  A map's mask ORs 1 << i over its image
-    triples, with i read from an n x n x n table of triple indices (small
-    ints, so the table grows with n^3, not with C(n, 3)^2 as a table of
-    the bits themselves would).  Pattern twins take increasing images,
-    which leaves |Aut| / (product of the twin class factorials) maps per
-    copy; they all give its mask, and the set keeps it once.  The budget's
-    deadline is read every 1,024 maps (maps are not nodes); None once it
-    has passed."""
-    if pattern.n > n:
-        return []
-    pattern_edges = pattern.sorted_edges()
+def _triple_index(n: int) -> list:
+    """index[a][b][c] is the position of {a, b, c}, in any order, in
+    combinations(range(n), 3): n^3 small ints, not C(n, 3)^2 bits."""
     index = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i, t in enumerate(combinations(range(n), 3)):
         for a, b, c in permutations(t):
             index[a][b][c] = i
-    copies = set()
-    maps = _embeddings(pattern_edges, n, pattern_twins=pattern.twin_classes)
-    for count, mapping in enumerate(maps, 1):
-        if count % 1024 == 0 and budget is not None and budget.expired():
-            return None
-        mask = 0
-        for a, b, c in pattern_edges:
-            mask |= 1 << index[mapping[a]][mapping[b]][mapping[c]]
-        copies.add(mask)
-    return sorted(copies)
+    return index
 
 
-def _bits(positions: list[int]) -> int:
-    """The int with the given bits set, in time linear in its length."""
-    row = bytearray(positions[-1] // 8 + 1 if positions else 0)
-    for p in positions:
-        row[p >> 3] |= 1 << (p & 7)
-    return int.from_bytes(row, "little")
+def _holds(pattern: TripleSystem, n: int, budget: Budget) -> list[int]:
+    """holds[i] has a bit lane for each copy of the pattern (with edges,
+    pattern.n <= n) in the complete triple system on n vertices holding the
+    i-th triple of combinations(range(n), 3).  It raises BudgetExhausted
+    past the deadline, read every 1,024 shape maps and every 1,024 subsets.
+
+    A copy spans one k-subset of range(n), k the number of vertices in
+    pattern edges, as one shape: a copy on range(k), moved by the
+    increasing map, which keeps triples in lex order.  The shapes are the
+    maps _embeddings lists at n = k, pattern twins taking increasing
+    images, each kept once as the ascending ranks of its triples; lifted
+    through every k-subset, they list each copy once, with no set and no
+    sort.  Lanes go by last triple, highest first, so holds[i] spans only
+    the copies ending at or after i: shorter ints for the search, which
+    tests sets of lanes, so the order never changes an answer."""
+    edges = pattern.sorted_edges()
+    k = len({v for e in edges for v in e})
+    rank, shapes = _triple_index(k), set()
+    for count, at in enumerate(_embeddings(edges, k, pattern_twins=pattern.twin_classes), 1):
+        if count % 1024 == 0 and budget.expired():
+            raise BudgetExhausted
+        shapes.add(tuple(sorted([rank[at[a]][at[b]][at[c]] for a, b, c in edges])))
+    # itemgetter of one rank would return the bare triple index, not a sequence
+    getters = [itemgetter(*s) if len(s) > 1 else itemgetter(slice(s[0], s[0] + 1)) for s in shapes]
+    index, ending = _triple_index(n), defaultdict(list)  # the copies by last triple
+    for count, subset in enumerate(combinations(range(n), k), 1):
+        if count % 1024 == 0 and budget.expired():
+            raise BudgetExhausted
+        image = [index[a][b][c] for a, b, c in combinations(subset, 3)]
+        for get in getters:
+            copy = get(image)
+            ending[copy[-1]].append(copy)
+    # the lanes of the copies ending at or after triple i are those below bound i
+    bounds = accumulate(len(ending.get(i, ())) for i in reversed(range(comb(n, 3))))
+    rows = [bytearray((lanes + 7) >> 3) for lanes in bounds][::-1]
+    ordered = (ending.pop(last) for last in sorted(ending, reverse=True))
+    for lane, copy in enumerate(chain.from_iterable(ordered)):
+        byte, bit = lane >> 3, 1 << (lane & 7)
+        for i in copy:
+            rows[i][byte] |= bit
+    for i, row in enumerate(rows):  # in place: each row is freed once its int is built
+        rows[i] = int.from_bytes(row, "little")
+    return rows
 
 
 def turan_number(
@@ -304,15 +316,17 @@ def turan_number(
     loop with the included indices as its stack (no recursion limit).  A
     branch dies when even taking every remaining triple cannot beat the
     incumbent, and a triple is never included if it completes a copy.
-    Each copy (see _pattern_copies) is one bit lane: holds[i] has the
-    lanes of the copies holding triple i, and planes[k], for k < m (the
-    pattern size), those with at least k of their triples included.
-    Plane 0 is every lane, so including i ORs holds[i] into planes[1] and
+    Each copy (listed by _holds) is one bit lane: holds[i] has the lanes
+    of the copies holding triple i, and planes[k], for k < m (the pattern
+    size), those with at least k of their triples included.  Plane 0 is
+    every lane, so including i ORs holds[i] into planes[1] and
     planes[k-1] & holds[i] into planes[k] for k from the top plane down
     to 2; popping it restores the saved planes.  Triple i is not included
     while it is decided, so including it completes a copy exactly when
     planes[m-1] & holds[i] is nonzero, and no copy ever reaches m: a
     per-copy count of included triples, kept for every copy at once.
+    Every test is on a set of lanes, so their order, chosen for speed,
+    never changes a node count, a value or a witness.
 
     The bound is one index, limit = min(total, depth + total - value):
     triple idx is decided only while idx < limit.  It is recomputed only
@@ -326,28 +340,12 @@ def turan_number(
     if n < 0:
         raise ValueError("n must be nonnegative")
     all_triples = list(combinations(range(n), 3))
-    budget = Budget(budget_ms, budget_nodes)
-    copies = _pattern_copies(forbidden, n, budget)
-    if copies is None:  # the deadline passed while listing copies
-        return TuranResult(n, 0, False, (), "branch-and-bound", 0)
-    if 0 in copies:
-        raise ValueError("an edgeless pattern that fits is contained in every host")
-    if not copies:
-        witness = tuple(all_triples)
-        return TuranResult(n, len(witness), True, witness, "branch-and-bound", 0)
-
     total = len(all_triples)
-    holders: list[list[int]] = [[] for _ in range(total)]
-    for lane, mask in enumerate(copies):
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            holders[low.bit_length() - 1].append(lane)
-    del copies  # the search reads holds only; free the copies and lane lists
-    holds: list = holders  # each lane list gives way to its mask as that is built
-    for i, lanes in enumerate(holders):
-        holds[i] = _bits(lanes)
-    del holders
+    budget = Budget(budget_ms, budget_nodes)
+    if forbidden.n > n:  # no copy fits
+        return TuranResult(n, total, True, tuple(all_triples), "branch-and-bound", 0)
+    if not forbidden.edges:
+        raise ValueError("an edgeless pattern that fits is contained in every host")
     top = len(forbidden.edges) - 1
     planes, ks = [-1] + [0] * top, range(top, 1, -1)
     full = planes[top]  # the lanes one triple short of a copy; -1 when m = 1
@@ -357,6 +355,7 @@ def turan_number(
     nodes, due = 0, budget.next_check(0)
     idx, depth, limit = 0, 0, total  # next triple to decide, len(chosen), the bound
     try:
+        holds = _holds(forbidden, n, budget)
         while True:  # each pass is one node
             nodes += 1
             if nodes >= due:

@@ -454,6 +454,16 @@ def test_negative_budgets_exit_two(capsys, path2_file, tmp_path, monkeypatch):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("name", ["EXPANSIONS_BUDGET_NODES", "EXPANSIONS_BUDGET_MS"])
+def test_negative_budget_variable_is_named_in_the_error(capsys, path2_file, monkeypatch, name):
+    # the message names the input to fix: the variable, not the library parameter
+    monkeypatch.setenv(name, "-7")
+    assert main(["turan", "--n", "6", "--expansion-of", path2_file, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {name} must be nonnegative, got -7\n"
+    assert captured.out == ""
+
+
 class ClosedPipe(io.TextIOBase):
     """A stdout whose reader has gone: every write raises BrokenPipeError."""
 

@@ -7,10 +7,12 @@ import pytest
 
 from expansions import (Graph, TripleSystem, audit_forest_bound, audit_sigma_jump,
                         contains, contains_expansion, crosscut_number, expand,
-                        graph_contains, lower_bound_construction, trees, turan_number)
+                        graph_contains, lower_bound_construction, trees, triple_trees,
+                        turan_number)
 
 from expansions import search
-from expansions.search import _embeddings, _pattern_copies
+from expansions.core import Budget
+from expansions.search import _embeddings, _holds
 from helpers import (brute_contains, brute_graph_contains, brute_turan, counter_copies,
                      counter_turan, random_graph, random_system)
 
@@ -380,21 +382,42 @@ def test_turan_matches_recorded_results(run, value, exact, nodes, witness):
     assert list(result.witness) == witness
 
 
-def decoded(masks, n):
+def listed_lanes(pattern, n):
+    """The copies turan_number searches over, one triple set per lane in
+    lane order; none when the pattern does not fit."""
+    if pattern.n > n:
+        return []
+    holds = _holds(pattern, n, Budget())
     triples = list(combinations(range(n), 3))
-    return sorted((frozenset(t for i, t in enumerate(triples) if mask >> i & 1)
-                   for mask in masks), key=sorted)
+    lanes = max(held.bit_length() for held in holds)
+    return [frozenset(t for t, held in zip(triples, holds) if held >> lane & 1)
+            for lane in range(lanes)]
 
 
-def test_pattern_copies_decode_to_the_copies_of_a_permutation_scan():
+def test_holds_list_each_copy_once_by_last_triple():
     rng = random.Random(83)
     patterns = [expand(PATH2).system, expand(PATH3).system, expand(M2).system, BOOK]
     patterns += [random_system(rng, rng.randint(3, 6), rng.randint(0, 4)) for _ in range(40)]
     cases = [(pattern, n) for pattern in patterns for n in range(pattern.n - 1, 8)]
-    for pattern, n in cases + [(BOOK, 8)]:
-        masks = _pattern_copies(pattern, n)
-        assert masks == sorted(set(masks))
-        assert decoded(masks, n) == counter_copies(pattern, n)
+    cases += [(BOOK, 8)] + [(tree, 8) for v in range(3, 7) for tree in triple_trees(v)]
+    isolated = TripleSystem.from_edges(7, [(1, 2, 3), (3, 4, 5)])  # 0 and 6 in no edge
+    cases += [(isolated, n) for n in (5, 6, 7, 8)]
+    cases += [(TripleSystem.from_edges(5, [(0, 1, 2)]), n) for n in (4, 5, 6)]
+    cases += [(TripleSystem(3, frozenset()), n) for n in (2, 3, 8)]
+    checked = 0
+    for pattern, n in cases:
+        if not pattern.edges:  # the copy on no triples fits every host, or no host
+            if pattern.n <= n:
+                with pytest.raises(ValueError, match="edgeless"):
+                    turan_number(n, pattern)
+            continue
+        lanes = listed_lanes(pattern, n)
+        assert len(set(lanes)) == len(lanes)
+        assert sorted(lanes, key=sorted) == counter_copies(pattern, n)
+        last = [max(lane) for lane in lanes]
+        assert last == sorted(last, reverse=True)
+        checked += bool(lanes)
+    assert checked >= 100  # listings with at least one copy
 
 
 def kernel_result(n, pattern, budget_nodes):
@@ -474,14 +497,18 @@ def test_turan_equals_counter_reference_on_benchmark_instances(n, pattern, cap):
 
 @pytest.mark.parametrize("n, pattern, cap", BENCHMARK_TURAN)
 def test_turan_equals_counter_reference_past_a_spent_deadline(n, pattern, cap):
-    # a spent deadline stops the first checkpoint it meets: map 1,024 of the
-    # copy listing (P3+ at n = 7, with the empty lower bound), or else node
-    # 1,024 of a longer search, in the middle of its tree (the book rows,
-    # with three-triple copies, as well as P2+ and M2+)
+    # a spent deadline stops the first checkpoint it meets: shape map 1,024
+    # or k-subset 1,024 of the copy listing, with the empty lower bound, or
+    # else node 1,024 of a longer search, in the middle of its tree (the
+    # book rows, with three-triple copies, as well as P2+ and M2+); only
+    # P3+ at n = 7 stops in the listing: k = n = 7, and 1,260 shape maps
     result = turan_number(n, pattern, budget_ms=0, budget_nodes=cap)
     got = (result.value, result.exact, result.nodes, result.witness)
-    maps = _embeddings(pattern.sorted_edges(), n, pattern_twins=pattern.twin_classes)
-    if sum(1 for _ in maps) >= 1024:
+    k = len({v for e in pattern.edges for v in e})
+    maps = _embeddings(pattern.sorted_edges(), k, pattern_twins=pattern.twin_classes)
+    listing = pattern.n <= n and (sum(1 for _ in maps) >= 1024 or comb(n, k) >= 1024)
+    assert listing == (n == 7 and pattern == expand(PATH3).system)
+    if listing:
         assert got == (0, False, 0, ())
     else:
         assert got == counter_turan(n, pattern, budget_ms=0, budget_nodes=cap)
@@ -496,8 +523,9 @@ def test_turan_deadline_is_checked_every_1024_nodes():
 
 
 def test_turan_deadline_covers_the_copy_listing():
-    # P2+ at n = 20 has 465,120 maps to list before the first node; a spent
-    # deadline stops the listing at its first check with the empty lower bound
+    # P2+ at n = 20 lifts its 15 shapes through 15,504 5-subsets before the
+    # first node; a spent deadline stops the lift at subset 1,024, its first
+    # check, with the empty lower bound
     result = turan_number(20, expand(PATH2).system, budget_ms=0)
     assert (result.value, result.exact, result.nodes, result.witness) == (0, False, 0, ())
     # the set-up before that check is a table of triple indices, n^3 small
