@@ -16,8 +16,7 @@ _EXPORTS = {
                   "tree_lambda"),
     "extraction": ("AugmentedFamily", "SetFamily", "Sunflower",
                    "find_biclique_avoiding_lists", "find_sunflower", "full_subgraph",
-                   "random_list_filter", "select_disjoint_augmented",
-                   "sunflower_threshold"),
+                   "select_disjoint_augmented", "sunflower_threshold"),
     "generate": ("forests", "trees", "triple_trees"),
     "ramsey": ("COLUMN_CANONICAL", "MONOCHROMATIC", "RAINBOW", "ROW_CANONICAL",
                "GridColoring", "ListAssignment", "Multicoloring", "StructuredSearch",

@@ -116,9 +116,6 @@ class Graph(Record):
         return _twin_classes([len(adj[v]) for v in range(self.n)],
                              lambda h, g: adj[h] - {g} == adj[g] - {h})
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -223,9 +220,6 @@ class TripleSystem(Record):
         return _twin_classes([len(link) for link in links],
                              lambda h, g: {p for p in links[h] if g not in p}
                              == {p for p in links[g] if h not in p})
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
 
     def sorted_edges(self) -> list[Triple]:
         return sorted(self.edges)
@@ -334,13 +328,17 @@ def shadow(system: TripleSystem) -> Graph:
     return Graph(system.n, frozenset(system.pair_counts))
 
 
+def _check_vertices(system: TripleSystem, vertices: Iterable[int]) -> None:
+    for v in vertices:
+        if not (0 <= v < system.n):
+            raise ValueError(f"vertex {v} out of range for n={system.n}")
+
+
 def codegree(system: TripleSystem, x: int, y: int) -> int:
     """Number of triples containing both x and y.  Rejects x == y."""
     if x == y:
         raise ValueError("codegree requires two distinct vertices")
-    for v in (x, y):
-        if not (0 <= v < system.n):
-            raise ValueError(f"vertex {v} out of range for n={system.n}")
+    _check_vertices(system, (x, y))
     return system.pair_counts.get(canonical_edge(x, y), 0)
 
 
@@ -349,6 +347,7 @@ def neighborhood(system: TripleSystem, pair: Iterable[int]) -> frozenset[int]:
     pair = tuple(pair)
     if len(set(pair)) != 2:
         raise ValueError(f"neighborhood requires a set of exactly two vertices, got {pair}")
+    _check_vertices(system, pair)
     return system.pair_neighborhoods.get(canonical_edge(*pair), frozenset())
 
 
@@ -364,9 +363,7 @@ def edge_codegree_extremes(system: TripleSystem, edge: Iterable[int]) -> tuple[i
 def remove_vertices(system: TripleSystem, xs: Iterable[int]) -> TripleSystem:
     """Subsystem of edges disjoint from xs; the vertex range is kept."""
     mark = set(xs)
-    for v in mark:
-        if not (0 <= v < system.n):
-            raise ValueError(f"vertex {v} out of range for n={system.n}")
+    _check_vertices(system, mark)
     return TripleSystem(system.n, frozenset(e for e in system.edges if not mark.intersection(e)))
 
 

@@ -269,7 +269,7 @@ def tree_crosscut_number(tree: Graph) -> int:
     crosscut pair."""
     if not tree.is_tree():
         raise ValueError("input must be a tree")
-    return CrosscutPair.of(tree, _optimal_independent_set(tree)).weight
+    return crosscut_number(tree)
 
 
 def _component_lambda(graph: Graph, comp: frozenset[int], color: tuple[int, ...]) -> int:

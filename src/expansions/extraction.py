@@ -8,11 +8,11 @@ for complete bipartite grids whose edges avoid their own forbidden lists.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from collections.abc import Iterable
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import factorial
 
 from .core import Edge, Graph, Record, TripleSystem, canonical_edge, first_compatible, shadow
 
@@ -49,15 +49,11 @@ class SetFamily(Record):
     sets: tuple[frozenset[int], ...]
 
     @staticmethod
-    def from_sets(sets: Iterable[Iterable[int]], allow_duplicates: bool = False) -> "SetFamily":
+    def from_sets(sets: Iterable[Iterable[int]]) -> "SetFamily":
         fam = tuple(frozenset(s) for s in sets)
-        if not allow_duplicates and len(set(fam)) != len(fam):
+        if len(set(fam)) != len(fam):
             raise ValueError("duplicate sets in family")
         return SetFamily(fam)
-
-    @property
-    def max_size(self) -> int:
-        return max((len(s) for s in self.sets), default=0)
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -83,10 +79,9 @@ class Sunflower(Record):
 
 def sunflower_threshold(k: int, petal_count: int) -> int:
     """Family size guaranteeing a sunflower: k! * (petal_count - 1)^k."""
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out * (petal_count - 1) ** k
+    if k < 0 or petal_count < 1:
+        raise ValueError("set size must be nonnegative and petal count positive")
+    return factorial(k) * (petal_count - 1) ** k
 
 
 def find_sunflower(family: SetFamily, petal_count: int) -> Sunflower | None:
@@ -185,49 +180,34 @@ def select_disjoint_augmented(family: AugmentedFamily) -> list[int]:
     at least a third of the family.
 
     Two augmented sets can only meet through an anchor landing in the
-    other base set, and each anchor lands in at most one base set, so the
-    conflict graph has at most one edge per member.  Every subgraph of
-    such a graph has a vertex of degree at most 2, hence peeling plus
-    greedy coloring three-colors it; the largest color class is returned.
+    other base set, and each anchor lands in at most one base set, so
+    every member has at most one conflict target.  Each uncolored member
+    walks along its targets until it meets a colored member or closes a
+    cycle, and the walk is colored backwards: a member then sees only its
+    target's color, plus the first-colored member's where the cycle
+    closes, so three colors suffice.  The largest color class is returned.
     """
-    m = len(family)
-    if m == 0:
-        return []
-    member: dict[int, int] = {}
-    for j, (s, _) in enumerate(family.pairs):
-        for x in s:
-            member[x] = j
-    adj: list[set[int]] = [set() for _ in range(m)]
-    for i, (_, a) in enumerate(family.pairs):
-        j = member.get(a)
-        if j is not None and j != i:
-            adj[i].add(j)
-            adj[j].add(i)
-
-    # peel minimum-degree vertices, then color in reverse removal order
-    degree = [len(a) for a in adj]
-    alive = set(range(m))
-    removal: list[int] = []
-    local = [set(a) for a in adj]
-    while alive:
-        v = min(alive, key=lambda u: (degree[u], u))
-        removal.append(v)
-        alive.remove(v)
-        for u in local[v]:
-            local[u].discard(v)
-            degree[u] -= 1
-    color = [-1] * m
-    for v in reversed(removal):
-        seen = {color[u] for u in adj[v] if color[u] >= 0}
-        free = [c for c in (0, 1, 2) if c not in seen]
-        if not free:
-            raise RuntimeError("conflict graph needed a fourth color; invariant broken")
-        color[v] = free[0]
-    classes = [[i for i in range(m) if color[i] == c] for c in (0, 1, 2)]
+    owner = {x: j for j, (s, _) in enumerate(family.pairs) for x in s}
+    target = [owner.get(a, i) for i, (_, a) in enumerate(family.pairs)]
+    color = [-1] * len(target)  # -2 marks a member on the current walk
+    for start in range(len(target)):
+        walk = []
+        v = start
+        while color[v] == -1:
+            color[v] = -2
+            walk.append(v)
+            v = target[v]
+        for u in reversed(walk):
+            seen = (color[target[u]], color[walk[-1]] if u == v else -1)
+            free = [c for c in (0, 1, 2) if c not in seen]
+            if not free:
+                raise RuntimeError("conflict graph needed a fourth color; invariant broken")
+            color[u] = free[0]
+    classes = [[i for i, c in enumerate(color) if c == k] for k in (0, 1, 2)]
     best = max(classes, key=len)
-    if 3 * len(best) < m:
+    if 3 * len(best) < len(target):
         raise RuntimeError("largest color class fell below a third of the family")
-    return sorted(best)
+    return best
 
 
 def find_biclique_avoiding_lists(
@@ -276,23 +256,3 @@ def find_biclique_avoiding_lists(
             if picked is not None:
                 return frozenset(xs), frozenset(picked)
     return None
-
-
-def random_list_filter(
-    grid_graph: Graph,
-    lists: dict[Edge, frozenset[int]],
-    seed: int,
-) -> tuple[frozenset[int], Graph]:
-    """Half-density vertex sample keeping only edges whose lists miss it.
-
-    Any qualifying biclique found inside the filtered graph is valid for
-    the original instance, since surviving edges have lists disjoint from
-    the whole sample.  Absence in the sample proves nothing.
-    """
-    rng = random.Random(seed)
-    kept = frozenset(v for v in range(grid_graph.n) if rng.random() < 0.5)
-    edges = frozenset(
-        e for e in grid_graph.edges
-        if e[0] in kept and e[1] in kept and not (lists[e] & kept)
-    )
-    return kept, Graph(grid_graph.n, edges)

@@ -28,6 +28,8 @@ from .core import (Budget, BudgetExhausted, Graph, Record, Triple, TripleSystem,
                    _pair_completions, canonical_triple)
 from .crosscuts import crosscut_number, expand
 
+EXACT_MAX_N = 6  # the largest n at which audit_forest_bound runs the exact search
+
 
 class EmbeddingCertificate(Record):
     """Injective vertex map witnessing a copy of a pattern in a host."""
@@ -401,13 +403,12 @@ def audit_forest_bound(
     ns: Iterable[int],
     budget_ms: int | None = None,
     budget_nodes: int | None = None,
-    exact_max_n: int = 6,
 ) -> dict:
     """Compare the one-core-vertex construction against exact counts.
 
     Per n: the guaranteed edge count (sigma - 1) * C(n - sigma + 1, 2),
     the construction itself with an exact freeness check, and, for n up
-    to exact_max_n, the exact maximum with the ratio to C(n, 2) scaled by
+    to EXACT_MAX_N, the exact maximum with the ratio to C(n, 2) scaled by
     sigma - 1.  Ratios are finite-n observations only.
     """
     if not forest.is_forest():
@@ -430,7 +431,7 @@ def audit_forest_bound(
         row["construction_edges"] = len(construction.edges)
         row["count_matches"] = len(construction.edges) == bound
         row["free"] = contains_expansion(construction, forest) is None
-        if n <= exact_max_n:
+        if n <= EXACT_MAX_N:
             result = turan_number(n, expand(forest).system, budget_ms, budget_nodes)
             row["turan"] = {"value": result.value, "exact": result.exact}
             denom = core * comb(n, 2)

@@ -39,7 +39,7 @@ def test_graph_rejects_out_of_range_edges():
 
 def test_graph_adjacency_and_degrees():
     g = Graph.from_edges(4, [(0, 1), (2, 1), (1, 3)])
-    assert g.neighbors(1) == frozenset({0, 2, 3})
+    assert g.adjacency[1] == frozenset({0, 2, 3})
     assert g.degree(1) == 3
     assert g.degree(0) == 1
     assert g.sorted_edges() == [(0, 1), (1, 2), (1, 3)]
@@ -91,6 +91,13 @@ def test_codegree_counts_and_rejects():
         codegree(h, 2, 2)
     with pytest.raises(ValueError):
         codegree(h, 0, 5)
+
+
+def test_neighborhood_rejects_vertices_out_of_range():
+    h = TripleSystem.from_edges(4, [(0, 1, 2)])
+    for pair in ((0, 99), (-1, 2)):
+        with pytest.raises(ValueError, match="out of range for n=4"):
+            neighborhood(h, pair)
 
 
 def test_neighborhood_third_vertices():

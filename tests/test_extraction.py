@@ -5,7 +5,7 @@ import pytest
 
 from expansions import (AugmentedFamily, Graph, SetFamily, Sunflower, TripleSystem,
                         expand, find_biclique_avoiding_lists, find_sunflower,
-                        full_subgraph, random_list_filter, select_disjoint_augmented,
+                        full_subgraph, select_disjoint_augmented,
                         shadow, sunflower_threshold)
 
 from expansions.core import first_compatible
@@ -65,13 +65,15 @@ def test_sunflower_threshold_values():
     assert sunflower_threshold(3, 3) == 48
     assert sunflower_threshold(3, 2) == 6
     assert sunflower_threshold(1, 4) == 3
+    assert sunflower_threshold(0, 1) == 1
+    for k, petals in ((3, 0), (-1, 3), (2, -2)):
+        with pytest.raises(ValueError):
+            sunflower_threshold(k, petals)
 
 
 def test_set_family_rejects_duplicates():
     with pytest.raises(ValueError):
         SetFamily.from_sets([{1, 2}, {2, 1}])
-    fam = SetFamily.from_sets([{1, 2}, {2, 1}], allow_duplicates=True)
-    assert len(fam) == 2
 
 
 def test_sunflower_disjoint_sets_form_empty_core():
@@ -177,12 +179,23 @@ def test_select_disjoint_augmented_small_cases():
     fam = AugmentedFamily.from_pairs([({0, 1}, 2), ({2, 3}, 0), ({4, 5}, 6)])
     check_selection(fam, select_disjoint_augmented(fam))
     assert select_disjoint_augmented(AugmentedFamily.from_pairs([])) == []
+    # a star: every leaf's anchor lands in the hub's base, whose anchor is free
+    hub = (range(30), 1000)
+    fam = AugmentedFamily.from_pairs([hub] + [({100 + i}, i) for i in range(30)])
+    picked = select_disjoint_augmented(fam)
+    check_selection(fam, picked)
+    assert picked == list(range(1, 31))
 
 
 def test_select_disjoint_augmented_cycle_of_conflicts():
     # anchors chase each other around a triangle: any single member is fine
     fam = AugmentedFamily.from_pairs([({0}, 1), ({1}, 2), ({2}, 0)])
     check_selection(fam, select_disjoint_augmented(fam))
+    # an odd cycle of five: two colors cannot do, the third closes it
+    fam = AugmentedFamily.from_pairs([({2 * i, 2 * i + 1}, 2 * ((i + 1) % 5)) for i in range(5)])
+    picked = select_disjoint_augmented(fam)
+    check_selection(fam, picked)
+    assert len(picked) == 2
 
 
 def random_augmented(rng, m):
@@ -297,27 +310,3 @@ def test_biclique_on_expansion_of_complete_bipartite():
     grid = Graph(host.n, grid.edges)
     found = find_biclique_avoiding_lists(grid, lists, 3, host)
     assert found == (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
-
-
-def test_random_list_filter_preserves_validity():
-    rng = random.Random(53)
-    base = Graph.from_edges(8, [(a, b) for a in range(4) for b in range(4, 8)])
-    grid, lists, host = expansion_grid(base)
-    grid = Graph(host.n, grid.edges)
-    for seed in range(20):
-        kept, filtered = random_list_filter(grid, lists, seed)
-        assert filtered.edges <= grid.edges
-        for e in filtered.edges:
-            assert e[0] in kept and e[1] in kept
-            assert not (lists[e] & kept)
-        t = 2
-        found = find_biclique_avoiding_lists(filtered, lists, t, host) \
-            if filtered.edges else None
-        if found is not None:
-            xs, ys = found
-            # a certificate from the filtered graph is valid in the original
-            for x in xs:
-                for y in ys:
-                    e = (x, y) if x < y else (y, x)
-                    assert e in grid.edges
-                    assert not (lists[e] & (xs | ys))

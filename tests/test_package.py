@@ -21,8 +21,9 @@ def run_fresh(*argv: str) -> subprocess.CompletedProcess:
 
 
 def modules_after(code: str) -> set[str]:
-    """Every module loaded after running code in a fresh interpreter."""
-    out = run_fresh("-c", code + "\nimport sys\nprint('LOADED', *sys.modules)").stdout
+    """Every module loaded after running code in a fresh interpreter; -S
+    keeps a site .pth that preloads modules from hiding what code loads."""
+    out = run_fresh("-S", "-c", code + "\nimport sys\nprint('LOADED', *sys.modules)").stdout
     return set(out.splitlines()[-1].split()[1:])
 
 
@@ -67,14 +68,34 @@ def test_turan_loads_search_but_not_the_extraction_tools(path2):
     assert not loaded & {"ramsey", "extraction"}
 
 
-@pytest.mark.parametrize("argv", [["sigma", "--graph"], ["turan", "--n", "5", "--expansion-of"]],
-                         ids=["sigma", "turan"])
-def test_a_subcommand_loads_no_introspection_module(path2, argv):
-    # measured against a bare interpreter, so a site that preloads modules is no failure
-    ran = modules_after(f"from expansions import cli\nassert cli.main({argv + [path2]!r}) == 0")
+INPUTS = {
+    "p2.txt": "3 2\n0 1\n1 2\n",
+    "host.txt": "6 4\n0 2 4\n0 3 5\n1 2 5\n1 3 4\n",
+    "grid.txt": "6 1\n0 2\n",
+    "lists.json": '{"lists": [{"edge": [0, 2], "set": [4]}]}',
+    "sets.json": '{"sets": [[0, 1], [2, 3]]}',
+    "pairs.json": '{"pairs": [{"set": [0], "element": 1}, {"set": [1], "element": 0}]}',
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sigma", "--graph", "p2.txt"],
+    ["turan", "--n", "5", "--expansion-of", "p2.txt"],
+    ["full-subgraph", "--triples", "host.txt", "--d", "1"],
+    ["sunflower", "--family", "sets.json", "--petals", "2"],
+    ["trim-select", "--family", "pairs.json"],
+    ["biclique", "--grid", "grid.txt", "--lists", "lists.json", "--t", "1", "--host", "host.txt"],
+], ids=lambda argv: argv[0])
+def test_a_subcommand_loads_no_introspection_module(tmp_path, argv):
+    # measured against a bare interpreter; nor does any load random, which
+    # no library code uses
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in INPUTS else a for a in argv]
+    ran = modules_after(f"from expansions import cli\nassert cli.main({argv!r}) == 0")
     loaded = ran - modules_after("pass")
     assert "expansions.core" in loaded
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "random"}
 
 
 def test_every_exported_name_is_its_module_attribute():

@@ -575,7 +575,7 @@ def test_audits_reject_a_negative_n():
 
 def test_audit_forest_bound_nontrivial_core():
     p4 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    report = audit_forest_bound(p4, [6], exact_max_n=6)
+    report = audit_forest_bound(p4, [6])
     row = report["rows"][0]
     assert report["core_size"] == 1
     assert row["bound"] == comb(5, 2)
