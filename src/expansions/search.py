@@ -315,29 +315,30 @@ def turan_number(
     forbidden pattern.
 
     Lexicographic include-first branching over all C(n, 3) triples, as a
-    loop with the included indices as its stack (no recursion limit).  A
-    branch dies when even taking every remaining triple cannot beat the
+    loop with the inclusions as its stack (no recursion limit).  A branch
+    dies when even taking every remaining triple cannot beat the
     incumbent, and a triple is never included if it completes a copy.
     Each copy (listed by _holds) is one bit lane: holds[i] has the lanes
-    of the copies holding triple i, and planes[k], for k < m (the pattern
-    size), those with at least k of their triples included.  Plane 0 is
-    every lane, so including i ORs holds[i] into planes[1] and
-    planes[k-1] & holds[i] into planes[k] for k from the top plane down
-    to 2; popping it restores the saved planes.  Triple i is not included
-    while it is decided, so including it completes a copy exactly when
-    planes[m-1] & holds[i] is nonzero, and no copy ever reaches m: a
-    per-copy count of included triples, kept for every copy at once.
-    Every test is on a set of lanes, so their order, chosen for speed,
-    never changes a node count, a value or a witness.
+    of the copies holding triple i, and plane k, for k < m (the pattern
+    size), those with at least k of their triples included; plane 0 is
+    every lane.  Triple i is not included while it is decided, so it
+    completes a copy exactly when plane m-1 & holds[i] is nonzero, and
+    including it ORs plane k-1 & holds[i] into plane k from the top down.
+    The top two planes are the locals full and near (plane 0, -1, when
+    m = 2; at m = 1 full is -1 and refuses every triple), and planes
+    1..m-3 a list walked only when m >= 4.  Every test is on a set of
+    lanes, so their order never changes a node count, value or witness.
 
     The bound is one index, limit = min(total, depth + total - value):
-    triple idx is decided only while idx < limit.  It is recomputed only
-    where it can change (an improvement, an inclusion, a pop), so a
-    refused triple costs the node count, three comparisons and one AND.
-    The budget is consulted only at its checkpoints (Budget.next_check).
-    On exhaustion the incumbent is returned with exact=False: a witnessed
-    lower bound; a deadline passed while listing copies leaves the empty
-    one (value 0).
+    triple idx is decided only while idx < limit, which changes only at
+    an inclusion or a pop, so a refused triple costs the node count, two
+    comparisons and one AND.  The incumbent is recorded at the inclusion,
+    the only step that raises depth, but counts from the next node, as
+    in the recursive search this loop replaced: a budget stopping that
+    node puts the previous one back.  The budget is consulted only at
+    its checkpoints (Budget.next_check).  On exhaustion the incumbent is
+    returned with exact=False, a witnessed lower bound; a deadline passed
+    while listing copies leaves the empty one (value 0).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -349,41 +350,37 @@ def turan_number(
     if not forbidden.edges:
         raise ValueError("an edgeless pattern that fits is contained in every host")
     top = len(forbidden.edges) - 1
-    planes, ks = [-1] + [0] * top, range(top, 1, -1)
-    full = planes[top]  # the lanes one triple short of a copy; -1 when m = 1
-    saved: list[list[int]] = []  # the planes before each inclusion
-    chosen: list[int] = []  # the included indices, ascending
+    planes, ks = [-1] + [0] * top, range(top - 3, 0, -1)  # ks: the list's planes above its first
+    full, near, rest = planes[top], planes[top - 1], planes[1:top - 1]  # near unread at m = 1
+    saved: list[tuple] = []  # (idx, full, near, rest) at each inclusion, idx ascending
     value, best, exact = 0, [], True  # the empty set is free
+    gained, prior = -1, (value, best)  # the node of the last improvement, the incumbent before it
     nodes, due = 0, budget.next_check(0)
-    idx, depth, limit = 0, 0, total  # next triple to decide, len(chosen), the bound
+    idx, depth, limit = 0, 0, total  # next triple to decide, len(saved), the bound
     try:
         holds = _holds(forbidden, n, budget)
         while True:  # each pass is one node
             nodes += 1
             if nodes >= due:
                 due = budget.check(nodes)
-            if depth > value:
-                value, best, limit = depth, chosen[:], total
             if idx < limit:
-                if full & holds[idx]:  # including idx completes a copy
-                    idx += 1
-                    continue
-                # a one-triple pattern refuses every triple, so here m >= 2
-                saved.append(planes[:])
-                held = holds[idx]
-                for k in ks:
-                    planes[k] |= planes[k - 1] & held
-                planes[1] |= held
-                full = planes[top]
-                chosen.append(idx)
-                depth += 1
-                limit += 1
-                if limit > total:
-                    limit = total
+                if not full & (held := holds[idx]):  # including idx completes no copy
+                    saved.append((idx, full, near, rest))
+                    full |= near & held
+                    near |= rest[-1] & held if rest else held
+                    if rest:  # m >= 4: a new list, as the saved one is restored on the pop
+                        rest = rest[:]
+                        for k in ks:
+                            rest[k] |= rest[k - 1] & held
+                        rest[0] |= held
+                    depth += 1
+                    if depth > value:  # limit stays total: depth - 1 == value before
+                        gained, prior = nodes, (value, best)
+                        value, best = depth, [entry[0] for entry in saved]
+                    else:
+                        limit += 1  # below total before: depth - 1 < value
             elif depth:  # dead end: take the exclude branch of the last inclusion
-                idx = chosen.pop()
-                planes = saved.pop()
-                full = planes[top]
+                idx, full, near, rest = saved.pop()
                 depth -= 1
                 limit = depth + total - value  # below total: depth < value here
             else:
@@ -391,6 +388,8 @@ def turan_number(
             idx += 1
     except BudgetExhausted:
         exact = False
+        if nodes == gained + 1:  # the improvement counts from this node, which was stopped
+            value, best = prior
     witness = tuple(all_triples[i] for i in best)
     system = TripleSystem(n, frozenset(witness))
     if contains(system, forbidden) is not None:

@@ -306,6 +306,27 @@ def counter_turan(n: int, forbidden: TripleSystem, budget_ms=None, budget_nodes=
     return value, exact, budget.nodes, witness
 
 
+# -------------------------------------------------- full subgraph oracle
+
+def recount_full_subgraph(system: TripleSystem, d: int) -> TripleSystem:
+    """The loop extraction.full_subgraph ran before it kept its counts
+    incrementally: after each deletion every pair of every surviving
+    triple is counted again and the sparse pairs sorted.  Kept as the
+    reference the incremental version is tested against."""
+    remaining = set(system.edges)
+    while True:
+        counts: dict = {}
+        for e in remaining:
+            for pair in combinations(e, 2):
+                counts[pair] = counts.get(pair, 0) + 1
+        sparse = sorted(pair for pair, c in counts.items() if c <= d)
+        if not sparse:
+            break
+        pick = sparse[0]
+        remaining = {e for e in remaining if not (pick[0] in e and pick[1] in e)}
+    return TripleSystem(system.n, frozenset(remaining))
+
+
 # ------------------------------------------------------- sunflower oracle
 
 def recount_sunflower(items: list[tuple[int, frozenset[int]]], want: int):

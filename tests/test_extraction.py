@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -10,7 +11,8 @@ from expansions import (AugmentedFamily, Graph, SetFamily, Sunflower, TripleSyst
 
 from expansions.core import first_compatible
 from expansions.extraction import _sunflower
-from helpers import random_system, recount_sunflower, recursive_y_completion
+from helpers import (random_system, recount_full_subgraph, recount_sunflower,
+                     recursive_y_completion)
 
 
 # --------------------------------------------------------- full subgraph
@@ -56,6 +58,20 @@ def test_full_subgraph_idempotent_and_bounded_random_sweep():
         check_full(h, out, d)
         again = full_subgraph(out, d)
         assert again.edges == out.edges
+
+
+def test_full_subgraph_equals_recounting_reference():
+    # the sizes span empty results, partial trims and systems kept whole
+    rng = random.Random(59)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(3, 12)
+        h = random_system(rng, n, rng.randint(0, min(120, comb(n, 3))))
+        d = rng.randint(1, 4)
+        out = full_subgraph(h, d)
+        assert out == recount_full_subgraph(h, d)
+        outcomes.add((not out.edges, out.edges == h.edges))
+    assert outcomes >= {(True, False), (False, False), (False, True)}
 
 
 # -------------------------------------------------------------- sunflower

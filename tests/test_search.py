@@ -477,6 +477,17 @@ def test_turan_budget_checkpoints(cap, budget_ms):
 
 
 M2_SYSTEM = expand(M2).system
+# five triples on seven vertices: planes 1 and 2 below the top two
+FIVE_TRIPLES = TripleSystem.from_edges(7, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 6), (0, 5, 6)])
+
+
+@pytest.mark.parametrize("n, pattern", [(8, BOOK), (7, expand(PATH2).system), (7, FIVE_TRIPLES)])
+def test_turan_every_node_cap_matches_counter_reference(n, pattern):
+    # the incumbent is recorded at an inclusion but counts from the next
+    # node, so a cap stopping that node must put the previous one back;
+    # early in the tree improvements come every few nodes
+    for cap in range(65):
+        assert kernel_result(n, pattern, cap) == counter_turan(n, pattern, budget_nodes=cap), cap
 
 # every Turan call of the benchmark workloads (perfbench/tasks.py and
 # perfbench/clibatch.py), with its node cap
