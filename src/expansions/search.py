@@ -3,10 +3,10 @@
 Containment means a copy: an injective vertex map sending every edge of
 the pattern onto an edge of the host.  One kernel with one edge rule,
 _embeddings, finds copies for contains (contains_expansion is contains on
-the expansion), graph_contains and the shapes of the Turan copy listing.
-The Turan routine maximizes the edge count of a host on n vertices
-avoiding such a copy, by lexicographic include/exclude branching over all
-triples with an optimistic-count prune, over int bitmasks of the triples.
+the expansion) and graph_contains.  The Turan routine maximizes the edge
+count of a host on n vertices avoiding such a copy, by lexicographic
+include/exclude branching over all triples with an optimistic-count
+prune, over int bitmasks of the copies it lists by an orbit walk.
 Budgets turn the answer into a flagged lower bound, never a silently
 wrong exact value.
 
@@ -51,13 +51,12 @@ class EmbeddingCertificate(Record):
         )
 
 
-def _embeddings(edges, host_n: int, completions=None, host_degree=None, twin_classes=None,
-                pattern_twins=None):
+def _embeddings(edges, host_n: int, completions, host_degree, twin_classes):
     """Yield every injective map of the vertices of the pattern edges
     (pairs or triples) into range(host_n) sending each edge onto a host
     edge.  completions, keyed by the images of all but one vertex of an
     edge (that image, or the sorted pair), holds the host vertices that
-    complete them to a host edge; None accepts every map.
+    complete them to a host edge.
 
     Pattern vertices are placed in descending degree order, each onto
     host vertices in increasing order, so maps come out in lexicographic
@@ -65,8 +64,8 @@ def _embeddings(edges, host_n: int, completions=None, host_degree=None, twin_cla
     empty one.  The edge rule: the vertex closing edges is drawn from the
     completions of their placed images, intersected, and once an edge has
     one vertex left to place, those must hold an unused vertex or the
-    branch dies.  Neither drops a copy.  With host_degree, a vertex of
-    pattern degree d only goes to host vertices of degree >= d.
+    branch dies.  Neither drops a copy.  A vertex of pattern degree d only
+    goes to host vertices of degree >= d in host_degree.
 
     With twin_classes, a host vertex is tried only when its next smaller
     twin is used.  Each placed vertex passed that test and the last placed
@@ -75,11 +74,7 @@ def _embeddings(edges, host_n: int, completions=None, host_degree=None, twin_cla
     unused smaller twin is an automorphism fixing every used vertex, so
     its subtree mirrors one already searched: a caller stopping at the
     first map it accepts, by tests invariant under host automorphisms,
-    gets the same first map with or without pruning.  With pattern_twins
-    (classes of pattern vertices any two of which swap by a pattern
-    automorphism), the members of a class take increasing images: a map
-    out of that order is one in order composed with such swaps, so the
-    image edge sets are the same and the maps fewer.  The yielded dict is
+    gets the same first map with or without pruning.  The yielded dict is
     live.
     """
     degree: dict[int, int] = {}
@@ -93,21 +88,13 @@ def _embeddings(edges, host_n: int, completions=None, host_degree=None, twin_cla
     position = {v: i for i, v in enumerate(support)}
     closing: list[list] = [[] for _ in support]  # placed vertices of the edges each level closes
     short: list[list] = [[] for _ in support]  # ... of the edges left one vertex short there
-    if completions is not None:
-        for e in edges:
-            *placed, v = sorted(e, key=position.__getitem__)
-            closing[position[v]].append(placed)
-            short[position[placed[-1]]].append(placed)
-    candidates = [range(host_n) if host_degree is None
-                  else [h for h in range(host_n) if host_degree[h] >= degree[v]]
-                  for v in support]
-    after = [-1] * len(support)  # level of the previous member of the pattern twin class
-    for cls in pattern_twins or ():
-        levels = sorted(position[v] for v in cls if v in position)
-        for a, b in zip(levels, levels[1:]):
-            after[b] = a
+    for e in edges:
+        *placed, v = sorted(e, key=position.__getitem__)
+        closing[position[v]].append(placed)
+        short[position[placed[-1]]].append(placed)
+    candidates = [[h for h in range(host_n) if host_degree[h] >= degree[v]] for v in support]
     smaller = [-1] * host_n  # the next smaller twin; -1, always used, for none
-    for cls in twin_classes or ():
+    for cls in twin_classes:
         for g, h in zip(cls, cls[1:]):
             smaller[h] = g
 
@@ -148,8 +135,7 @@ def _embeddings(edges, host_n: int, completions=None, host_degree=None, twin_cla
             if closing[i]:
                 pools = [completing(p) for p in closing[i]]
                 level = sorted(pools[0].intersection(*pools[1:], level))
-            rest[i] = iter(level) if after[i] < 0 else \
-                filter(mapping[support[after[i]]].__lt__, level)
+            rest[i] = iter(level)
         else:
             i -= 1
 
@@ -264,32 +250,46 @@ def _holds(pattern: TripleSystem, n: int, budget: Budget) -> list[int]:
     """holds[i] has a bit lane for each copy of the pattern (with edges,
     pattern.n <= n) in the complete triple system on n vertices holding the
     i-th triple of combinations(range(n), 3).  It raises BudgetExhausted
-    past the deadline, read every 1,024 shape maps and every 1,024 subsets.
+    past the deadline, read every 1,024 shape images and 1,024 subsets.
 
     A copy spans one k-subset of range(n), k the number of vertices in
     pattern edges, as one shape: a copy on range(k), moved by the
-    increasing map, which keeps triples in lex order.  The shapes are the
-    maps _embeddings lists at n = k, pattern twins taking increasing
-    images, each kept once as the ascending ranks of its triples; lifted
-    through every k-subset, they list each copy once, with no set and no
-    sort.  Lanes go by last triple, highest first, so holds[i] spans only
-    the copies ending at or after i: shorter ints for the search, which
-    tests sets of lanes, so the order never changes an answer."""
+    increasing map, which keeps triples in lex order, kept as the ascending
+    ranks of its triples.  The shapes are one orbit under the permutations
+    of range(k), which the k - 1 adjacent swaps generate, so a walk imaging
+    each new shape under each swap's rank table lists them exactly; lifted
+    through every k-subset, they list each copy once, with no set of copies
+    and no sort.  Lanes go by last triple, highest first, so holds[i] spans
+    only the copies ending at or after i: shorter ints for the search,
+    which tests sets of lanes, so the order never changes an answer."""
     edges = pattern.sorted_edges()
-    k = len({v for e in edges for v in e})
-    rank, shapes = _triple_index(k), set()
-    for count, at in enumerate(_embeddings(edges, k, pattern_twins=pattern.twin_classes), 1):
-        if count % 1024 == 0 and budget.expired():
-            raise BudgetExhausted
-        shapes.add(tuple(sorted([rank[at[a]][at[b]][at[c]] for a, b, c in edges])))
-    # itemgetter of one rank would return the bare triple index, not a sequence
-    getters = [itemgetter(*s) if len(s) > 1 else itemgetter(slice(s[0], s[0] + 1)) for s in shapes]
+    label = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
+    k, rank = len(label), _triple_index(len(label))
+    # swaps[j][r]: the rank of triple r with j and j + 1 exchanged
+    swaps = [[rank[a][b][c] for a, b, c in combinations([*range(j), j + 1, j, *range(j + 2, k)], 3)]
+             for j in range(k - 1)]
+
+    def getter(shape):  # itemgetter of one rank would return the bare rank, not a sequence
+        return itemgetter(*shape) if len(shape) > 1 else itemgetter(slice(shape[0], shape[0] + 1))
+
+    start = tuple(sorted([rank[label[a]][label[b]][label[c]] for a, b, c in edges]))
+    shapes, todo, count = {start: getter(start)}, [start], 0  # the getter reads images, copies
+    while todo:
+        get = shapes[todo.pop()]
+        for swap in swaps:
+            count += 1
+            if count % 1024 == 0 and budget.expired():
+                raise BudgetExhausted
+            image = tuple(sorted(get(swap)))
+            if image not in shapes:
+                shapes[image] = getter(image)
+                todo.append(image)
     index, ending = _triple_index(n), defaultdict(list)  # the copies by last triple
     for count, subset in enumerate(combinations(range(n), k), 1):
         if count % 1024 == 0 and budget.expired():
             raise BudgetExhausted
         image = [index[a][b][c] for a, b, c in combinations(subset, 3)]
-        for get in getters:
+        for get in shapes.values():
             copy = get(image)
             ending[copy[-1]].append(copy)
     # the lanes of the copies ending at or after triple i are those below bound i
@@ -410,8 +410,8 @@ def audit_forest_bound(
     to EXACT_MAX_N, the exact maximum with the ratio to C(n, 2) scaled by
     sigma - 1.  Ratios are finite-n observations only.
     """
-    if not forest.is_forest():
-        raise ValueError("audit expects a forest")
+    if not forest.is_forest() or not forest.edges:
+        raise ValueError("audit expects a forest with at least one edge")
     ns = sorted(set(ns))
     if ns and ns[0] < 0:
         raise ValueError("n must be nonnegative")

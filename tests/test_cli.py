@@ -351,6 +351,15 @@ def test_audit_theorem1_exits_three_when_a_row_is_inexact(capsys, path2_file):
     assert out["rows"][0]["turan"]["exact"] is True and out["rows"][1]["turan"] is None
 
 
+def test_audit_theorem1_rejects_an_edgeless_forest(capsys, tmp_path):
+    # sigma is 0 with no edge, so the core and the bound would be negative
+    edgeless = tmp_path / "edgeless.txt"
+    edgeless.write_text("3 0\n")
+    assert main(["audit-theorem1", "--graph", str(edgeless), "--n-list", "3,5"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: audit expects a forest with at least one edge\n"
+
+
 def test_multicolor_structured_honours_budget_ms(capsys, tmp_path):
     xs, ys = range(6), range(6, 12)
     host = TripleSystem.from_edges(15, [(x, y, 12 + c) for x in xs for y in ys

@@ -225,7 +225,7 @@ def test_expansion_witness_keeps_the_matched_base_images(host, base, matched):
 
 def _first_maps(edges, host_n, completions, host_degree, twin_classes):
     found = [next(_embeddings(edges, host_n, completions, host_degree, classes), None)
-             for classes in (None, twin_classes)]
+             for classes in ((), twin_classes)]
     return [None if m is None else dict(m) for m in found]
 
 
@@ -400,6 +400,8 @@ def test_holds_list_each_copy_once_by_last_triple():
     patterns += [random_system(rng, rng.randint(3, 6), rng.randint(0, 4)) for _ in range(40)]
     cases = [(pattern, n) for pattern in patterns for n in range(pattern.n - 1, 8)]
     cases += [(BOOK, 8)] + [(tree, 8) for v in range(3, 7) for tree in triple_trees(v)]
+    m3 = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
+    cases += [(expand(S3).system, 9), (expand(m3).system, 9)]  # 105 and 280 shapes, k = 7 and 9
     isolated = TripleSystem.from_edges(7, [(1, 2, 3), (3, 4, 5)])  # 0 and 6 in no edge
     cases += [(isolated, n) for n in (5, 6, 7, 8)]
     cases += [(TripleSystem.from_edges(5, [(0, 1, 2)]), n) for n in (4, 5, 6)]
@@ -508,16 +510,18 @@ def test_turan_equals_counter_reference_on_benchmark_instances(n, pattern, cap):
 
 @pytest.mark.parametrize("n, pattern, cap", BENCHMARK_TURAN)
 def test_turan_equals_counter_reference_past_a_spent_deadline(n, pattern, cap):
-    # a spent deadline stops the first checkpoint it meets: shape map 1,024
-    # or k-subset 1,024 of the copy listing, with the empty lower bound, or
-    # else node 1,024 of a longer search, in the middle of its tree (the
-    # book rows, with three-triple copies, as well as P2+ and M2+); only
-    # P3+ at n = 7 stops in the listing: k = n = 7, and 1,260 shape maps
+    # a spent deadline stops the first checkpoint it meets: shape image
+    # 1,024 or k-subset 1,024 of the copy listing, with the empty lower
+    # bound, or else node 1,024 of a longer search, in the middle of its
+    # tree (the book rows, with three-triple copies, as well as P2+ and
+    # M2+); the orbit walk images each of the shapes (the copies on k
+    # vertices) k - 1 times, and only P3+ at n = 7 stops in the listing:
+    # k = n = 7, and 630 shapes give 3,780 images
     result = turan_number(n, pattern, budget_ms=0, budget_nodes=cap)
     got = (result.value, result.exact, result.nodes, result.witness)
     k = len({v for e in pattern.edges for v in e})
-    maps = _embeddings(pattern.sorted_edges(), k, pattern_twins=pattern.twin_classes)
-    listing = pattern.n <= n and (sum(1 for _ in maps) >= 1024 or comb(n, k) >= 1024)
+    images = (k - 1) * len(counter_copies(pattern, k))
+    listing = pattern.n <= n and (images >= 1024 or comb(n, k) >= 1024)
     assert listing == (n == 7 and pattern == expand(PATH3).system)
     if listing:
         assert got == (0, False, 0, ())
@@ -582,6 +586,13 @@ def test_audits_reject_a_negative_n():
     for graph in (PATH2, PATH3):  # crosscut numbers 1 and 2
         with pytest.raises(ValueError, match="n must be nonnegative"):
             audit_sigma_jump(graph, -5)
+
+
+def test_audit_forest_bound_rejects_an_edgeless_forest():
+    # sigma is 0, so the core, sigma - 1, and every bound would be negative
+    for forest in (Graph.from_edges(3, []), Graph.from_edges(0, [])):
+        with pytest.raises(ValueError, match="audit expects a forest with at least one edge"):
+            audit_forest_bound(forest, [3, 6])
 
 
 def test_audit_forest_bound_nontrivial_core():
