@@ -23,7 +23,7 @@ _EXPORTS = {
                "build_list_assignment", "classify", "extract_multicoloring",
                "find_classified_subgrid", "find_structured_multicoloring"),
     "search": ("EmbeddingCertificate", "TuranResult", "audit_forest_bound",
-               "audit_sigma_jump", "contains", "contains_expansion", "graph_contains",
+               "audit_sigma_jump", "contains", "contains_expansion",
                "lower_bound_construction", "turan_number"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -109,13 +109,6 @@ class Graph(Record):
             adj[v].add(u)
         return {v: frozenset(nb) for v, nb in adj.items()}
 
-    @cached_property
-    def twin_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Vertices h, g whose swap is an automorphism: N(h) - {g} = N(g) - {h}."""
-        adj = self.adjacency
-        return _twin_classes([len(adj[v]) for v in range(self.n)],
-                             lambda h, g: adj[h] - {g} == adj[g] - {h})
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -166,9 +159,6 @@ class Graph(Record):
     def is_tree(self) -> bool:
         return self.n > 0 and len(self.edges) == self.n - 1 and len(self.components()) == 1
 
-    def leaves(self) -> frozenset[int]:
-        return frozenset(v for v in range(self.n) if self.degree(v) == 1)
-
     def pendant_edges(self) -> frozenset[Edge]:
         """Edges with at least one endpoint of degree 1."""
         return frozenset(e for e in self.edges if self.degree(e[0]) == 1 or self.degree(e[1]) == 1)
@@ -211,15 +201,26 @@ class TripleSystem(Record):
     @cached_property
     def twin_classes(self) -> tuple[tuple[int, ...], ...]:
         """Vertices h, g whose swap is an automorphism: the link pairs of h
-        that avoid g equal the link pairs of g that avoid h."""
+        that avoid g equal the link pairs of g that avoid h.  Twins are an
+        equivalence relation (a transposition conjugated by another is
+        one), so each vertex is compared only with one member per class of
+        its link size, which twins share."""
         links: list[set[Edge]] = [set() for _ in range(self.n)]
         for a, b, c in self.edges:
             links[a].add((b, c))
             links[b].add((a, c))
             links[c].add((a, b))
-        return _twin_classes([len(link) for link in links],
-                             lambda h, g: {p for p in links[h] if g not in p}
-                             == {p for p in links[g] if h not in p})
+        classes: list[list[int]] = []
+        for v, link in enumerate(links):
+            for cls in classes:
+                h = cls[0]
+                if len(links[h]) == len(link) and \
+                        {p for p in links[h] if v not in p} == {p for p in link if h not in p}:
+                    cls.append(v)
+                    break
+            else:
+                classes.append([v])
+        return tuple(tuple(cls) for cls in classes)
 
     def sorted_edges(self) -> list[Triple]:
         return sorted(self.edges)
@@ -234,22 +235,6 @@ def _pair_completions(triples: Iterable[Triple]) -> dict[Edge, set[int]]:
         hoods.setdefault((a, c), set()).add(b)
         hoods.setdefault((b, c), set()).add(a)
     return hoods
-
-
-def _twin_classes(degree: list[int],
-                  are_twins: Callable[[int, int], bool]) -> tuple[tuple[int, ...], ...]:
-    # Twins are an equivalence relation (a transposition conjugated by another
-    # is one), so each vertex is compared only with one member per class;
-    # twins always have equal degree.
-    classes: list[list[int]] = []
-    for v, d in enumerate(degree):
-        for cls in classes:
-            if degree[cls[0]] == d and are_twins(cls[0], v):
-                cls.append(v)
-                break
-        else:
-            classes.append([v])
-    return tuple(tuple(cls) for cls in classes)
 
 
 class BudgetExhausted(Exception):

@@ -293,7 +293,7 @@ def tree_lambda(tree: Graph) -> int:
     """Size of the smaller bipartition part, discounted by one if it has a leaf."""
     if not tree.is_tree():
         raise ValueError("input must be a tree")
-    return _component_lambda(tree, frozenset(range(tree.n)), tree.two_coloring())
+    return forest_lambda(tree)
 
 
 def forest_lambda(forest: Graph) -> int:

@@ -14,7 +14,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import factorial
 
-from .core import Edge, Graph, Record, TripleSystem, canonical_edge, first_compatible, shadow
+from .core import Edge, Graph, Record, TripleSystem, canonical_edge, first_compatible
 
 
 def full_subgraph(system: TripleSystem, d: int) -> TripleSystem:
@@ -237,9 +237,8 @@ def find_biclique_avoiding_lists(
     """
     if t < 1:
         raise ValueError("biclique side size must be positive")
-    host_pairs = shadow(host).edges
     for e in grid_graph.edges:
-        if e not in host_pairs:
+        if e not in host.pair_counts:
             raise ValueError(f"grid edge {e} is not in the shadow of the host")
         if e not in lists:
             raise ValueError(f"no list given for grid edge {e}")

@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from itertools import combinations
 
 from .core import (Budget, BudgetExhausted, Record, TripleSystem, canonical_edge,
-                   first_compatible, neighborhood, shadow)
+                   first_compatible, neighborhood)
 
 MONOCHROMATIC = "monochromatic"
 RAINBOW = "rainbow"
@@ -50,9 +50,6 @@ class GridColoring(Record):
         want = {(x, y) for x in self.rows for y in self.cols}
         if set(self.colors) != want:
             raise ValueError("coloring must cover exactly the grid cells")
-
-    def color(self, x: int, y: int) -> int:
-        return self.colors[(x, y)]
 
 
 def _canonical(lines) -> bool:
@@ -113,11 +110,10 @@ def build_list_assignment(host: TripleSystem, rows: Iterable[int], cols: Iterabl
     rows, cols = tuple(rows), tuple(cols)
     _check_sides(rows, cols)
     grid_vertices = set(rows) | set(cols)
-    host_pairs = shadow(host).edges
     lists: dict[Cell, frozenset[int]] = {}
     for x in rows:
         for y in cols:
-            if canonical_edge(x, y) not in host_pairs:
+            if canonical_edge(x, y) not in host.pair_counts:
                 raise ValueError(f"grid pair {(x, y)} is not in the shadow of the host")
             lists[(x, y)] = neighborhood(host, (x, y)) - grid_vertices
     return ListAssignment(rows, cols, lists)

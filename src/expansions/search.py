@@ -1,14 +1,13 @@
 """Exact containment search and small-instance Turan numbers.
 
-Containment means a copy: an injective vertex map sending every edge of
-the pattern onto an edge of the host.  One kernel with one edge rule,
+Containment means a copy: an injective vertex map sending every triple
+of the pattern onto a triple of the host.  One kernel with one edge rule,
 _embeddings, finds copies for contains (contains_expansion is contains on
-the expansion) and graph_contains.  The Turan routine maximizes the edge
-count of a host on n vertices avoiding such a copy, by lexicographic
-include/exclude branching over all triples with an optimistic-count
-prune, over int bitmasks of the copies it lists by an orbit walk.
-Budgets turn the answer into a flagged lower bound, never a silently
-wrong exact value.
+the expansion).  The Turan routine maximizes the edge count of a host on
+n vertices avoiding such a copy, by lexicographic include/exclude
+branching over all triples with an optimistic-count prune, over int
+bitmasks of the copies it lists by an orbit walk.  Budgets turn the
+answer into a flagged lower bound, never a silently wrong exact value.
 
 The audit helpers compare the guaranteed construction (all triples
 meeting a small core exactly once) against exact counts where feasible.
@@ -51,21 +50,18 @@ class EmbeddingCertificate(Record):
         )
 
 
-def _embeddings(edges, host_n: int, completions, host_degree, twin_classes):
-    """Yield every injective map of the vertices of the pattern edges
-    (pairs or triples) into range(host_n) sending each edge onto a host
-    edge.  completions, keyed by the images of all but one vertex of an
-    edge (that image, or the sorted pair), holds the host vertices that
-    complete them to a host edge.
+def _embeddings(edges, host: TripleSystem, twin_classes):
+    """Yield every injective map of the vertices of the pattern triples
+    into range(host.n) sending each triple onto a host triple.
 
     Pattern vertices are placed in descending degree order, each onto
     host vertices in increasing order, so maps come out in lexicographic
     order of their images in placement order; no edges give one map, the
     empty one.  The edge rule: the vertex closing edges is drawn from the
-    completions of their placed images, intersected, and once an edge has
-    one vertex left to place, those must hold an unused vertex or the
-    branch dies.  Neither drops a copy.  A vertex of pattern degree d only
-    goes to host vertices of degree >= d in host_degree.
+    host pair neighbourhoods of their other two images, intersected, and
+    once an edge has one vertex left to place, its neighbourhood must hold
+    an unused vertex or the branch dies.  Neither drops a copy.  A vertex
+    of pattern degree d only goes to host vertices of host degree >= d.
 
     With twin_classes, a host vertex is tried only when its next smaller
     twin is used.  Each placed vertex passed that test and the last placed
@@ -92,8 +88,13 @@ def _embeddings(edges, host_n: int, completions, host_degree, twin_classes):
         *placed, v = sorted(e, key=position.__getitem__)
         closing[position[v]].append(placed)
         short[position[placed[-1]]].append(placed)
-    candidates = [[h for h in range(host_n) if host_degree[h] >= degree[v]] for v in support]
-    smaller = [-1] * host_n  # the next smaller twin; -1, always used, for none
+    host_degree = [0] * host.n
+    for e in host.edges:
+        for h in e:
+            host_degree[h] += 1
+    completions = _pair_completions(host.edges)
+    candidates = [[h for h in range(host.n) if host_degree[h] >= degree[v]] for v in support]
+    smaller = [-1] * host.n  # the next smaller twin; -1, always used, for none
     for cls in twin_classes:
         for g, h in zip(cls, cls[1:]):
             smaller[h] = g
@@ -103,8 +104,6 @@ def _embeddings(edges, host_n: int, completions, host_degree, twin_classes):
     nothing: frozenset[int] = frozenset()
 
     def completing(placed):
-        if len(placed) == 1:
-            return completions[mapping[placed[0]]]
         a, b = mapping[placed[0]], mapping[placed[1]]
         return completions.get((a, b) if a < b else (b, a), nothing)
 
@@ -158,12 +157,7 @@ def _contains(host: TripleSystem, pattern: TripleSystem,
     given kind: the search behind contains and contains_expansion."""
     if pattern.n > host.n:
         return None
-    host_degree = [0] * host.n
-    for e in host.edges:
-        for h in e:
-            host_degree[h] += 1
-    found = next(_embeddings(pattern.sorted_edges(), host.n, _pair_completions(host.edges),
-                             host_degree, host.twin_classes), None)
+    found = next(_embeddings(pattern.sorted_edges(), host, host.twin_classes), None)
     if found is None:
         return None
     cert = EmbeddingCertificate(_fill(found, pattern.n, host.n), kind)
@@ -195,18 +189,6 @@ def contains_expansion(host: TripleSystem, base: Graph) -> EmbeddingCertificate 
     freeness proofs fast.
     """
     return _contains(host, expand(base).system, "expansion")
-
-
-def graph_contains(host: Graph, pattern: Graph) -> bool:
-    """Copy of a graph pattern inside a graph host (exact, boolean); the
-    same search and twin pruning as contains, drawing from the host
-    adjacency."""
-    if pattern.n > host.n:
-        return False
-    adj = host.adjacency
-    host_degree = [len(adj[h]) for h in range(host.n)]
-    return next(_embeddings(pattern.sorted_edges(), host.n, adj, host_degree,
-                            host.twin_classes), None) is not None
 
 
 def lower_bound_construction(n: int, core_size: int) -> TripleSystem:
@@ -451,10 +433,15 @@ def audit_sigma_jump(graph: Graph, n: int) -> dict:
     """Construction dictated by the crosscut number of the expansion.
 
     Crosscut number at least 3 activates the two-vertex core; exactly 2
-    activates the one-vertex core (a full star of triples).  In the
-    latter case the report also records, as plain containment data,
-    whether the graph sits inside the star-plus-one-edge graph or inside
-    the complete bipartite graph with a side of two.
+    activates the one-vertex core (a full star of triples).  n must be at
+    least that core size.  In the latter case the report also records, as
+    plain containment data, whether the graph sits inside two graphs on
+    its own k = graph.n vertices, where a copy is a bijection: the star at
+    0 plus the edge 12, exactly when some vertex misses at most one edge
+    (which goes onto 12; missing one needs k >= 3), and the complete
+    bipartite graph with sides {0, 1} and the rest, exactly when two
+    non-adjacent vertices meet every edge, that is their degrees sum to
+    the edge count.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -469,18 +456,19 @@ def audit_sigma_jump(graph: Graph, n: int) -> dict:
         report["detail"] = "expansion has a crosscut of size at most 1; no core construction"
         return report
     core = 2 if sigma >= 3 else 1
+    if n < core:
+        raise ValueError(f"n must be at least the core size {core}, got {n}")
     construction = lower_bound_construction(n, core)
     report["construction"] = "two-vertex core" if core == 2 else "one-vertex core (star of triples)"
     report["edges"] = len(construction.edges)
     report["expected_edges"] = core * comb(n - core, 2)
     report["free"] = contains_expansion(construction, graph) is None
     if sigma == 2:
-        k = graph.n
-        star_plus_edge = [(0, i) for i in range(1, k)] + ([(1, 2)] if k >= 3 else [])
-        bipartite_two = [(a, b) for a in (0, 1) for b in range(2, k)]
+        m, degree = len(graph.edges), [graph.degree(v) for v in range(graph.n)]
         report["shape"] = {
-            "in_star_plus_edge": graph_contains(Graph.from_edges(k, star_plus_edge), graph),
-            "in_complete_bipartite_two":
-                k >= 2 and graph_contains(Graph.from_edges(k, bipartite_two), graph),
+            "in_star_plus_edge": any(m - d <= 1 for d in degree),
+            "in_complete_bipartite_two": any(degree[a] + degree[b] == m
+                                             and (a, b) not in graph.edges
+                                             for a, b in combinations(range(graph.n), 2)),
         }
     return report

@@ -337,6 +337,19 @@ def test_audit_commands(capsys, path2_file):
     assert out["sigma"] == 1
 
 
+@pytest.mark.parametrize("edges, n, core", [([(0, 1), (1, 2), (2, 3)], 0, 1),
+                                           ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 1, 2)],
+                         ids=["P3-n0", "K4-n1"])
+def test_audit_jump_below_the_core_size_exits_two_with_one_line(tmp_path, capsys, edges, n, core):
+    # P3 (crosscut number 2) and K4 (4): the core size comes from the graph, not the user
+    graph = tmp_path / "graph.txt"
+    graph.write_text(graph_to_text(Graph.from_edges(4, edges)))
+    assert main(["audit-jump", "--graph", str(graph), "--n", str(n), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: n must be at least the core size {core}, got {n}\n"
+    assert captured.out == ""
+
+
 def test_audit_theorem1_exits_three_when_a_row_is_inexact(capsys, path2_file):
     code = main(["audit-theorem1", "--graph", path2_file, "--n-list", "6,7",
                  "--budget-nodes", "10", "--json"])

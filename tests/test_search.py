@@ -7,8 +7,7 @@ import pytest
 
 from expansions import (Graph, TripleSystem, audit_forest_bound, audit_sigma_jump,
                         contains, contains_expansion, crosscut_number, expand,
-                        graph_contains, lower_bound_construction, trees, triple_trees,
-                        turan_number)
+                        lower_bound_construction, trees, triple_trees, turan_number)
 
 from expansions import search
 from expansions.core import Budget
@@ -102,15 +101,6 @@ def test_containment_refuses_a_map_that_is_no_copy(monkeypatch):
         contains_expansion(host, PATH2)
 
 
-def test_graph_contains_basics():
-    path3 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    assert graph_contains(path3, PATH2)
-    assert graph_contains(star, Graph.from_edges(3, [(0, 1), (0, 2)]))
-    assert not graph_contains(path3, star)
-    assert graph_contains(star, Graph(2, frozenset()))
-
-
 def twin_rich_system(rng: random.Random) -> TripleSystem:
     # a core construction, sometimes with a few triples added, so that the
     # twin pruning has large classes to work on
@@ -132,20 +122,6 @@ def test_containment_agrees_with_permutation_oracle_on_twin_rich_hosts():
         got = contains_expansion(host, base)
         assert (got is not None) == brute_contains(host, expand(base).system)
         assert got is None or got.check(host, expand(base).system)
-
-
-def test_graph_contains_agrees_with_permutation_oracle():
-    rng = random.Random(97)
-    for _ in range(200):
-        n = rng.randint(2, 7)
-        if rng.random() < 0.4:  # complete bipartite or complete: many twins
-            side = rng.randint(0, n)
-            host = Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2)
-                                        if (u < side) != (v < side) or side == n])
-        else:
-            host = random_graph(rng, n, rng.random())
-        pattern = random_graph(rng, rng.randint(1, 5), rng.random())
-        assert graph_contains(host, pattern) == brute_graph_contains(host, pattern)
 
 
 P4 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -223,9 +199,8 @@ def test_expansion_witness_keeps_the_matched_base_images(host, base, matched):
     assert [w for _, w in got[base.n:]] == sorted(w for _, w in matched[base.n:])
 
 
-def _first_maps(edges, host_n, completions, host_degree, twin_classes):
-    found = [next(_embeddings(edges, host_n, completions, host_degree, classes), None)
-             for classes in ((), twin_classes)]
+def _first_maps(edges, host, twin_classes):
+    found = [next(_embeddings(edges, host, classes), None) for classes in ((), twin_classes)]
     return [None if m is None else dict(m) for m in found]
 
 
@@ -237,22 +212,9 @@ def test_prefix_twin_rule_keeps_the_first_map():
     hosts += [twin_rich_system(rng) for _ in range(150)]
     assert max(len(cls) for cls in hosts[0].twin_classes) == 9
     for host in hosts:
-        host_degree = [sum(h in e for e in host.edges) for h in range(host.n)]
         pattern = expand(random_graph(rng, rng.randint(2, 5), 0.6)).system \
             if rng.random() < 0.5 else random_system(rng, rng.randint(3, 6), rng.randint(1, 3))
-        plain, pruned = _first_maps(pattern.sorted_edges(), host.n, host.pair_neighborhoods,
-                                    host_degree, host.twin_classes)
-        assert plain == pruned
-    for _ in range(150):
-        n = rng.randint(3, 9)
-        side = rng.randint(0, n)  # complete bipartite, or complete, plus one edge
-        pairs = [(u, v) for u, v in combinations(range(n), 2)
-                 if (u < side) != (v < side) or side == n]
-        host = Graph.from_edges(n, pairs + rng.sample(list(combinations(range(n), 2)), 1))
-        adj = host.adjacency
-        pattern = random_graph(rng, rng.randint(2, 6), rng.random())
-        plain, pruned = _first_maps(pattern.sorted_edges(), n, adj,
-                                    [len(adj[h]) for h in range(n)], host.twin_classes)
+        plain, pruned = _first_maps(pattern.sorted_edges(), host, host.twin_classes)
         assert plain == pruned
 
 
@@ -588,6 +550,16 @@ def test_audits_reject_a_negative_n():
             audit_sigma_jump(graph, -5)
 
 
+def test_audit_sigma_jump_rejects_n_below_the_core_size():
+    # crosscut number 2 needs a one-vertex core, 3 or more a two-vertex one
+    k4 = Graph.from_edges(4, list(combinations(range(4), 2)))
+    for graph, n, core in ((PATH3, 0, 1), (k4, 1, 2), (k4, 0, 2)):
+        with pytest.raises(ValueError, match=f"^n must be at least the core size {core}, got {n}$"):
+            audit_sigma_jump(graph, n)
+    assert audit_sigma_jump(PATH3, 1)["edges"] == 0
+    assert audit_sigma_jump(k4, 2)["edges"] == 0
+
+
 def test_audit_forest_bound_rejects_an_edgeless_forest():
     # sigma is 0, so the core, sigma - 1, and every bound would be negative
     for forest in (Graph.from_edges(3, []), Graph.from_edges(0, [])):
@@ -617,6 +589,39 @@ def test_audit_sigma_jump_star_case():
     assert report["edges"] == report["expected_edges"] == comb(7, 2)
     assert report["free"]
     assert "shape" in report
+
+
+def _shape_hosts(k):
+    star = [(0, i) for i in range(1, k)]
+    star_plus_edge = Graph.from_edges(k, star + [(1, 2)] if k >= 3 else star)
+    bipartite_two = Graph.from_edges(k, [(a, b) for a in (0, 1) for b in range(2, k)])
+    return star_plus_edge, bipartite_two
+
+
+def test_sigma_jump_shape_agrees_with_permutation_oracle():
+    # the report's two direct tests against a scan of every vertex
+    # arrangement into the star plus the edge 12 and into K(2, k - 2):
+    # every labelled graph on at most 5 vertices with crosscut number 2,
+    # and the sigma = 2 graphs among 300 seeded sparse ones on 6-8 vertices
+    rng = random.Random(137)
+    graphs = [Graph.from_edges(k, edges) for k in range(6) for m in range(comb(k, 2) + 1)
+              for edges in combinations(combinations(range(k), 2), m)]
+    graphs += [random_graph(rng, rng.randint(6, 8), rng.uniform(0.1, 0.4)) for _ in range(300)]
+    seen = set()
+    for graph in graphs:
+        report = audit_sigma_jump(graph, 2)
+        if report["sigma"] != 2:
+            assert "shape" not in report
+            continue
+        star_plus_edge, bipartite_two = _shape_hosts(graph.n)
+        want = (brute_graph_contains(star_plus_edge, graph),
+                graph.n >= 2 and brute_graph_contains(bipartite_two, graph))
+        assert (report["shape"]["in_star_plus_edge"],
+                report["shape"]["in_complete_bipartite_two"]) == want, graph
+        seen.add((graph.n > 5, want))
+    # each answer pair with a no in it occurs among the small and the large graphs
+    assert {(large, want) for large in (False, True)
+            for want in ((True, False), (False, True))} <= seen
 
 
 def test_audit_sigma_jump_two_vertex_core():
