@@ -598,7 +598,25 @@ def _shape_hosts(k):
     return star_plus_edge, bipartite_two
 
 
-def test_sigma_jump_shape_agrees_with_permutation_oracle():
+def test_graph_contains_basics():
+    # the sigma = 2 shape report answers two graph containments: is the
+    # graph inside the star at 0 plus the edge 12, and inside K(2, k - 2),
+    # both on its own k vertices
+    k23 = Graph.from_edges(5, [(a, b) for a in (0, 1) for b in range(2, 5)])
+    star_plus_edge = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])
+    c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    k3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    cases = ((P4, (False, True)), (PATH3, (True, True)), (M2, (True, True)),
+             (c4, (False, True)), (k3, (True, False)), (k23, (False, True)),
+             (star_plus_edge, (True, False)))
+    for graph, want in cases:
+        report = audit_sigma_jump(graph, 8)
+        assert report["sigma"] == 2
+        assert (report["shape"]["in_star_plus_edge"],
+                report["shape"]["in_complete_bipartite_two"]) == want, graph
+
+
+def test_graph_contains_agrees_with_permutation_oracle():
     # the report's two direct tests against a scan of every vertex
     # arrangement into the star plus the edge 12 and into K(2, k - 2):
     # every labelled graph on at most 5 vertices with crosscut number 2,
