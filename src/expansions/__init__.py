@@ -8,8 +8,7 @@ from importlib import import_module
 
 _EXPORTS = {
     "core": ("Graph", "TripleSystem", "canonical_edge", "canonical_triple", "codegree",
-             "edge_codegree_extremes", "is_linear", "neighborhood", "remove_vertices",
-             "shadow"),
+             "neighborhood", "shadow"),
     "crosscuts": ("CrosscutPair", "Expansion", "best_crosscut_pair",
                   "complete_forest_to_tree", "crosscut_audit", "crosscut_number",
                   "expand", "forest_lambda", "min_crosscut", "tree_crosscut_number",

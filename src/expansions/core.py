@@ -334,24 +334,3 @@ def neighborhood(system: TripleSystem, pair: Iterable[int]) -> frozenset[int]:
         raise ValueError(f"neighborhood requires a set of exactly two vertices, got {pair}")
     _check_vertices(system, pair)
     return system.pair_neighborhoods.get(canonical_edge(*pair), frozenset())
-
-
-def edge_codegree_extremes(system: TripleSystem, edge: Iterable[int]) -> tuple[int, int]:
-    """(min, max) codegree over the three vertex pairs of an edge of the system."""
-    e = canonical_triple(*edge)
-    if e not in system.edges:
-        raise ValueError(f"{e} is not an edge of the system")
-    degs = [system.pair_counts[pair] for pair in combinations(e, 2)]
-    return (min(degs), max(degs))
-
-
-def remove_vertices(system: TripleSystem, xs: Iterable[int]) -> TripleSystem:
-    """Subsystem of edges disjoint from xs; the vertex range is kept."""
-    mark = set(xs)
-    _check_vertices(system, mark)
-    return TripleSystem(system.n, frozenset(e for e in system.edges if not mark.intersection(e)))
-
-
-def is_linear(system: TripleSystem) -> bool:
-    """True when every pair of vertices lies in at most one triple."""
-    return all(c <= 1 for c in system.pair_counts.values())

@@ -10,10 +10,14 @@ crosscut number of an expansion decomposes over the base graph as
 so crosscut searches on expansions run on the base graph directly.  Both
 the hypergraph search and the base-graph search here are exact and
 deterministic; the hypergraph one doubles as the oracle for the other.
-The base-graph search is one two-state DP on the forest left after
-removing a feedback vertex set F, run once per independent subset of F
-that may join I.  It is linear on forests, exponential only in |F|, and
-applies the tie-break (maximum |I|, then lexicographically smallest I).
+As I is independent, the weight is m - sum over v in I of (deg v - 1), so
+the base-graph search is a maximum-weight independent set: one two-state
+DP on the forest left after removing a feedback vertex set F, run once
+per independent subset of F that may join I.  Each run makes O(n + m)
+additions of ints of n + O(log n) bits and keeps O(n) words plus the
+costs waiting in parents' accumulators; the number of runs is 1 on
+forests and exponential in |F| otherwise.  The DP applies the tie-break
+(maximum |I|, then lexicographically smallest I).
 """
 
 from __future__ import annotations
@@ -157,9 +161,11 @@ def best_crosscut_pair(graph: Graph) -> CrosscutPair:
     """Optimal crosscut pair of a graph: minimum weight, then maximum |I|,
     then lexicographically smallest I.
 
-    One DP serves every graph.  It takes O(n + m) time per independent
-    subset of a feedback vertex set, so it is exponential only in that
-    set, which is empty on forests.
+    One DP serves every graph, on the identity
+    weight = m - sum over v in I of (deg v - 1).  Per independent subset of
+    a feedback vertex set, which is empty on forests, it makes O(n + m)
+    additions of ints of n + O(log n) bits, in memory of O(n) words plus
+    the costs waiting in parents' accumulators.
     """
     return CrosscutPair.of(graph, _optimal_independent_set(graph))
 
@@ -167,29 +173,36 @@ def best_crosscut_pair(graph: Graph) -> CrosscutPair:
 def _optimal_independent_set(graph: Graph) -> list[int]:
     """The independent set of the optimal crosscut pair, by a two-state DP.
 
-    Peeling vertices of degree at most 1, and moving a vertex of maximum
-    remaining degree (smallest on ties) into F when none is left, orders
-    the forest G - F so that each vertex comes before its one remaining
-    neighbour, its parent.  For each independent subset S of F, the DP
-    keeps the cost of each subtree with its root inside or outside I; an
-    edge to an excluded child is covered by an included parent or stays
-    uncovered.  S adds its in-I terms, a neighbour of S cannot enter I,
-    and every edge to or inside F - S stays uncovered.  The whole
-    tie-break is one additive integer cost,
+    For an independent set I, the edges meeting I number the sum of the
+    degrees over I, so the pair weight is m - sum over v in I of
+    (deg v - 1): a maximum-weight independent set with vertex weights
+    deg v - 1 and no edge terms.  Peeling vertices of degree at most 1, and
+    moving a vertex of maximum remaining degree (smallest on ties) into F
+    when none is left, orders the forest G - F so that each vertex comes
+    before its one remaining neighbour, its parent.  For each independent
+    subset S of F, one pass along that order keeps the cost of each subtree
+    with its root inside or outside I, and pushes both into accumulators
+    at the parent; a neighbour of S cannot enter I.  The whole tie-break
+    is one additive integer cost per vertex of I,
 
-        (weight * (n + 1) - |I|) * 2**n - sum over v in I of 2**(n - 1 - v),
+        in_term(v) = ((1 - deg v) * (n + 1) - 1) * 2**n - 2**(n - 1 - v),
 
-    ordered like (weight, -|I|, -mask), where the mask is the sum: |I| <= n
-    and the mask is below 2**n.  For two sets of equal size, the sorted one
-    that is lexicographically smaller holds the smallest vertex of their
-    symmetric difference, which is the larger mask.  Distinct sets have
-    distinct costs, so neither F nor the rooting changes the optimum, and
-    the top-down reconstruction never meets a tie.
+    whose sum is, up to the constant m * (n + 1) * 2**n,
+    (weight * (n + 1) - |I|) * 2**n - mask with the mask the sum of the
+    2**(n - 1 - v).  It is ordered like (weight, -|I|, -mask): |I| <= n
+    and the mask is below 2**n.  For two sets of equal size, the sorted
+    one that is lexicographically smaller holds the smallest vertex of
+    their symmetric difference, which is the larger mask.  Distinct sets
+    have distinct costs, so neither F nor the rooting changes the optimum,
+    and the top-down reconstruction never meets a tie.  Per subset S the
+    pass makes O(n + m) additions of ints of n + O(log n) bits; it keeps
+    O(n) words plus the costs waiting in parents' accumulators.
     """
     n = graph.n
     adj = graph.adjacency
-    uncovered_edge = (n + 1) << n
-    in_term = [(n << n) - (1 << (n - 1 - v)) for v in range(n)]
+
+    def in_term(v: int) -> int:
+        return (((1 - len(adj[v])) * (n + 1) - 1) << n) - (1 << (n - 1 - v))
 
     degree = [len(adj[v]) for v in range(n)]
     gone = [False] * n
@@ -214,48 +227,40 @@ def _optimal_independent_set(graph: Graph) -> list[int]:
 
     bit = {f: 1 << i for i, f in enumerate(feedback)}
     f_nbrs = [sum(bit.get(u, 0) for u in adj[v]) for v in range(n)]
-    kids: list[list[int]] = [[] for _ in range(n)]
     for v in order:
         if parent[v] in bit:
             parent[v] = v
-        if parent[v] != v:
-            kids[parent[v]].append(v)
-    roots = [v for v in order if parent[v] == v]
 
     labels = [0]
     for f in feedback:
         labels += [s | bit[f] for s in labels if not s & f_nbrs[f]]
+    acc_in = [0] * n
+    acc_out = [0] * n
     best = None
     for s in labels:
-        # S's in-I terms, and each edge inside F - S once, from its later end
-        total = sum(in_term[f] if s & bit[f] else
-                    uncovered_edge * (f_nbrs[f] & ~s & (bit[f] - 1)).bit_count()
-                    for f in feedback)
-        cost_in = [0] * n
-        cost_out = [0] * n
+        total = sum(in_term(f) for f in feedback if s & bit[f])
+        take = [False] * n
         for v in order:
-            cin, cout = in_term[v], 0
-            for u in kids[v]:
-                cin += cost_out[u]
-                cout += min(cost_in[u], cost_out[u] + uncovered_edge)
-            if f_nbrs[v]:
-                cout += uncovered_edge * (f_nbrs[v] & ~s).bit_count()
-                if f_nbrs[v] & s:
-                    # a neighbour of S: entering I must never beat staying out
-                    cin = cout + uncovered_edge
-            cost_in[v], cost_out[v] = cin, cout
-        total += sum(min(cost_in[v], cost_out[v]) for v in roots)
+            # a neighbour of S stays out of I
+            cout = acc_out[v]
+            cin = cout if f_nbrs[v] & s else in_term(v) + acc_in[v]
+            acc_in[v] = acc_out[v] = 0
+            take[v] = cin < cout
+            low = cin if take[v] else cout
+            p = parent[v]
+            if p == v:
+                total += low
+            else:
+                acc_in[p] += cout
+                acc_out[p] += low
         if best is None or total < best[0]:
-            best = (total, s, cost_in, cost_out)
+            best = (total, s, take)
 
-    _, s, cost_in, cost_out = best
+    _, s, take = best
     inside = [bool(s & bit.get(v, 0)) for v in range(n)]
+    # a root is its own parent, and outside F it starts outside I
     for v in reversed(order):
-        p = parent[v]
-        if p == v:
-            inside[v] = cost_in[v] < cost_out[v]
-        else:
-            inside[v] = not inside[p] and cost_in[v] < cost_out[v] + uncovered_edge
+        inside[v] = take[v] and not inside[parent[v]]
     return [v for v in range(n) if inside[v]]
 
 

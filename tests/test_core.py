@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 from expansions import (AugmentedFamily, CrosscutPair, EmbeddingCertificate, Expansion, Graph,
                         GridColoring, ListAssignment, Multicoloring, SetFamily,
                         StructuredSearch, Sunflower, TripleSystem, TuranResult, canonical_edge,
-                        canonical_triple, codegree, edge_codegree_extremes, is_linear,
-                        neighborhood, remove_vertices, shadow)
+                        canonical_triple, codegree, neighborhood, shadow)
 from expansions.core import Budget, BudgetExhausted
 
 from helpers import (brute_two_coloring, brute_twin_pairs, random_forest, random_graph,
@@ -106,27 +105,6 @@ def test_neighborhood_third_vertices():
     assert neighborhood(h, (0, 4)) == frozenset()
     with pytest.raises(ValueError):
         neighborhood(h, (1, 1))
-
-
-def test_edge_codegree_extremes():
-    h = TripleSystem.from_edges(5, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3)])
-    assert edge_codegree_extremes(h, (0, 1, 2)) == (1, 3)
-    with pytest.raises(ValueError):
-        edge_codegree_extremes(h, (1, 2, 3))
-
-
-def test_remove_vertices_keeps_vertex_range():
-    h = TripleSystem.from_edges(5, [(0, 1, 2), (2, 3, 4), (1, 3, 4)])
-    out = remove_vertices(h, [2])
-    assert out.n == 5
-    assert out.edges == frozenset({(1, 3, 4)})
-    with pytest.raises(ValueError):
-        remove_vertices(h, [5])
-
-
-def test_is_linear():
-    assert is_linear(TripleSystem.from_edges(6, [(0, 1, 2), (3, 4, 5)]))
-    assert not is_linear(TripleSystem.from_edges(4, [(0, 1, 2), (0, 1, 3)]))
 
 
 def check_codegree_double_count(system):

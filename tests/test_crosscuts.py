@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,9 @@ from helpers import (branching_pair, brute_lambda_tree, brute_min_crosscut,
 
 LONG_PATH = Graph.from_edges(1200, [(i, i + 1) for i in range(1199)])
 LONG_CYCLE = Graph(1200, LONG_PATH.edges | {(0, 1199)})
+# vertex 7r + c is row r, column c; the odd vertices are one colour class
+GRID7 = Graph.from_edges(49, [(v, v + 1) for v in range(49) if v % 7 < 6]
+                         + [(v, v + 7) for v in range(42)])
 
 
 def relabeled(rng: random.Random, graph: Graph, extra: int = 0) -> Graph:
@@ -294,9 +298,25 @@ def test_long_path_pair_completion_and_audit():
     tree = complete_forest_to_tree(padded)
     assert tree.is_tree() and padded.edges <= tree.edges
     assert crosscut_number(tree) == 600
-    # the alternating set covers every edge; evens are lex-smaller than odds
-    evens = frozenset(range(0, 1200, 2))
-    assert best_crosscut_pair(LONG_CYCLE) == CrosscutPair(evens, frozenset())
+    # the alternating set covers every edge; on the cycle evens are
+    # lex-smaller than odds, on the 7x7 grid (49 vertices, past the oracle's
+    # size) the 24 odd vertices are the smaller class
+    for graph, independent in ((LONG_CYCLE, range(0, 1200, 2)), (GRID7, range(1, 49, 2))):
+        assert best_crosscut_pair(graph) == CrosscutPair(frozenset(independent), frozenset())
+
+
+def test_pair_memory_is_linear_on_a_long_path():
+    # the DP keeps O(n) words and the costs waiting at parents; a table of
+    # n-bit costs per vertex would take O(n^2) bits, about 170 MB here
+    path = Graph.from_edges(20000, [(i, i + 1) for i in range(19999)])
+    tracemalloc.start()
+    try:
+        pair = best_crosscut_pair(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair.weight == 10000
+    assert peak < 20_000_000
 
 
 def test_completion_rejects_edgeless_forests_on_two_or_more_vertices():
