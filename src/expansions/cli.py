@@ -296,7 +296,7 @@ def _add_budget(parser, setup=""):
     """The deadline and node cap of a budgeted search; setup names the work
     before its first node, which only the deadline bounds."""
     parser.add_argument("--budget-ms", type=int, help="deadline in ms, read every 1,024 nodes"
-                        + (f" and every 1,024 shape images and every 1,024 subsets of {setup}"
+                        + (f" and every 1,024 shape images, copies and lanes of {setup}"
                            if setup else "") + " (default: $EXPANSIONS_BUDGET_MS)")
     parser.add_argument("--budget-nodes", type=int, help="exact node cap: a stopped search"
                         " has counted cap + 1 nodes" + (f"; {setup} is uncapped" if setup else "")

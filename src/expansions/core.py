@@ -3,7 +3,7 @@
 Vertices are always 0..n-1 with n stored explicitly, so isolated vertices
 are representable.  Graph edges are canonical pairs (u, v) with u < v and
 triples are canonical sorted 3-tuples.  Both containers are immutable;
-derived structures (adjacency, codegree tables) are cached on first use.
+a triple system caches its codegree tables on first use, a graph nothing.
 The node and time budget shared by the exhaustive searches lives here too,
 with the lexicographic search for pairwise compatible candidates and
 Record, the import-free base of every value class.
@@ -101,57 +101,28 @@ class Graph(Record):
     def from_edges(n: int, pairs: Iterable[Iterable[int]]) -> "Graph":
         return Graph(n, frozenset(canonical_edge(*pair) for pair in pairs))
 
-    @cached_property
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in range(self.n)}
+    def neighbours(self) -> list[list[int]]:
+        """Each vertex's neighbours, built afresh on every call."""
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {v: frozenset(nb) for v, nb in adj.items()}
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return nbrs
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
     def components(self) -> list[frozenset[int]]:
         """Connected components, ordered by smallest member."""
-        seen: set[int] = set()
-        comps = []
-        for start in range(self.n):
-            if start in seen:
-                continue
-            stack, comp = [start], {start}
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                for u in self.adjacency[v]:
-                    if u not in comp:
-                        comp.add(u)
-                        seen.add(u)
-                        stack.append(u)
-            comps.append(frozenset(comp))
-        return comps
+        return _walk(self.neighbours())[0]
 
     def two_coloring(self) -> tuple[int, ...]:
         """Side 0 or 1 of every vertex; each component is colored from its
         smallest vertex, which gets side 0.  Raises ValueError on an odd cycle."""
-        color = [-1] * self.n
-        for start in range(self.n):
-            if color[start] >= 0:
-                continue
-            color[start] = 0
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in self.adjacency[v]:
-                    if color[u] < 0:
-                        color[u] = 1 - color[v]
-                        stack.append(u)
-                    elif color[u] == color[v]:
-                        raise ValueError("graph is not bipartite: it has an odd cycle")
-        return tuple(color)
+        _, color, proper = _walk(self.neighbours())
+        if not proper:
+            raise ValueError("graph is not bipartite: it has an odd cycle")
+        return color
 
     def is_forest(self) -> bool:
         return len(self.edges) == self.n - len(self.components())
@@ -161,7 +132,31 @@ class Graph(Record):
 
     def pendant_edges(self) -> frozenset[Edge]:
         """Edges with at least one endpoint of degree 1."""
-        return frozenset(e for e in self.edges if self.degree(e[0]) == 1 or self.degree(e[1]) == 1)
+        nbrs = self.neighbours()
+        return frozenset(e for e in self.edges if len(nbrs[e[0]]) == 1 or len(nbrs[e[1]]) == 1)
+
+
+def _walk(nbrs: list[list[int]]) -> tuple[list[frozenset[int]], tuple[int, ...], bool]:
+    """One walk of the graph with these neighbour lists: its components by
+    smallest member, a side per vertex (side 0 at each component's
+    smallest), and whether no edge joins a side to itself."""
+    color, comps, proper = [-1] * len(nbrs), [], True
+    for start in range(len(nbrs)):
+        if color[start] >= 0:
+            continue
+        color[start] = 0
+        stack, comp = [start], [start]
+        while stack:
+            v = stack.pop()
+            for u in nbrs[v]:
+                if color[u] < 0:
+                    color[u] = 1 - color[v]
+                    comp.append(u)
+                    stack.append(u)
+                elif color[u] == color[v]:
+                    proper = False
+        comps.append(frozenset(comp))
+    return comps, tuple(color), proper
 
 
 class TripleSystem(Record):

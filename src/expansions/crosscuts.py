@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .core import Edge, Graph, Record, TripleSystem, canonical_edge
+from .core import Edge, Graph, Record, TripleSystem, _walk, canonical_edge
 
 
 class Expansion(Record):
@@ -199,12 +199,12 @@ def _optimal_independent_set(graph: Graph) -> list[int]:
     O(n) words plus the costs waiting in parents' accumulators.
     """
     n = graph.n
-    adj = graph.adjacency
+    adj = graph.neighbours()
 
     def in_term(v: int) -> int:
         return (((1 - len(adj[v])) * (n + 1) - 1) << n) - (1 << (n - 1 - v))
 
-    degree = [len(adj[v]) for v in range(n)]
+    degree = [len(nbrs) for nbrs in adj]
     gone = [False] * n
     parent = list(range(n))
     order: list[int] = []
@@ -277,13 +277,10 @@ def tree_crosscut_number(tree: Graph) -> int:
     return crosscut_number(tree)
 
 
-def _component_lambda(graph: Graph, comp: frozenset[int], color: tuple[int, ...]) -> int:
-    if len(comp) == 1:
-        return 0
-    adj = graph.adjacency
+def _component_lambda(comp: frozenset[int], color: tuple[int, ...], nbrs: list[list[int]]) -> int:
     sides = (frozenset(v for v in comp if color[v] == 0),
              frozenset(v for v in comp if color[v] == 1))
-    leaves = {v for v in comp if len(adj[v]) == 1}
+    leaves = {v for v in comp if len(nbrs[v]) == 1}
     if len(sides[0]) == len(sides[1]):
         # both parts of an evenly split tree contain a leaf, so the
         # discount applies no matter which part is called smaller
@@ -303,10 +300,11 @@ def tree_lambda(tree: Graph) -> int:
 
 def forest_lambda(forest: Graph) -> int:
     """Sum of the tree values over components; isolated vertices add zero."""
-    if not forest.is_forest():
+    nbrs = forest.neighbours()
+    comps, color, _ = _walk(nbrs)
+    if len(forest.edges) != forest.n - len(comps):
         raise ValueError("input must be a forest")
-    color = forest.two_coloring()
-    return sum(_component_lambda(forest, comp, color) for comp in forest.components())
+    return sum(_component_lambda(comp, color, nbrs) for comp in comps)
 
 
 def complete_forest_to_tree(forest: Graph) -> Graph:
@@ -320,11 +318,11 @@ def complete_forest_to_tree(forest: Graph) -> Graph:
     more vertices but no edges has crosscut number 0, which no tree on
     those vertices can match, so that case is rejected.
     """
-    if not forest.is_forest():
+    comps = forest.components()
+    if len(forest.edges) != forest.n - len(comps):
         raise ValueError("input must be a forest")
-    if forest.n <= 1 or forest.is_tree():
+    if forest.n <= 1 or len(comps) == 1:  # a forest with one component is a tree
         return forest
-    comps = sorted(forest.components(), key=min)
     edge_comps = [c for c in comps if len(c) >= 2]
     singles = sorted(v for c in comps if len(c) == 1 for v in c)
     if not edge_comps:
@@ -381,7 +379,8 @@ def crosscut_audit(tree: Graph) -> dict:
         "pass": len(r_edges) <= ell / 2,
         "detail": f"|R| = {len(r_edges)}, bound ell/2 = {ell / 2}",
     })
-    pendant_hits = sorted(pair.uncovered & tree.pendant_edges())
+    degree = [len(nbrs) for nbrs in tree.neighbours()]
+    pendant_hits = [e for e in r_edges if degree[e[0]] == 1 or degree[e[1]] == 1]
     checks.append({
         "name": "no_pendant_uncovered",
         "pass": not pendant_hits,
@@ -390,12 +389,12 @@ def crosscut_audit(tree: Graph) -> dict:
     })
     r_vertices = sorted({v for e in r_edges for v in e})
     degree_bound = ell - lam
-    offenders = [v for v in r_vertices if tree.degree(v) > degree_bound]
+    offenders = [v for v in r_vertices if degree[v] > degree_bound]
     checks.append({
         "name": "uncovered_degree_bound",
         "pass": not offenders,
         "detail": f"max tree-degree on R vertices "
-                  f"{max((tree.degree(v) for v in r_vertices), default=0)}, "
+                  f"{max((degree[v] for v in r_vertices), default=0)}, "
                   f"bound ell - lambda = {degree_bound}" if r_vertices
                   else "R is empty; bound is vacuous",
     })

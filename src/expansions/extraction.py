@@ -246,9 +246,8 @@ def find_biclique_avoiding_lists(
     if len(sizes) > 1:
         raise ValueError("all edge lists must have the same size")
 
-    color = grid_graph.two_coloring()
-    adj = grid_graph.adjacency
-    for comp in sorted(grid_graph.components(), key=min):
+    color, edges = grid_graph.two_coloring(), grid_graph.edges
+    for comp in grid_graph.components():
         side = sorted(v for v in comp if color[v] == 0)
         other = sorted(v for v in comp if color[v] == 1)
         if len(side) < t or len(other) < t:
@@ -257,7 +256,7 @@ def find_biclique_avoiding_lists(
             xset = set(xs)
             unions = {}  # candidate y -> union of its lists over xs
             for y in other:
-                if all(y in adj[x] for x in xs):
+                if all(canonical_edge(x, y) in edges for x in xs):
                     union = frozenset().union(*(lists[canonical_edge(x, y)] for x in xs))
                     if not (union & xset) and y not in union:
                         unions[y] = union

@@ -232,7 +232,8 @@ def _holds(pattern: TripleSystem, n: int, budget: Budget) -> list[int]:
     """holds[i] has a bit lane for each copy of the pattern (with edges,
     pattern.n <= n) in the complete triple system on n vertices holding the
     i-th triple of combinations(range(n), 3).  It raises BudgetExhausted
-    past the deadline, read every 1,024 shape images and 1,024 subsets.
+    past the deadline, read every 1,024 shape images, every 1,024 copies
+    lifted (after the subset that reaches them) and every 1,024 lanes set.
 
     A copy spans one k-subset of range(n), k the number of vertices in
     pattern edges, as one shape: a copy on range(k), moved by the
@@ -268,17 +269,20 @@ def _holds(pattern: TripleSystem, n: int, budget: Budget) -> list[int]:
                 todo.append(image)
     index, ending = _triple_index(n), defaultdict(list)  # the copies by last triple
     for count, subset in enumerate(combinations(range(n), k), 1):
-        if count % 1024 == 0 and budget.expired():
-            raise BudgetExhausted
         image = [index[a][b][c] for a, b, c in combinations(subset, 3)]
         for get in shapes.values():
             copy = get(image)
             ending[copy[-1]].append(copy)
+        # the count * len(shapes) copies lifted so far just passed a multiple of 1,024
+        if count * len(shapes) % 1024 < len(shapes) and budget.expired():
+            raise BudgetExhausted
     # the lanes of the copies ending at or after triple i are those below bound i
     bounds = accumulate(len(ending.get(i, ())) for i in reversed(range(comb(n, 3))))
     rows = [bytearray((lanes + 7) >> 3) for lanes in bounds][::-1]
     ordered = (ending.pop(last) for last in sorted(ending, reverse=True))
     for lane, copy in enumerate(chain.from_iterable(ordered)):
+        if lane & 1023 == 1023 and budget.expired():
+            raise BudgetExhausted
         byte, bit = lane >> 3, 1 << (lane & 7)
         for i in copy:
             rows[i][byte] |= bit
@@ -464,7 +468,7 @@ def audit_sigma_jump(graph: Graph, n: int) -> dict:
     report["expected_edges"] = core * comb(n - core, 2)
     report["free"] = contains_expansion(construction, graph) is None
     if sigma == 2:
-        m, degree = len(graph.edges), [graph.degree(v) for v in range(graph.n)]
+        m, degree = len(graph.edges), [len(nbrs) for nbrs in graph.neighbours()]
         report["shape"] = {
             "in_star_plus_edge": any(m - d <= 1 for d in degree),
             "in_complete_bipartite_two": any(degree[a] + degree[b] == m

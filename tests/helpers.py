@@ -49,15 +49,21 @@ def prufer_decode(n: int, seq) -> tuple:
     return tuple(sorted(edges))
 
 
+def adjacency(n: int, edges) -> list[set[int]]:
+    """Each vertex's neighbour set, read off the edges alone."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def ahu_form(n: int, edges) -> str:
     """Canonical string of an unlabeled tree: encode rooted at each center,
     take the smaller."""
     if n == 1:
         return "()"
-    adj = {v: set() for v in range(n)}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = adjacency(n, edges)
     # strip leaves layer by layer; survivors are the 1 or 2 centers
     degree = {v: len(adj[v]) for v in range(n)}
     alive = set(range(n))
@@ -106,7 +112,7 @@ def branching_pair(graph: Graph) -> CrosscutPair:
     the |I| and lexicographic preferences stay exact.  This is the
     reference the DP is tested against.
     """
-    adj = graph.adjacency
+    adj = adjacency(graph.n, graph.edges)
     support = [v for v in range(graph.n) if adj[v]]
     order = sorted(support, key=lambda v: (-len(adj[v]), v))
     UNDECIDED, IN, OUT = 0, 1, 2
@@ -172,11 +178,12 @@ def brute_lambda_tree(graph: Graph, component) -> int:
     comp = sorted(component)
     if len(comp) == 1:
         return 0
+    adj = adjacency(graph.n, graph.edges)
     side = {comp[0]: 0}
     frontier = [comp[0]]
     while frontier:
         v = frontier.pop()
-        for u in graph.adjacency[v]:
+        for u in adj[v]:
             if u not in side:
                 side[u] = 1 - side[v]
                 frontier.append(u)
@@ -185,7 +192,7 @@ def brute_lambda_tree(graph: Graph, component) -> int:
     candidates = [parts[0]] if len(parts[0]) < len(parts[1]) else parts
     best = None
     for part in candidates:
-        has_leaf = any(graph.degree(v) == 1 for v in part)
+        has_leaf = any(len(adj[v]) == 1 for v in part)
         value = len(part) - 1 if has_leaf else len(part)
         best = value if best is None else min(best, value)
     return best

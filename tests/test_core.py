@@ -38,9 +38,11 @@ def test_graph_rejects_out_of_range_edges():
 
 def test_graph_adjacency_and_degrees():
     g = Graph.from_edges(4, [(0, 1), (2, 1), (1, 3)])
-    assert g.adjacency[1] == frozenset({0, 2, 3})
-    assert g.degree(1) == 3
-    assert g.degree(0) == 1
+    nbrs = g.neighbours()
+    assert sorted(nbrs[1]) == [0, 2, 3] and nbrs[0] == [1] == nbrs[2] == nbrs[3]
+    assert [len(nb) for nb in nbrs] == [1, 3, 1, 1]
+    assert g.neighbours() == nbrs and g.neighbours() is not nbrs  # built afresh, not cached
+    assert list(vars(g)) == ["n", "edges"]
     assert g.sorted_edges() == [(0, 1), (1, 2), (1, 3)]
 
 
@@ -254,7 +256,7 @@ def test_value_classes_are_frozen_records(cls, fields, invalid):
         with pytest.raises(ValueError, match=message):
             cls(**bad)
     cached = [name for name, attr in vars(cls).items() if isinstance(attr, cached_property)]
-    assert bool(cached) == (cls in (Graph, TripleSystem))
+    assert bool(cached) == (cls is TripleSystem)
     for name in cached:
         assert getattr(by_keyword, name) is getattr(by_keyword, name)
         assert name in vars(by_keyword)

@@ -3,10 +3,10 @@ import tracemalloc
 
 import pytest
 
-from expansions import (CrosscutPair, Graph, best_crosscut_pair,
-                        complete_forest_to_tree, crosscut_audit, crosscut_number,
-                        expand, forest_lambda, min_crosscut, tree_crosscut_number,
-                        tree_lambda, trees)
+from expansions import (CrosscutPair, Graph, audit_forest_bound, audit_sigma_jump,
+                        best_crosscut_pair, complete_forest_to_tree, crosscut_audit,
+                        crosscut_number, expand, forest_lambda, min_crosscut,
+                        tree_crosscut_number, tree_lambda, trees)
 
 from helpers import (branching_pair, brute_lambda_tree, brute_min_crosscut,
                      brute_optimal_pairs, brute_sigma, random_forest, random_graph)
@@ -367,3 +367,31 @@ def test_audit_passes_on_all_small_trees():
         for tree in trees(n):
             report = crosscut_audit(tree)
             assert all(c["pass"] for c in report["checks"]), (n, report)
+
+
+# ------------------------------------------------------- graph contents
+
+P4_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4)]  # a tree with crosscut number 2
+FOREST_EDGES = [(0, 1), (1, 2), (4, 5)]  # on 7 vertices: two paths and two isolated vertices
+C4_EDGES = [(0, 1), (1, 2), (2, 3), (0, 3)]
+
+
+@pytest.mark.parametrize("routine, n, edges", [
+    (best_crosscut_pair, 4, C4_EDGES),
+    (crosscut_number, 7, FOREST_EDGES),
+    (tree_crosscut_number, 5, P4_EDGES),
+    (forest_lambda, 7, FOREST_EDGES),
+    (tree_lambda, 5, P4_EDGES),
+    (complete_forest_to_tree, 7, FOREST_EDGES),
+    (crosscut_audit, 5, P4_EDGES),
+    (lambda graph: audit_forest_bound(graph, [5, 6]), 7, FOREST_EDGES),
+    (lambda graph: audit_sigma_jump(graph, 8), 5, P4_EDGES),
+], ids=["best_crosscut_pair", "crosscut_number", "tree_crosscut_number", "forest_lambda",
+        "tree_lambda", "complete_forest_to_tree", "crosscut_audit", "audit_forest_bound",
+        "audit_sigma_jump"])
+def test_graph_routines_leave_the_graph_holding_only_its_edges(routine, n, edges):
+    # the neighbour lists live only while a routine runs; a cached
+    # adjacency took about 6 KB on a 22-vertex graph
+    graph = Graph.from_edges(n, edges)
+    routine(graph)
+    assert list(vars(graph)) == ["n", "edges"]

@@ -473,17 +473,18 @@ def test_turan_equals_counter_reference_on_benchmark_instances(n, pattern, cap):
 @pytest.mark.parametrize("n, pattern, cap", BENCHMARK_TURAN)
 def test_turan_equals_counter_reference_past_a_spent_deadline(n, pattern, cap):
     # a spent deadline stops the first checkpoint it meets: shape image
-    # 1,024 or k-subset 1,024 of the copy listing, with the empty lower
-    # bound, or else node 1,024 of a longer search, in the middle of its
-    # tree (the book rows, with three-triple copies, as well as P2+ and
-    # M2+); the orbit walk images each of the shapes (the copies on k
-    # vertices) k - 1 times, and only P3+ at n = 7 stops in the listing:
-    # k = n = 7, and 630 shapes give 3,780 images
+    # 1,024, copy 1,024 lifted or lane 1,024 set in the copy listing, with
+    # the empty lower bound, or else node 1,024 of a longer search, in the
+    # middle of its tree (the book rows, with three-triple copies, as well
+    # as P2+ and M2+); the orbit walk images each of the shapes (the copies
+    # on k vertices) k - 1 times, each k-subset lifts every shape, and
+    # only P3+ at n = 7 stops in the listing: k = n = 7, and 630 shapes
+    # give 3,780 images
     result = turan_number(n, pattern, budget_ms=0, budget_nodes=cap)
     got = (result.value, result.exact, result.nodes, result.witness)
     k = len({v for e in pattern.edges for v in e})
-    images = (k - 1) * len(counter_copies(pattern, k))
-    listing = pattern.n <= n and (images >= 1024 or comb(n, k) >= 1024)
+    shapes = len(counter_copies(pattern, k))
+    listing = pattern.n <= n and ((k - 1) * shapes >= 1024 or comb(n, k) * shapes >= 1024)
     assert listing == (n == 7 and pattern == expand(PATH3).system)
     if listing:
         assert got == (0, False, 0, ())
@@ -501,8 +502,8 @@ def test_turan_deadline_is_checked_every_1024_nodes():
 
 def test_turan_deadline_covers_the_copy_listing():
     # P2+ at n = 20 lifts its 15 shapes through 15,504 5-subsets before the
-    # first node; a spent deadline stops the lift at subset 1,024, its first
-    # check, with the empty lower bound
+    # first node; a spent deadline stops the lift after subset 69, whose
+    # copies pass 1,024, at its first check, with the empty lower bound
     result = turan_number(20, expand(PATH2).system, budget_ms=0)
     assert (result.value, result.exact, result.nodes, result.witness) == (0, False, 0, ())
     # the set-up before that check is a table of triple indices, n^3 small
@@ -515,6 +516,29 @@ def test_turan_deadline_covers_the_copy_listing():
         tracemalloc.stop()
     assert (result.value, result.exact, result.nodes, result.witness) == (0, False, 0, ())
     assert peak < 8_000_000
+
+
+# four triples on seven vertices whose copies on range(7) number 1,260
+CHAIN4 = TripleSystem.from_edges(7, [(0, 1, 2), (2, 3, 4), (1, 4, 5), (5, 6, 0)])
+
+
+@pytest.mark.parametrize("n, pattern, reads", [
+    # 630 shapes, 3,780 images, 36 subsets and 22,680 copies: 3 reads in
+    # the walk, then 22 in the lift and 22 in the lanes, where one read per
+    # 1,024 subsets would make none
+    (9, expand(PATH3).system, 3 + 22 + 22),
+    # 1,260 shapes, so a read after each of the 8 subsets, 7,560 images
+    # and 10,080 copies
+    (8, CHAIN4, 7 + 8 + 9),
+], ids=["P3+ n9", "CHAIN4 n8"])
+def test_turan_listing_reads_its_deadline_every_1024_copies(monkeypatch, n, pattern, reads):
+    # a subset lifts every shape: P4+ has 45,360, and reading once per
+    # 1,024 subsets let a 1 s deadline run 12 s at n = 12
+    counted = []
+    monkeypatch.setattr(Budget, "expired", lambda budget: counted.append(budget) or False)
+    result = turan_number(n, pattern, budget_ms=10 ** 9, budget_nodes=0)
+    assert (result.value, result.exact, result.nodes) == (0, False, 1)  # the cap stops node 1
+    assert len(counted) == reads
 
 
 def test_turan_as_dict_round_trips_fields():
