@@ -11,8 +11,7 @@ colorings are JSON only (schemas in the README).
 Every subcommand takes --json for machine output (the human output
 renders the same dictionary).  Only the subcommands with a budgeted
 search, turan, audit-theorem1 (per row) and multicolor --structured,
-take --budget-ms and --budget-nodes, which EXPANSIONS_BUDGET_MS and
-EXPANSIONS_BUDGET_NODES supply when absent; their --help has the rule.
+take --budget-ms and --budget-nodes; their --help has the rule.
 
 Exit codes: 0 success, 1 unknown subcommand (usage printed), 2 invalid
 input, 3 budget exhausted (the flagged partial result is still printed;
@@ -24,26 +23,6 @@ from __future__ import annotations
 
 import os
 import sys
-
-# the budget flags an environment variable can supply
-ENV_FLAGS = ("budget_ms", "budget_nodes")
-
-
-def _env_defaults(args) -> None:
-    """Fill each budget flag a search will read but was not given from its variable."""
-    if not getattr(args, "structured", True):
-        return
-    for dest in ENV_FLAGS:
-        name = "EXPANSIONS_" + dest.upper()
-        raw = os.environ.get(name)
-        if getattr(args, dest, 0) is None and raw is not None:
-            try:
-                value = int(raw)
-            except ValueError:
-                raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-            if value < 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
-            setattr(args, dest, value)
 
 
 def _one_of(args, a: str, b: str) -> str:
@@ -294,13 +273,12 @@ def _cmd_audit_jump(args):
 
 def _add_budget(parser, setup=""):
     """The deadline and node cap of a budgeted search; setup names the work
-    before its first node, which only the deadline bounds."""
+    before its first node, which the deadline bounds but the node cap does not."""
     parser.add_argument("--budget-ms", type=int, help="deadline in ms, read every 1,024 nodes"
                         + (f" and every 1,024 shape images, copies and lanes of {setup}"
-                           if setup else "") + " (default: $EXPANSIONS_BUDGET_MS)")
+                           if setup else ""))
     parser.add_argument("--budget-nodes", type=int, help="exact node cap: a stopped search"
-                        " has counted cap + 1 nodes" + (f"; {setup} is uncapped" if setup else "")
-                        + " (default: $EXPANSIONS_BUDGET_NODES)")
+                        " has counted cap + 1 nodes" + (f"; {setup} counts no nodes" if setup else ""))
 
 
 COMMANDS: dict[str, tuple] = {}
@@ -423,7 +401,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:
-        _env_defaults(args)
         result, exhausted = handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -130,11 +130,6 @@ class Graph(Record):
     def is_tree(self) -> bool:
         return self.n > 0 and len(self.edges) == self.n - 1 and len(self.components()) == 1
 
-    def pendant_edges(self) -> frozenset[Edge]:
-        """Edges with at least one endpoint of degree 1."""
-        nbrs = self.neighbours()
-        return frozenset(e for e in self.edges if len(nbrs[e[0]]) == 1 or len(nbrs[e[1]]) == 1)
-
 
 def _walk(nbrs: list[list[int]]) -> tuple[list[frozenset[int]], tuple[int, ...], bool]:
     """One walk of the graph with these neighbour lists: its components by
@@ -238,12 +233,16 @@ class BudgetExhausted(Exception):
 
 class Budget:
     """Node cap and deadline shared by the exhaustive searches; None
-    disables either.  check(nodes) is the one stopping rule: past the cap
-    (so a search stopped by it has counted cap + 1 nodes), or at a multiple
-    of 1,024 past the deadline.  A hot loop keeps its own count and calls
-    check() only at next_check(); spend() counts one node and checks it.
-    Set-up before the first node reads the deadline through expired().
-    A negative budget is a ValueError; 0 is valid."""
+    disables either.  The deadline is read once per CADENCE units of work,
+    by tick(done, step) only: nodes, and in a search's set-up whatever it
+    counts (shape images, copies, lanes).  check(nodes) is the node rule:
+    past the cap (so a search stopped by it has counted cap + 1 nodes), or
+    at a multiple of CADENCE past the deadline.  A hot loop keeps its own
+    count, calls check() at node 1 and then at the count check() returns;
+    spend() counts one node and checks it.  A negative budget is a
+    ValueError; 0 is valid."""
+
+    CADENCE = 1024
 
     def __init__(self, budget_ms: int | None = None, budget_nodes: int | None = None):
         for name, given in (("budget_ms", budget_ms), ("budget_nodes", budget_nodes)):
@@ -253,17 +252,21 @@ class Budget:
         self.node_cap = budget_nodes
         self.nodes = 0
 
-    def next_check(self, nodes: int) -> float:
-        """The first count after nodes at which check() can stop a search."""
-        due = math.inf if self.node_cap is None else self.node_cap + 1
-        return due if self.deadline is None else min(due, nodes - nodes % 1024 + 1024)
+    def tick(self, done: int, step: int = 1) -> None:
+        """Stop past the deadline if done, just raised by step, passed a
+        multiple of CADENCE; a step above CADENCE reads it every time."""
+        if done % self.CADENCE < step and self.expired():
+            raise BudgetExhausted
 
     def check(self, nodes: int) -> float:
-        """Record the count; stop here or return the next checkpoint."""
+        """Record the count; stop here or return the next count at which
+        check() can stop the search."""
         self.nodes = nodes
-        if self.node_cap is not None and nodes > self.node_cap or nodes % 1024 == 0 and self.expired():
+        if self.node_cap is not None and nodes > self.node_cap:
             raise BudgetExhausted
-        return self.next_check(nodes)
+        self.tick(nodes)
+        due = math.inf if self.node_cap is None else self.node_cap + 1
+        return due if self.deadline is None else min(due, nodes - nodes % self.CADENCE + self.CADENCE)
 
     def spend(self) -> None:
         self.check(self.nodes + 1)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterable
-from itertools import accumulate, chain, combinations, permutations
+from itertools import accumulate, chain, combinations, islice, permutations
 from math import comb
 from operator import itemgetter
 
@@ -28,6 +28,11 @@ from .core import (Budget, BudgetExhausted, Graph, Record, Triple, TripleSystem,
 from .crosscuts import crosscut_number, expand
 
 EXACT_MAX_N = 6  # the largest n at which audit_forest_bound runs the exact search
+# the largest copy listing turan_number builds, in bytes estimated as copies *
+# (100 + C(n, 3) / 16): a tuple and list slot per copy, then a byte row per
+# triple over the lanes of the copies ending at or after it, half of them on
+# average; P2+ at n = 20 needs about 40 MB, P2+ at n = 30 about 760 MB
+LISTING_MAX_BYTES = 1 << 28
 
 
 class EmbeddingCertificate(Record):
@@ -232,8 +237,10 @@ def _holds(pattern: TripleSystem, n: int, budget: Budget) -> list[int]:
     """holds[i] has a bit lane for each copy of the pattern (with edges,
     pattern.n <= n) in the complete triple system on n vertices holding the
     i-th triple of combinations(range(n), 3).  It raises BudgetExhausted
-    past the deadline, read every 1,024 shape images, every 1,024 copies
-    lifted (after the subset that reaches them) and every 1,024 lanes set.
+    past the deadline, which Budget.tick reads after the shape images, the
+    copies lifted and the lanes set pass each multiple of its cadence.  A
+    listing estimated above LISTING_MAX_BYTES is refused before any table
+    is built: BudgetExhausted under a budget, else a ValueError.
 
     A copy spans one k-subset of range(n), k the number of vertices in
     pattern edges, as one shape: a copy on range(k), moved by the
@@ -260,32 +267,38 @@ def _holds(pattern: TripleSystem, n: int, budget: Budget) -> list[int]:
     while todo:
         get = shapes[todo.pop()]
         for swap in swaps:
-            count += 1
-            if count % 1024 == 0 and budget.expired():
-                raise BudgetExhausted
             image = tuple(sorted(get(swap)))
             if image not in shapes:
                 shapes[image] = getter(image)
                 todo.append(image)
+        count += len(swaps)
+        budget.tick(count, len(swaps))
+    copies, triples = comb(n, k) * len(shapes), comb(n, 3)
+    size = copies * (100 + triples / 16)
+    if size > LISTING_MAX_BYTES:
+        if budget.deadline is None and budget.node_cap is None:
+            raise ValueError(f"{copies:,} copies of the pattern on n = {n} are too many to list:"
+                             f" about {size / 1e6:,.0f} MB, over {LISTING_MAX_BYTES / 1e6:,.0f} MB")
+        raise BudgetExhausted
     index, ending = _triple_index(n), defaultdict(list)  # the copies by last triple
     for count, subset in enumerate(combinations(range(n), k), 1):
         image = [index[a][b][c] for a, b, c in combinations(subset, 3)]
         for get in shapes.values():
             copy = get(image)
             ending[copy[-1]].append(copy)
-        # the count * len(shapes) copies lifted so far just passed a multiple of 1,024
-        if count * len(shapes) % 1024 < len(shapes) and budget.expired():
-            raise BudgetExhausted
+        budget.tick(count * len(shapes), len(shapes))
     # the lanes of the copies ending at or after triple i are those below bound i
-    bounds = accumulate(len(ending.get(i, ())) for i in reversed(range(comb(n, 3))))
+    bounds = accumulate(len(ending.get(i, ())) for i in reversed(range(triples)))
     rows = [bytearray((lanes + 7) >> 3) for lanes in bounds][::-1]
-    ordered = (ending.pop(last) for last in sorted(ending, reverse=True))
-    for lane, copy in enumerate(chain.from_iterable(ordered)):
-        if lane & 1023 == 1023 and budget.expired():
-            raise BudgetExhausted
-        byte, bit = lane >> 3, 1 << (lane & 7)
-        for i in copy:
-            rows[i][byte] |= bit
+    ordered = chain.from_iterable(ending.pop(last) for last in sorted(ending, reverse=True))
+    lanes = 0
+    while chunk := list(islice(ordered, budget.CADENCE)):
+        for lane, copy in enumerate(chunk, lanes):
+            byte, bit = lane >> 3, 1 << (lane & 7)
+            for i in copy:
+                rows[i][byte] |= bit
+        lanes += len(chunk)
+        budget.tick(lanes, len(chunk))
     for i, row in enumerate(rows):  # in place: each row is freed once its int is built
         rows[i] = int.from_bytes(row, "little")
     return rows
@@ -321,10 +334,11 @@ def turan_number(
     comparisons and one AND.  The incumbent is recorded at the inclusion,
     the only step that raises depth, but counts from the next node, as
     in the recursive search this loop replaced: a budget stopping that
-    node puts the previous one back.  The budget is consulted only at
-    its checkpoints (Budget.next_check).  On exhaustion the incumbent is
-    returned with exact=False, a witnessed lower bound; a deadline passed
-    while listing copies leaves the empty one (value 0).
+    node puts the previous one back.  The budget is consulted at node 1
+    and then only at the node count Budget.check returns.  On exhaustion
+    the incumbent is returned with exact=False, a witnessed lower bound; a
+    deadline passed while listing copies, or a listing over the cap under
+    a budget, leaves the empty one (value 0).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -341,7 +355,7 @@ def turan_number(
     saved: list[tuple] = []  # (idx, full, near, rest) at each inclusion, idx ascending
     value, best, exact = 0, [], True  # the empty set is free
     gained, prior = -1, (value, best)  # the node of the last improvement, the incumbent before it
-    nodes, due = 0, budget.next_check(0)
+    nodes, due = 0, 1
     idx, depth, limit = 0, 0, total  # next triple to decide, len(saved), the bound
     try:
         holds = _holds(forbidden, n, budget)

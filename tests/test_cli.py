@@ -387,20 +387,11 @@ def test_multicolor_structured_honours_budget_ms(capsys, tmp_path):
     assert (code, out["status"], out["nodes"]) == (3, "budget-exhausted", 1024)
 
 
-def test_env_variable_supplies_budget(capsys, path2_file, monkeypatch):
+def test_budget_comes_only_from_the_flags(capsys, path2_file, monkeypatch):
+    # a budget variable in the environment is not read: the search runs to the end
     monkeypatch.setenv("EXPANSIONS_BUDGET_NODES", "20")
-    code = main(["turan", "--n", "7", "--expansion-of", path2_file, "--json"])
-    out = json.loads(capsys.readouterr().out)
-    assert code == 3
-    assert out["exact"] is False
-    # explicit flag beats the environment
-    monkeypatch.setenv("EXPANSIONS_BUDGET_NODES", "20")
-    code = main(["turan", "--n", "5", "--expansion-of", path2_file,
-                 "--budget-nodes", "1000000", "--json"])
-    assert code == 0
-
-    monkeypatch.setenv("EXPANSIONS_BUDGET_NODES", "not-a-number")
-    assert main(["turan", "--n", "4", "--expansion-of", path2_file]) == 2
+    code, out = run_json(capsys, ["turan", "--n", "7", "--expansion-of", path2_file])
+    assert (code, out["exact"], out["nodes"]) == (0, True, 10436)
 
 
 def test_human_output_renders_same_data(capsys, path2_file):
@@ -425,18 +416,14 @@ def test_seed_and_prefilter_flags_are_rejected(capsys, path2_file):
     assert "--prefilter" in capsys.readouterr().err
 
 
-def test_budget_flags_only_on_budgeted_searches(capsys, path2_file, monkeypatch):
-    # sigma runs no budgeted search, so it takes no budget flag and reads no budget variable
+def test_budget_flags_only_on_budgeted_searches(capsys, path2_file):
+    # sigma runs no budgeted search, so it takes no budget flag
     assert main(["sigma", "--graph", path2_file, "--budget-ms", "5"]) == 2
     assert "--budget-ms" in capsys.readouterr().err
-    for raw in ("20", "not-a-number"):
-        monkeypatch.setenv("EXPANSIONS_BUDGET_NODES", raw)
-        assert main(["sigma", "--graph", path2_file]) == 0
 
 
-def test_multicolor_budget_flags_need_structured(capsys, tmp_path, monkeypatch):
-    # only the structured search reads a budget: given without it, a flag
-    # exits 2; set in the environment, a budget is ignored there
+def test_multicolor_budget_flags_need_structured(capsys, tmp_path):
+    # only the structured search reads a budget: given without it, a flag exits 2
     host = tmp_path / "host.txt"
     host.write_text(triples_to_text(TripleSystem.from_edges(6, [(0, 2, 4), (0, 3, 5),
                                                                 (1, 2, 5), (1, 3, 4)])))
@@ -446,44 +433,22 @@ def test_multicolor_budget_flags_need_structured(capsys, tmp_path, monkeypatch):
         assert main(argv + flags) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "--structured" in err[0]
-    for raw in ("0", "not-a-number"):
-        monkeypatch.setenv("EXPANSIONS_BUDGET_MS", raw)
-        monkeypatch.setenv("EXPANSIONS_BUDGET_NODES", raw)
-        assert main(argv) == 0
-        assert capsys.readouterr().err == ""
-    assert main(argv + ["--structured"]) == 2  # read there, so the bad value is refused
 
 
-def test_negative_budgets_exit_two(capsys, path2_file, tmp_path, monkeypatch):
+def test_negative_budgets_exit_two(capsys, path2_file, tmp_path):
     # a negative cap or deadline is invalid input, not a search stopped at its first node
     host = tmp_path / "host.txt"
     host.write_text(triples_to_text(TripleSystem.from_edges(6, [(0, 2, 4), (0, 3, 5),
                                                                 (1, 2, 5), (1, 3, 4)])))
     turan = ["turan", "--n", "6", "--expansion-of", path2_file]
-    runs = [(turan + ["--budget-nodes", "-5"], {}), (turan + ["--budget-ms", "-5"], {}),
-            (["multicolor", "--host", str(host), "--x", "0,1", "--y", "2,3", "--m", "1",
-              "--structured", "--budget-nodes", "-1"], {}),
-            (turan, {"EXPANSIONS_BUDGET_NODES": "-7"}),
-            (turan, {"EXPANSIONS_BUDGET_MS": "-7"})]
-    for argv, env in runs:
-        with monkeypatch.context() as m:
-            for name, raw in env.items():
-                m.setenv(name, raw)
-            assert main(argv + ["--json"]) == 2
+    for argv in (turan + ["--budget-nodes", "-5"], turan + ["--budget-ms", "-5"],
+                 ["multicolor", "--host", str(host), "--x", "0,1", "--y", "2,3", "--m", "1",
+                  "--structured", "--budget-nodes", "-1"]):
+        assert main(argv + ["--json"]) == 2
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "nonnegative" in err[0]
         assert captured.out == ""
-
-
-@pytest.mark.parametrize("name", ["EXPANSIONS_BUDGET_NODES", "EXPANSIONS_BUDGET_MS"])
-def test_negative_budget_variable_is_named_in_the_error(capsys, path2_file, monkeypatch, name):
-    # the message names the input to fix: the variable, not the library parameter
-    monkeypatch.setenv(name, "-7")
-    assert main(["turan", "--n", "6", "--expansion-of", path2_file, "--json"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {name} must be nonnegative, got -7\n"
-    assert captured.out == ""
 
 
 class ClosedPipe(io.TextIOBase):

@@ -62,13 +62,6 @@ def test_forest_and_tree_predicates():
     assert not Graph(0, frozenset()).is_tree()
 
 
-def test_leaves_and_pendant_edges():
-    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    assert star.pendant_edges() == star.edges
-    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert path.pendant_edges() == frozenset({(0, 1), (2, 3)})
-
-
 def test_triple_system_rejects_bad_triples():
     with pytest.raises(ValueError):
         TripleSystem(3, frozenset({(0, 1, 3)}))
@@ -271,3 +264,22 @@ def test_budget_rejects_negative_values_and_accepts_zero():
     with pytest.raises(BudgetExhausted):
         budget.spend()
     assert budget.nodes == 1
+
+
+@pytest.mark.parametrize("done, step", [(1, 1), (1023, 1), (1024, 1), (1025, 1), (3072, 1),
+                                        (1033, 10), (1034, 10), (900, 900), (2048, 900),
+                                        (5000, 2000)])
+def test_budget_tick_reads_the_deadline_when_a_step_passes_a_multiple_of_1024(done, step):
+    # a step above 1,024 may pass two multiples and still reads only once
+    passed = any(done - step < m <= done for m in range(1024, done + 1, 1024))
+    reads = []
+    budget = Budget(budget_ms=0)
+    budget.expired = lambda: reads.append(done) or True
+    if passed:
+        with pytest.raises(BudgetExhausted):
+            budget.tick(done, step)
+    else:
+        budget.tick(done, step)
+    assert len(reads) == passed
+    Budget().tick(done, step)  # no deadline: never stops
+    Budget(budget_ms=10 ** 9).tick(done, step)  # one not yet passed: neither

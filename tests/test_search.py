@@ -506,8 +506,8 @@ def test_turan_deadline_covers_the_copy_listing():
     # copies pass 1,024, at its first check, with the empty lower bound
     result = turan_number(20, expand(PATH2).system, budget_ms=0)
     assert (result.value, result.exact, result.nodes, result.witness) == (0, False, 0, ())
-    # the set-up before that check is a table of triple indices, n^3 small
-    # ints: a table of the triple bits themselves took 40 MB here at n = 40
+    # at n = 40 the 9,870,120 copies are over the listing cap, so the call
+    # stops before any table: a table of the triple bits took 40 MB here
     tracemalloc.start()
     try:
         result = turan_number(40, expand(PATH2).system, budget_ms=0)
@@ -516,6 +516,35 @@ def test_turan_deadline_covers_the_copy_listing():
         tracemalloc.stop()
     assert (result.value, result.exact, result.nodes, result.witness) == (0, False, 0, ())
     assert peak < 8_000_000
+
+
+def test_turan_under_a_budget_refuses_a_listing_over_the_cap():
+    # P3+ at n = 16 has C(16, 7) * 630 = 7,207,200 copies, about 970 MB of
+    # listing: a budgeted call stops after the orbit walk, allocating no
+    # table, with the empty lower bound
+    tracemalloc.start()
+    try:
+        result = turan_number(16, expand(PATH3).system, budget_nodes=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.value, result.exact, result.nodes, result.witness) == (0, False, 0, ())
+    assert peak < 1_000_000
+
+
+def test_turan_without_a_budget_refuses_a_listing_over_the_cap():
+    with pytest.raises(ValueError, match="^7,207,200 copies of the pattern on n = 16 "):
+        turan_number(16, expand(PATH3).system)
+
+
+@pytest.mark.parametrize("n, pattern, listed", [
+    (20, expand(PATH2).system, True), (30, expand(PATH2).system, False),
+    (9, expand(PATH3).system, True), (9, expand(P4).system, True),
+    (12, expand(P4).system, False),
+], ids=["P2+ n20", "P2+ n30", "P3+ n9", "P4+ n9", "P4+ n12"])
+def test_turan_listing_cap_passes_what_the_search_can_use(n, pattern, listed):
+    # a 0-node cap stops node 1 after a listing, or refuses it with 0 nodes
+    assert turan_number(n, pattern, budget_nodes=0).nodes == listed
 
 
 # four triples on seven vertices whose copies on range(7) number 1,260
