@@ -23,6 +23,7 @@ forests and exponential in |F| otherwise.  The DP applies the tie-break
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import compress
 
 from .core import Edge, Graph, Record, TripleSystem, _walk, canonical_edge
 
@@ -49,87 +50,65 @@ def expand(graph: Graph) -> Expansion:
 def min_crosscut(system: TripleSystem) -> tuple[int, frozenset[int]] | None:
     """Smallest vertex set meeting every edge exactly once, or None.
 
-    Exact backtracking: branch on the first uncovered edge; choosing a
-    vertex covers its edges and permanently forbids their other vertices
-    (a second chosen vertex in a covered edge would break exactness).  Of
-    the crosscuts of minimum size, the first one the branching meets is
-    returned.  A branch is cut when its chosen vertices plus a greedy set
-    of pairwise disjoint uncovered edges, each needing its own further
-    vertex, reach the incumbent size: such a branch holds no smaller
-    crosscut, so the cut never changes the result.  The branching is a
-    loop with one frame per chosen vertex, so no recursion limit applies.
+    Exact backtracking: branch on the first uncovered edge, over its
+    vertices in order; choosing a vertex covers its edges and forbids
+    every vertex sharing an edge with it, as a second chosen vertex in a
+    covered edge would break exactness.  So a vertex still allowed has no
+    covered edge, and a choice covers exactly its own edges.  A search
+    state is two int masks, covered edges (bit i for the i-th edge) and
+    forbidden vertices, with the chosen count and the chosen vertices as
+    a linked pair (v, rest).  One stack holds the states, children pushed
+    last vertex first: depth-first, with nothing to undo and no recursion
+    limit.  Of the crosscuts of minimum size, the first one the branching
+    meets is returned.  A branch is cut when its chosen vertices plus a
+    greedy set of pairwise disjoint uncovered edges, each needing its own
+    further vertex, reach the incumbent size: such a branch holds no
+    smaller crosscut, so the cut never changes the result.
     """
     edges = system.sorted_edges()
-    if not edges:
-        return (0, frozenset())
-    m = len(edges)
-    edges_at: dict[int, list[int]] = {}
+    at: dict[int, int] = {}  # the edges at each vertex
+    near: dict[int, int] = {}  # the vertices sharing an edge with each vertex, itself included
     for i, e in enumerate(edges):
+        span = (1 << e[0]) | (1 << e[1]) | (1 << e[2])
         for v in e:
-            edges_at.setdefault(v, []).append(i)
+            at[v] = at.get(v, 0) | 1 << i
+            near[v] = near.get(v, 0) | span
+    everything = (1 << len(edges)) - 1
+    best: tuple[int, tuple | None] | None = None
 
-    covered = [False] * m
-    forbidden: dict[int, int] = {}
-    chosen: list[int] = []
-    # one frame per chosen vertex: [branching edge, next position in it,
-    # edges the chosen vertex newly covered]
-    frames: list[list] = []
-    num_covered = 0
-    best: tuple[int, tuple[int, ...]] | None = None
-
-    def disjoint_uncovered(limit: int) -> int:
-        """Greedy count of pairwise disjoint uncovered edges, up to limit."""
+    def disjoint_uncovered(left: str, limit: int) -> int:
+        """Greedy count of pairwise disjoint edges flagged "1" in left, up to limit."""
         seen: set[int] = set()
         count = 0
-        for i in range(m):
-            if not covered[i] and seen.isdisjoint(edges[i]):
-                seen.update(edges[i])
+        for e in compress(edges, map("1".__eq__, left)):
+            if seen.isdisjoint(e):
+                seen.update(e)
                 count += 1
                 if count >= limit:
                     break
         return count
 
-    while True:
-        if num_covered == m:
+    stack: list[tuple[int, int, int, tuple | None]] = [(0, 0, 0, None)]
+    while stack:
+        covered, forbidden, count, chosen = stack.pop()
+        if covered == everything:
             # keep the first witness found at each size; later equal-size
             # solutions must not displace it
-            if best is None or len(chosen) < best[0]:
-                best = (len(chosen), tuple(chosen))
-        elif best is None or len(chosen) + disjoint_uncovered(best[0] - len(chosen)) < best[0]:
-            frames.append([next(i for i in range(m) if not covered[i]), 0, None])
-        # undo the last choice and take its next sibling, popping exhausted frames
-        while frames:
-            frame = frames[-1]
-            target, pos, newly = frame
-            if newly is not None:
-                v = chosen.pop()
-                num_covered -= len(newly)
-                for i in newly:
-                    covered[i] = False
-                    for u in edges[i]:
-                        if u != v:
-                            forbidden[u] -= 1
-            while pos < 3 and forbidden.get(edges[target][pos], 0):
-                pos += 1
-            if pos == 3:
-                frames.pop()
-                continue
-            v = edges[target][pos]
-            newly = [i for i in edges_at[v] if not covered[i]]
-            for i in newly:
-                covered[i] = True
-                for u in edges[i]:
-                    if u != v:
-                        forbidden[u] = forbidden.get(u, 0) + 1
-            chosen.append(v)
-            num_covered += len(newly)
-            frame[1], frame[2] = pos + 1, newly
-            break
-        else:
-            break
+            if best is None or count < best[0]:
+                best = (count, chosen)
+            continue
+        left = bin(everything ^ covered)[:1:-1]  # character i is "1" when edge i is uncovered
+        if best is None or count + disjoint_uncovered(left, best[0] - count) < best[0]:
+            for v in reversed(edges[left.index("1")]):
+                if not forbidden >> v & 1:
+                    stack.append((covered | at[v], forbidden | near[v], count + 1, (v, chosen)))
     if best is None:
         return None
-    size, witness = best
+    size, chosen = best
+    witness = []
+    while chosen is not None:
+        v, chosen = chosen
+        witness.append(v)
     return (size, frozenset(witness))
 
 

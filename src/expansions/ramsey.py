@@ -139,15 +139,19 @@ class Multicoloring(Record):
 
 
 def extract_multicoloring(assignment: ListAssignment, m: int) -> Multicoloring | None:
-    """m rounds using the m smallest colors of each list; None when some
-    list is too short.  A multicoloring exists iff every list has size >= m."""
+    """m rounds using the m smallest colors of each list, checked against
+    the lists; None when some list is too short.  A multicoloring exists iff
+    every list has size >= m."""
     if m < 1:
         raise ValueError("round count must be positive")
     if any(len(lst) < m for lst in assignment.lists.values()):
         return None
     smallest = {cell: sorted(lst)[:m] for cell, lst in assignment.lists.items()}
-    return Multicoloring(tuple({cell: colors[i] for cell, colors in smallest.items()}
-                               for i in range(m)))
+    result = Multicoloring(tuple({cell: colors[i] for cell, colors in smallest.items()}
+                                 for i in range(m)))
+    if not result.check(assignment):
+        raise RuntimeError("extraction produced rounds that are not a multicoloring of the lists")
+    return result
 
 
 # the node cap of the structured search when none is given
@@ -188,7 +192,9 @@ def find_structured_multicoloring(
     the same witness a search over every ordering finds first.
 
     Nodes: one per subgrid, one per level entered while choosing colors
-    along cells or lines, and one per round tried for the stack.
+    along cells or lines, and one per round tried for the stack.  A found
+    witness is checked against the subgrid's lists and the labels of
+    classify before it is returned.
     """
     if m < 1 or s < 1:
         raise ValueError("round count and subgrid size must be positive")
@@ -201,18 +207,25 @@ def find_structured_multicoloring(
                 cells = sorted(((x, y) for x in xs for y in ys), key=lambda c: len(lists[c]))
                 rainbow = next(_distinct_choices([lists[c] for c in cells], budget), None)
                 if rainbow is not None:
-                    return StructuredSearch("found", xs, ys,
-                                            Multicoloring((dict(zip(cells, rainbow)),)),
-                                            (RAINBOW,), budget.nodes)
+                    only = (RAINBOW, frozenset(rainbow), dict(zip(cells, rainbow)))
+                    return _found(assignment, xs, ys, [only], budget.nodes)
                 stack = first_compatible(_structured_rounds(xs, ys, lists, budget), m,
                                          _disjoint, budget)
                 if stack is not None:
-                    return StructuredSearch("found", xs, ys,
-                                            Multicoloring(tuple(r[2] for r in stack)),
-                                            tuple(r[0] for r in stack), budget.nodes)
+                    return _found(assignment, xs, ys, stack, budget.nodes)
     except BudgetExhausted:
         return StructuredSearch("budget-exhausted", None, None, None, None, budget.nodes)
     return StructuredSearch("absent", None, None, None, None, budget.nodes)
+
+
+def _found(assignment: ListAssignment, xs, ys, rounds, nodes: int) -> StructuredSearch:
+    """The found search of these (label, colors, coloring) rounds on xs by
+    ys, checked against that subgrid's lists and labels; RuntimeError if not."""
+    result = Multicoloring(tuple(r[2] for r in rounds))
+    sub = ListAssignment(xs, ys, {(x, y): assignment.lists[(x, y)] for x in xs for y in ys})
+    if not result.check(sub) or not all(r[0] in _labels(xs, ys, r[2]) for r in rounds):
+        raise RuntimeError("structured search produced rounds that fail their check")
+    return StructuredSearch("found", xs, ys, result, tuple(r[0] for r in rounds), nodes)
 
 
 def _structured_rounds(xs, ys, lists, budget):

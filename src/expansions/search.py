@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterable
-from itertools import accumulate, chain, combinations, islice, permutations
+from itertools import accumulate, chain, combinations, islice
 from math import comb
 from operator import itemgetter
 
@@ -223,14 +223,12 @@ class TuranResult(Record):
         return {**vars(self), "witness": [list(e) for e in self.witness]}
 
 
-def _triple_index(n: int) -> list:
-    """index[a][b][c] is the position of {a, b, c}, in any order, in
-    combinations(range(n), 3): n^3 small ints, not C(n, 3)^2 bits."""
-    index = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i, t in enumerate(combinations(range(n), 3)):
-        for a, b, c in permutations(t):
-            index[a][b][c] = i
-    return index
+def _swap_ranks(rank: dict[Triple, int], k: int) -> list[list[int]]:
+    """swaps[j][r]: the rank of the r-th triple of range(k), in rank (its
+    position in combinations(range(k), 3)), with j and j + 1 exchanged."""
+    return [[rank[tuple(sorted(t))]
+             for t in combinations([*range(j), j + 1, j, *range(j + 2, k)], 3)]
+            for j in range(k - 1)]
 
 
 def _holds(pattern: TripleSystem, n: int, budget: Budget) -> list[int]:
@@ -240,7 +238,8 @@ def _holds(pattern: TripleSystem, n: int, budget: Budget) -> list[int]:
     past the deadline, which Budget.tick reads after the shape images, the
     copies lifted and the lanes set pass each multiple of its cadence.  A
     listing estimated above LISTING_MAX_BYTES is refused before any table
-    is built: BudgetExhausted under a budget, else a ValueError.
+    is built, and the walk refuses as soon as its own shapes would pass
+    that size: BudgetExhausted under a budget, else a ValueError.
 
     A copy spans one k-subset of range(n), k the number of vertices in
     pattern edges, as one shape: a copy on range(k), moved by the
@@ -254,15 +253,20 @@ def _holds(pattern: TripleSystem, n: int, budget: Budget) -> list[int]:
     which tests sets of lanes, so the order never changes an answer."""
     edges = pattern.sorted_edges()
     label = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
-    k, rank = len(label), _triple_index(len(label))
-    # swaps[j][r]: the rank of triple r with j and j + 1 exchanged
-    swaps = [[rank[a][b][c] for a, b, c in combinations([*range(j), j + 1, j, *range(j + 2, k)], 3)]
-             for j in range(k - 1)]
+    k = len(label)
+    rank = {t: i for i, t in enumerate(combinations(range(k), 3))}
+    swaps = _swap_ranks(rank, k)
+    shape_bytes = 200 + 8 * len(edges)  # a shape's key tuple, its itemgetter and its dict slot
 
     def getter(shape):  # itemgetter of one rank would return the bare rank, not a sequence
         return itemgetter(*shape) if len(shape) > 1 else itemgetter(slice(shape[0], shape[0] + 1))
 
-    start = tuple(sorted([rank[label[a]][label[b]][label[c]] for a, b, c in edges]))
+    def refuse(message: str):
+        if budget.deadline is None and budget.node_cap is None:
+            raise ValueError(message)
+        raise BudgetExhausted
+
+    start = tuple(sorted([rank[label[a], label[b], label[c]] for a, b, c in edges]))
     shapes, todo, count = {start: getter(start)}, [start], 0  # the getter reads images, copies
     while todo:
         get = shapes[todo.pop()]
@@ -273,16 +277,18 @@ def _holds(pattern: TripleSystem, n: int, budget: Budget) -> list[int]:
                 todo.append(image)
         count += len(swaps)
         budget.tick(count, len(swaps))
+        if len(shapes) * shape_bytes > LISTING_MAX_BYTES:
+            refuse(f"more than {len(shapes):,} shapes of the pattern on its {k} vertices are too"
+                   f" many to list in {LISTING_MAX_BYTES / 1e6:,.0f} MB")
     copies, triples = comb(n, k) * len(shapes), comb(n, 3)
     size = copies * (100 + triples / 16)
     if size > LISTING_MAX_BYTES:
-        if budget.deadline is None and budget.node_cap is None:
-            raise ValueError(f"{copies:,} copies of the pattern on n = {n} are too many to list:"
-                             f" about {size / 1e6:,.0f} MB, over {LISTING_MAX_BYTES / 1e6:,.0f} MB")
-        raise BudgetExhausted
-    index, ending = _triple_index(n), defaultdict(list)  # the copies by last triple
+        refuse(f"{copies:,} copies of the pattern on n = {n} are too many to list:"
+               f" about {size / 1e6:,.0f} MB, over {LISTING_MAX_BYTES / 1e6:,.0f} MB")
+    index = {t: i for i, t in enumerate(combinations(range(n), 3))}
+    ending = defaultdict(list)  # the copies by last triple
     for count, subset in enumerate(combinations(range(n), k), 1):
-        image = [index[a][b][c] for a, b, c in combinations(subset, 3)]
+        image = [index[t] for t in combinations(subset, 3)]
         for get in shapes.values():
             copy = get(image)
             ending[copy[-1]].append(copy)

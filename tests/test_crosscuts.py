@@ -97,6 +97,30 @@ RECORDED_MIN_CROSSCUTS = [
     (9, [(0, 1, 7), (0, 5, 6), (1, 2, 3), (1, 4, 6), (1, 5, 8), (2, 3, 4), (3, 4, 6)],
      (4, [2, 6, 7, 8])),
     (12, [(0, 1, 9), (3, 5, 6), (3, 6, 10), (3, 7, 8), (3, 9, 10), (6, 9, 10)], (4, [0, 5, 7, 10])),
+    # recorded from the search that undid each choice through a log, before
+    # it searched over saved mask states
+    (14, [(0, 5, 11), (0, 8, 11), (0, 8, 12), (0, 10, 12), (1, 5, 11), (1, 11, 13), (3, 5, 13),
+          (3, 6, 13), (4, 5, 9), (4, 7, 10), (5, 9, 10), (6, 8, 13), (6, 9, 11), (10, 12, 13)],
+     None),
+    (10, [(0, 1, 8), (0, 1, 9), (0, 4, 6), (0, 4, 9), (0, 5, 8), (1, 2, 6), (1, 5, 9), (2, 3, 6),
+          (2, 4, 6), (2, 6, 9), (3, 5, 7), (3, 6, 7), (4, 5, 9), (5, 7, 8)], None),
+    (14, [(0, 5, 6), (0, 10, 11), (1, 2, 9), (3, 5, 8), (3, 5, 9), (3, 6, 13), (3, 7, 8),
+          (4, 9, 13)], (4, [0, 1, 3, 4])),
+    (12, [(0, 1, 9), (0, 7, 8), (2, 3, 6), (2, 3, 10), (2, 4, 10), (2, 7, 11), (4, 5, 10),
+          (4, 6, 11), (6, 7, 8)], (4, [1, 3, 4, 7])),
+    (12, [(0, 1, 10), (0, 2, 9), (0, 6, 10), (1, 6, 11), (2, 7, 8), (3, 4, 8), (3, 5, 6),
+          (4, 5, 6), (4, 5, 9), (4, 5, 10), (5, 6, 9)], (4, [0, 5, 8, 11])),
+    (13, [(0, 7, 8), (0, 8, 10), (1, 4, 10), (1, 5, 8), (1, 7, 12), (1, 8, 10), (2, 9, 12),
+          (3, 9, 12), (4, 6, 8), (7, 8, 12), (7, 11, 12)], (5, [5, 6, 7, 9, 10])),
+    (14, [(0, 6, 10), (0, 6, 12), (1, 3, 6), (1, 7, 10), (1, 8, 9), (2, 6, 7), (3, 5, 7),
+          (3, 6, 11), (3, 8, 13), (4, 9, 13), (5, 7, 10), (5, 12, 13), (8, 10, 11)],
+     (5, [2, 3, 9, 10, 12])),
+    (13, [(0, 1, 3), (0, 10, 12), (2, 5, 9), (2, 8, 12), (3, 5, 8), (3, 6, 10), (3, 7, 9),
+          (3, 11, 12), (4, 6, 10), (4, 6, 12), (4, 7, 9), (5, 8, 12)], (5, [0, 6, 8, 9, 11])),
+    (14, [(0, 2, 8), (0, 2, 11), (0, 3, 4), (0, 3, 9), (1, 11, 12), (2, 4, 11), (2, 4, 12),
+          (2, 5, 6), (2, 9, 11), (3, 4, 9), (3, 8, 13), (3, 9, 13), (6, 9, 13)], None),
+    (11, [(0, 1, 4), (0, 3, 4), (0, 3, 6), (0, 7, 8), (0, 8, 9), (1, 3, 10), (2, 5, 8), (3, 5, 8),
+          (7, 8, 10)], (3, [0, 5, 10])),
 ]
 
 

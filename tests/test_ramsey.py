@@ -8,6 +8,7 @@ from expansions import (COLUMN_CANONICAL, MONOCHROMATIC, RAINBOW, ROW_CANONICAL,
                         expand, extract_multicoloring, find_classified_subgrid,
                         find_structured_multicoloring, Graph, ListAssignment)
 
+from expansions import ramsey
 from helpers import brute_subgrid_labels, recursive_structured_search
 
 
@@ -182,6 +183,33 @@ def test_multicoloring_check_rejects_repeats_across_rounds():
     from expansions import Multicoloring
     bad = Multicoloring((mc.colorings[0], mc.colorings[0]))
     assert not bad.check(la)
+
+
+def test_a_witness_failing_its_check_raises(monkeypatch):
+    # a list repeating a color makes extraction give that cell one color twice
+    with pytest.raises(RuntimeError):
+        extract_multicoloring(ListAssignment((0,), (1,), {(0, 1): [5, 5]}), 2)
+    # row 0 lists {0, 1} and row 1 lists {0, 2}: no rainbow and no two
+    # column rounds, so the two disjoint rounds are monochromatic 0 and the
+    # rows colored 1 and 2
+    lists = {(0, 2): frozenset({0, 1}), (0, 3): frozenset({0, 1}),
+             (1, 2): frozenset({0, 2}), (1, 3): frozenset({0, 2})}
+    la = ListAssignment((0, 1), (2, 3), lists)
+    out = find_structured_multicoloring(la, m=2, s=2)
+    assert (out.labels, [sorted(set(chi.values())) for chi in out.result.colorings]) == \
+        ((MONOCHROMATIC, ROW_CANONICAL), [[0], [1, 2]])
+    # a disjointness rule passing everything stacks the rows colored 0 and 2
+    # on the monochromatic 0, so a cell gets color 0 twice
+    with monkeypatch.context() as patch:
+        patch.setattr(ramsey, "_disjoint", lambda a, b: True)
+        with pytest.raises(RuntimeError):
+            find_structured_multicoloring(la, m=2, s=2)
+    # a round reported under a label it does not carry
+    rounds = ramsey._structured_rounds
+    monkeypatch.setattr(ramsey, "_structured_rounds", lambda *args: (
+        (ROW_CANONICAL, colors, chi) for _, colors, chi in rounds(*args)))
+    with pytest.raises(RuntimeError):
+        find_structured_multicoloring(la, m=2, s=2)
 
 
 # ------------------------------------------------- structured multicolor

@@ -127,6 +127,7 @@ def test_containment_agrees_with_permutation_oracle_on_twin_rich_hosts():
 P4 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 S3 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
 M2 = Graph.from_edges(4, [(0, 1), (2, 3)])
+K4 = Graph.from_edges(4, combinations(range(4), 2))
 FANO = TripleSystem.from_edges(7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
                                    (2, 3, 6), (2, 4, 5)])
 
@@ -540,11 +541,30 @@ def test_turan_without_a_budget_refuses_a_listing_over_the_cap():
 @pytest.mark.parametrize("n, pattern, listed", [
     (20, expand(PATH2).system, True), (30, expand(PATH2).system, False),
     (9, expand(PATH3).system, True), (9, expand(P4).system, True),
-    (12, expand(P4).system, False),
-], ids=["P2+ n20", "P2+ n30", "P3+ n9", "P4+ n9", "P4+ n12"])
+    (12, expand(P4).system, False), (10, expand(K4).system, True),
+], ids=["P2+ n20", "P2+ n30", "P3+ n9", "P4+ n9", "P4+ n12", "K4+ n10"])
 def test_turan_listing_cap_passes_what_the_search_can_use(n, pattern, listed):
     # a 0-node cap stops node 1 after a listing, or refuses it with 0 nodes
     assert turan_number(n, pattern, budget_nodes=0).nodes == listed
+
+
+def test_turan_orbit_walk_refuses_once_its_shapes_pass_the_cap(monkeypatch):
+    # K4+ at n = 10 walks 151,200 shapes, about 28 MB, under the real cap;
+    # under a 1 MB cap the walk stops near 4,000 shapes, long before the
+    # copies could be counted, under a budget and without one
+    monkeypatch.setattr(search, "LISTING_MAX_BYTES", 1_000_000)
+    pattern = expand(K4).system
+    tracemalloc.start()
+    try:
+        result = turan_number(10, pattern, budget_nodes=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.value, result.exact, result.nodes, result.witness) == (0, False, 0, ())
+    assert peak < 3_000_000
+    with pytest.raises(ValueError, match=r"^more than [\d,]+ shapes of the pattern on its 10 "
+                                         r"vertices are too many to list in 1 MB$"):
+        turan_number(10, pattern)
 
 
 # four triples on seven vertices whose copies on range(7) number 1,260
