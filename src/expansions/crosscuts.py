@@ -13,11 +13,13 @@ deterministic; the hypergraph one doubles as the oracle for the other.
 As I is independent, the weight is m - sum over v in I of (deg v - 1), so
 the base-graph search is a maximum-weight independent set: one two-state
 DP on the forest left after removing a feedback vertex set F, run once
-per independent subset of F that may join I.  Each run makes O(n + m)
-additions of ints of n + O(log n) bits and keeps O(n) words plus the
-costs waiting in parents' accumulators; the number of runs is 1 on
-forests and exponential in |F| otherwise.  The DP applies the tie-break
-(maximum |I|, then lexicographically smallest I).
+per independent subset of F that may join I.  Each vertex keeps one
+small int for its n-bit cost, and F's neighbour masks are set from F's
+side.  Each run makes O(n + m) additions of ints of n + O(log n) bits and
+keeps O(n) words plus the costs waiting in parents' accumulators; the
+number of runs is 1 on forests and exponential in |F| otherwise.  The DP
+applies the tie-break (maximum |I|, then lexicographically smallest I).
+forest_lambda skips isolated vertices, which add zero.
 """
 
 from __future__ import annotations
@@ -140,11 +142,10 @@ def best_crosscut_pair(graph: Graph) -> CrosscutPair:
     """Optimal crosscut pair of a graph: minimum weight, then maximum |I|,
     then lexicographically smallest I.
 
-    One DP serves every graph, on the identity
-    weight = m - sum over v in I of (deg v - 1).  Per independent subset of
-    a feedback vertex set, which is empty on forests, it makes O(n + m)
-    additions of ints of n + O(log n) bits, in memory of O(n) words plus
-    the costs waiting in parents' accumulators.
+    One DP serves every graph, on the identity weight = m - sum over v
+    in I of (deg v - 1).  Per independent subset of a feedback vertex set,
+    empty on forests, it makes O(n + m) additions of ints of n + O(log n)
+    bits, in O(n) words plus the costs waiting in parents' accumulators.
     """
     return CrosscutPair.of(graph, _optimal_independent_set(graph))
 
@@ -173,18 +174,17 @@ def _optimal_independent_set(graph: Graph) -> list[int]:
     one that is lexicographically smaller holds the smallest vertex of
     their symmetric difference, which is the larger mask.  Distinct sets
     have distinct costs, so neither F nor the rooting changes the optimum,
-    and the top-down reconstruction never meets a tie.  Per subset S the
-    pass makes O(n + m) additions of ints of n + O(log n) bits; it keeps
-    O(n) words plus the costs waiting in parents' accumulators.
+    and the top-down reconstruction never meets a tie.  A vertex keeps
+    only the small int (1 - deg v) * (n + 1) - 1, and in_term is built from
+    it where it is used; each independent subset of F carries its summed
+    in_term, and F's vertices set their bits in their neighbours' masks.
+    Per subset S the pass makes O(n + m) additions of ints of n + O(log n)
+    bits, in O(n) words plus the costs waiting at parents.
     """
     n = graph.n
     adj = graph.neighbours()
-
-    def in_term(v: int) -> int:
-        return (((1 - len(adj[v])) * (n + 1) - 1) << n) - (1 << (n - 1 - v))
-
     degree = [len(nbrs) for nbrs in adj]
-    gone = [False] * n
+    small = [(1 - d) * (n + 1) - 1 for d in degree]
     parent = list(range(n))
     order: list[int] = []
     feedback: list[int] = []
@@ -194,35 +194,33 @@ def _optimal_independent_set(graph: Graph) -> list[int]:
             v = stack.pop()
             order.append(v)
         else:
-            v = max((u for u in range(n) if not gone[u]), key=lambda u: (degree[u], -u))
+            # a removed vertex has degree -1; max keeps the first of equals
+            v = max(range(n), key=degree.__getitem__)
             feedback.append(v)
-        gone[v] = True
+        degree[v] = -1
         for u in adj[v]:
-            if not gone[u]:
+            if degree[u] >= 0:
                 parent[v] = u
                 degree[u] -= 1
                 if degree[u] == 1:
                     stack.append(u)
-
-    bit = {f: 1 << i for i, f in enumerate(feedback)}
-    f_nbrs = [sum(bit.get(u, 0) for u in adj[v]) for v in range(n)]
-    for v in order:
-        if parent[v] in bit:
-            parent[v] = v
-
-    labels = [0]
-    for f in feedback:
-        labels += [s | bit[f] for s in labels if not s & f_nbrs[f]]
-    acc_in = [0] * n
-    acc_out = [0] * n
+    f_nbrs = [0] * n  # bit i is set at each neighbour of the i-th vertex of F
+    labels = [(0, 0)]  # the independent subsets of F, each with its summed in_term
+    for i, f in enumerate(feedback):
+        for u in adj[f]:
+            f_nbrs[u] |= 1 << i
+            if parent[u] == f:
+                parent[u] = u
+        term = (small[f] << n) - (1 << n - 1 - f)
+        labels += [(s | 1 << i, cost + term) for s, cost in labels if not s & f_nbrs[f]]
+    acc_in, acc_out = [0] * n, [0] * n
     best = None
-    for s in labels:
-        total = sum(in_term(f) for f in feedback if s & bit[f])
+    for s, total in labels:
         take = [False] * n
         for v in order:
             # a neighbour of S stays out of I
             cout = acc_out[v]
-            cin = cout if f_nbrs[v] & s else in_term(v) + acc_in[v]
+            cin = cout if f_nbrs[v] & s else (small[v] << n) - (1 << n - 1 - v) + acc_in[v]
             acc_in[v] = acc_out[v] = 0
             take[v] = cin < cout
             low = cin if take[v] else cout
@@ -236,11 +234,13 @@ def _optimal_independent_set(graph: Graph) -> list[int]:
             best = (total, s, take)
 
     _, s, take = best
-    inside = [bool(s & bit.get(v, 0)) for v in range(n)]
+    inside = [False] * n
+    for i, f in enumerate(feedback):
+        inside[f] = bool(s >> i & 1)
     # a root is its own parent, and outside F it starts outside I
     for v in reversed(order):
         inside[v] = take[v] and not inside[parent[v]]
-    return [v for v in range(n) if inside[v]]
+    return list(compress(range(n), inside))
 
 
 def crosscut_number(graph: Graph) -> int:
@@ -278,12 +278,12 @@ def tree_lambda(tree: Graph) -> int:
 
 
 def forest_lambda(forest: Graph) -> int:
-    """Sum of the tree values over components; isolated vertices add zero."""
+    """Sum of the tree values over components; isolated vertices, which add zero, are skipped."""
     nbrs = forest.neighbours()
     comps, color, _ = _walk(nbrs)
     if len(forest.edges) != forest.n - len(comps):
         raise ValueError("input must be a forest")
-    return sum(_component_lambda(comp, color, nbrs) for comp in comps)
+    return sum(_component_lambda(comp, color, nbrs) for comp in comps if len(comp) > 1)
 
 
 def complete_forest_to_tree(forest: Graph) -> Graph:

@@ -220,6 +220,24 @@ def test_forest_pair_equals_branching_on_random_forests():
         cyclic += 1
 
 
+def test_cyclic_pair_equals_branching_past_the_subset_oracles_size():
+    # sparse cyclic graphs like the benchmark's: a tree on 9-12 vertices plus
+    # 2-6 chords leaves a feedback set F of 1-3 vertices (3 on 10 of these
+    # graphs), so the pass over the independent subsets of F and their summed
+    # costs meet graphs past the brute-force oracles' size (n <= 8)
+    rng = random.Random(53)
+    for i in range(150):
+        n = rng.randint(9, 12)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        target = len(edges) + rng.randint(2, 6)
+        while len(edges) < target:
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        graph = Graph.from_edges(n, sorted(edges))
+        if i % 3:  # relabeled, every other time with 1-2 isolated vertices
+            graph = relabeled(rng, graph, rng.randint(1, 2) if i % 3 == 2 else 0)
+        assert best_crosscut_pair(graph) == branching_pair(graph)
+
+
 def test_tree_scan_agrees_with_branching_on_all_small_trees():
     for n in range(1, 10):
         for tree in trees(n):
@@ -340,6 +358,22 @@ def test_pair_memory_is_linear_on_a_long_path():
     finally:
         tracemalloc.stop()
     assert pair.weight == 10000
+    assert peak < 20_000_000
+
+
+def test_pair_memory_on_a_random_recursive_tree():
+    # a vertex with many children holds their costs waiting in its
+    # accumulators; the peak is about 17 MB on Python 3.11, and it is
+    # bounded here so that no change can make it worse
+    rng = random.Random(0)
+    tree = Graph.from_edges(20000, [(rng.randrange(v), v) for v in range(1, 20000)])
+    tracemalloc.start()
+    try:
+        pair = best_crosscut_pair(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair.weight == 9235  # recorded from the DP before its costs were rebuilt inline
     assert peak < 20_000_000
 
 
