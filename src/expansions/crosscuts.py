@@ -10,16 +10,11 @@ crosscut number of an expansion decomposes over the base graph as
 so crosscut searches on expansions run on the base graph directly.  Both
 the hypergraph search and the base-graph search here are exact and
 deterministic; the hypergraph one doubles as the oracle for the other.
-As I is independent, the weight is m - sum over v in I of (deg v - 1), so
-the base-graph search is a maximum-weight independent set: one two-state
-DP on the forest left after removing a feedback vertex set F, run once
-per independent subset of F that may join I.  Each vertex keeps one
-small int for its n-bit cost, and F's neighbour masks are set from F's
-side.  Each run makes O(n + m) additions of ints of n + O(log n) bits and
-keeps O(n) words plus the costs waiting in parents' accumulators; the
-number of runs is 1 on forests and exponential in |F| otherwise.  The DP
-applies the tie-break (maximum |I|, then lexicographically smallest I).
-forest_lambda skips isolated vertices, which add zero.
+The base-graph search is one DP along a peel of the graph that sets a
+feedback vertex set F aside.  That peel is the module's one pass over a
+graph: F is empty exactly on forests, and a forest's roots and depths give
+its components and sides, so every routine here that reads a graph works
+from one peel and builds the neighbour lists once.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import compress
 
-from .core import Edge, Graph, Record, TripleSystem, _walk, canonical_edge
+from .core import Edge, Graph, Record, TripleSystem, canonical_edge
 
 
 class Expansion(Record):
@@ -147,23 +142,67 @@ def best_crosscut_pair(graph: Graph) -> CrosscutPair:
     empty on forests, it makes O(n + m) additions of ints of n + O(log n)
     bits, in O(n) words plus the costs waiting in parents' accumulators.
     """
-    return CrosscutPair.of(graph, _optimal_independent_set(graph))
+    return CrosscutPair.of(graph, _optimal_independent_set(_peel(graph)))
 
 
-def _optimal_independent_set(graph: Graph) -> list[int]:
+def _peel(graph: Graph, error: Exception | None = None, tree: int = 0) -> tuple:
+    """The module's one pass over a graph: its neighbour lists, then a peel of
+    vertices of degree at most 1, each before its parent, its one remaining
+    neighbour; when none is left, a vertex of maximum remaining degree
+    (smallest on ties) joins F and the trees peeled into it become roots.
+    Given an error, the peel raises it rather than fill F, and, when a tree on
+    at least `tree` vertices is required, when m != n - 1 or n < tree; it then
+    pushes each vertex's root and side, the parity of its depth, down the
+    order.  Returns (lists, order, parent, F, root, side)."""
+    n = graph.n
+    if tree and (len(graph.edges) != n - 1 or n < tree):
+        raise error
+    adj = graph.neighbours()
+    degree = [len(nbrs) for nbrs in adj]
+    parent = list(range(n))
+    root, side = list(range(n)), [0] * n
+    order, feedback = [], []
+    stack = [v for v in range(n) if degree[v] <= 1]
+    while len(order) + len(feedback) < n:
+        if stack:
+            v = stack.pop()
+            order.append(v)
+        elif error is not None:
+            raise error
+        else:
+            # a removed vertex has degree -1; max keeps the first of equals
+            v = max(range(n), key=degree.__getitem__)
+            feedback.append(v)
+            for u in adj[v]:
+                if parent[u] == v:
+                    parent[u] = u
+        degree[v] = -1
+        for u in adj[v]:
+            if degree[u] >= 0:
+                parent[v] = u
+                degree[u] -= 1
+                if degree[u] == 1:
+                    stack.append(u)
+    if error is not None:  # a forest, whose roots and sides the DP does not need
+        for v in reversed(order):
+            p = parent[v]
+            root[v], side[v] = root[p], side[p] ^ (p != v)
+    return adj, order, parent, feedback, root, side
+
+
+def _optimal_independent_set(peel: tuple) -> list[int]:
     """The independent set of the optimal crosscut pair, by a two-state DP.
 
     For an independent set I, the edges meeting I number the sum of the
     degrees over I, so the pair weight is m - sum over v in I of
     (deg v - 1): a maximum-weight independent set with vertex weights
-    deg v - 1 and no edge terms.  Peeling vertices of degree at most 1, and
-    moving a vertex of maximum remaining degree (smallest on ties) into F
-    when none is left, orders the forest G - F so that each vertex comes
-    before its one remaining neighbour, its parent.  For each independent
-    subset S of F, one pass along that order keeps the cost of each subtree
-    with its root inside or outside I, and pushes both into accumulators
-    at the parent; a neighbour of S cannot enter I.  The whole tie-break
-    is one additive integer cost per vertex of I,
+    deg v - 1 and no edge terms.  The peel, the module's one pass over the
+    graph, orders the forest G - F with each vertex before its parent; its
+    F is empty exactly on forests.  For each independent subset S of F, one
+    pass along that order keeps the cost of each subtree with its root
+    inside or outside I, and pushes both into accumulators at the parent; a
+    neighbour of S cannot enter I.  The whole tie-break is one additive
+    integer cost per vertex of I,
 
         in_term(v) = ((1 - deg v) * (n + 1) - 1) * 2**n - 2**(n - 1 - v),
 
@@ -178,39 +217,15 @@ def _optimal_independent_set(graph: Graph) -> list[int]:
     only the small int (1 - deg v) * (n + 1) - 1, and in_term is built from
     it where it is used; each independent subset of F carries its summed
     in_term, and F's vertices set their bits in their neighbours' masks.
-    Per subset S the pass makes O(n + m) additions of ints of n + O(log n)
-    bits, in O(n) words plus the costs waiting at parents.
     """
-    n = graph.n
-    adj = graph.neighbours()
-    degree = [len(nbrs) for nbrs in adj]
-    small = [(1 - d) * (n + 1) - 1 for d in degree]
-    parent = list(range(n))
-    order: list[int] = []
-    feedback: list[int] = []
-    stack = [v for v in range(n) if degree[v] <= 1]
-    while len(order) + len(feedback) < n:
-        if stack:
-            v = stack.pop()
-            order.append(v)
-        else:
-            # a removed vertex has degree -1; max keeps the first of equals
-            v = max(range(n), key=degree.__getitem__)
-            feedback.append(v)
-        degree[v] = -1
-        for u in adj[v]:
-            if degree[u] >= 0:
-                parent[v] = u
-                degree[u] -= 1
-                if degree[u] == 1:
-                    stack.append(u)
+    adj, order, parent, feedback, _, _ = peel
+    n = len(adj)
+    small = [(1 - len(nbrs)) * (n + 1) - 1 for nbrs in adj]
     f_nbrs = [0] * n  # bit i is set at each neighbour of the i-th vertex of F
     labels = [(0, 0)]  # the independent subsets of F, each with its summed in_term
     for i, f in enumerate(feedback):
         for u in adj[f]:
             f_nbrs[u] |= 1 << i
-            if parent[u] == f:
-                parent[u] = u
         term = (small[f] << n) - (1 << n - 1 - f)
         labels += [(s | 1 << i, cost + term) for s, cost in labels if not s & f_nbrs[f]]
     acc_in, acc_out = [0] * n, [0] * n
@@ -249,41 +264,37 @@ def crosscut_number(graph: Graph) -> int:
 
 
 def tree_crosscut_number(tree: Graph) -> int:
-    """Crosscut number of a tree's expansion: the weight of its optimal
-    crosscut pair."""
-    if not tree.is_tree():
-        raise ValueError("input must be a tree")
-    return crosscut_number(tree)
+    """Crosscut number of a tree's expansion: the weight of its optimal pair."""
+    peel = _peel(tree, ValueError("input must be a tree"), tree=1)
+    return CrosscutPair.of(tree, _optimal_independent_set(peel)).weight
 
 
-def _component_lambda(comp: frozenset[int], color: tuple[int, ...], nbrs: list[list[int]]) -> int:
-    sides = (frozenset(v for v in comp if color[v] == 0),
-             frozenset(v for v in comp if color[v] == 1))
-    leaves = {v for v in comp if len(nbrs[v]) == 1}
-    if len(sides[0]) == len(sides[1]):
-        # both parts of an evenly split tree contain a leaf, so the
-        # discount applies no matter which part is called smaller
-        if not (sides[0] & leaves and sides[1] & leaves):
+def _forest_lambda(peel: tuple) -> int:
+    adj, _, _, _, root, side = peel
+    parts: dict[int, list[int]] = {}  # per edge-bearing tree: side sizes, then 1 if a side has a leaf
+    for v, nbrs in enumerate(adj):
+        if nbrs:
+            part = parts.setdefault(root[v], [0, 0, 0, 0])
+            part[side[v]] += 1
+            part[2 + side[v]] |= len(nbrs) == 1
+    total = 0
+    for size0, size1, leaf0, leaf1 in parts.values():
+        # the smaller part, less one if it has a leaf: a larger part is bigger by
+        # one at least, and both parts of an evenly split tree contain a leaf
+        if size0 == size1 and not (leaf0 and leaf1):
             raise RuntimeError("evenly split tree bipartition missing a leaf on one side")
-        return len(sides[0]) - 1
-    small = min(sides, key=len)
-    return len(small) - 1 if small & leaves else len(small)
+        total += min(size0 - leaf0, size1 - leaf1)
+    return total
 
 
 def tree_lambda(tree: Graph) -> int:
     """Size of the smaller bipartition part, discounted by one if it has a leaf."""
-    if not tree.is_tree():
-        raise ValueError("input must be a tree")
-    return forest_lambda(tree)
+    return _forest_lambda(_peel(tree, ValueError("input must be a tree"), tree=1))
 
 
 def forest_lambda(forest: Graph) -> int:
     """Sum of the tree values over components; isolated vertices, which add zero, are skipped."""
-    nbrs = forest.neighbours()
-    comps, color, _ = _walk(nbrs)
-    if len(forest.edges) != forest.n - len(comps):
-        raise ValueError("input must be a forest")
-    return sum(_component_lambda(comp, color, nbrs) for comp in comps if len(comp) > 1)
+    return _forest_lambda(_peel(forest, ValueError("input must be a forest")))
 
 
 def complete_forest_to_tree(forest: Graph) -> Graph:
@@ -297,39 +308,35 @@ def complete_forest_to_tree(forest: Graph) -> Graph:
     more vertices but no edges has crosscut number 0, which no tree on
     those vertices can match, so that case is rejected.
     """
-    comps = forest.components()
-    if len(forest.edges) != forest.n - len(comps):
-        raise ValueError("input must be a forest")
-    if forest.n <= 1 or len(comps) == 1:  # a forest with one component is a tree
+    peel = _peel(forest, ValueError("input must be a forest"))
+    n, adj, root = forest.n, peel[0], peel[4]
+    if n <= 1 or len(forest.edges) == n - 1:  # a forest with n - 1 edges is a tree
         return forest
-    edge_comps = [c for c in comps if len(c) >= 2]
-    singles = sorted(v for c in comps if len(c) == 1 for v in c)
-    if not edge_comps:
+    if not forest.edges:
         raise ValueError(
             "an edgeless forest on 2+ vertices cannot extend to a tree "
             "with the same crosscut number")
 
     # weight and |I| add over components, so the forest's optimal pair
     # restricts to an optimal pair of each component
-    pair = best_crosscut_pair(forest)
-    parts = []
-    for comp in edge_comps:
-        independent = comp & pair.independent
-        if not independent:
-            raise RuntimeError("optimal pair of an edge-bearing tree has empty independent set")
-        parts.append((comp, independent))
+    pair = CrosscutPair.of(forest, _optimal_independent_set(peel))
+    joints: dict[int, list] = {}  # per edge-bearing tree: least vertex outside I, then inside I
+    for v in reversed(range(n)):
+        if adj[v]:
+            joints.setdefault(root[v], [None, None])[v in pair.independent] = v
+    if any(inner is None for _, inner in joints.values()):
+        raise RuntimeError("optimal pair of an edge-bearing tree has empty independent set")
 
     new_edges = set(forest.edges)
-    for (comp_a, ind_a), (_, ind_b) in zip(parts, parts[1:]):
-        new_edges.add(canonical_edge(min(comp_a - ind_a), min(ind_b)))
+    ends = sorted(joints.values(), key=min)  # the trees by smallest member
+    for (outer, _), (_, inner) in zip(ends, ends[1:]):
+        new_edges.add(canonical_edge(outer, inner))
     anchor = min(pair.independent)
-    for z in singles:
-        new_edges.add(canonical_edge(anchor, z))
+    new_edges.update(canonical_edge(anchor, z) for z in range(n) if not adj[z])
 
-    tree = Graph(forest.n, frozenset(new_edges))
-    if not tree.is_tree():
-        raise RuntimeError("completion did not produce a tree")
-    before, after = pair.weight, crosscut_number(tree)
+    tree = Graph(n, frozenset(new_edges))  # the self-check's peel also proves it a tree
+    peel = _peel(tree, RuntimeError("completion did not produce a tree"), tree=1)
+    before, after = pair.weight, CrosscutPair.of(tree, _optimal_independent_set(peel)).weight
     if before != after:
         raise RuntimeError(f"completion changed the crosscut number: {before} -> {after}")
     return tree
@@ -343,42 +350,35 @@ def crosscut_audit(tree: Graph) -> dict:
     an uncovered edge has tree-degree at most ell minus the bipartition
     weight of the uncovered forest.
     """
-    if not tree.is_tree() or not tree.edges:
-        raise ValueError("audit requires a tree with at least one edge")
-    pair = best_crosscut_pair(tree)
-    sigma = pair.weight
-    ell = sigma - 1
+    peel = _peel(tree, ValueError("audit requires a tree with at least one edge"), tree=2)
+    pair = CrosscutPair.of(tree, _optimal_independent_set(peel))
+    ell = pair.weight - 1
     r_edges = sorted(pair.uncovered)
-    r_graph = Graph(tree.n, pair.uncovered)
-    lam = forest_lambda(r_graph)
-
-    checks = []
-    checks.append({
+    lam = forest_lambda(Graph(tree.n, pair.uncovered))
+    degree = [len(nbrs) for nbrs in peel[0]]
+    pendant_hits = [e for e in r_edges if degree[e[0]] == 1 or degree[e[1]] == 1]
+    r_vertices = sorted({v for e in r_edges for v in e})
+    degree_bound = ell - lam
+    offenders = [v for v in r_vertices if degree[v] > degree_bound]
+    checks = [{
         "name": "uncovered_edge_count",
         "pass": len(r_edges) <= ell / 2,
         "detail": f"|R| = {len(r_edges)}, bound ell/2 = {ell / 2}",
-    })
-    degree = [len(nbrs) for nbrs in tree.neighbours()]
-    pendant_hits = [e for e in r_edges if degree[e[0]] == 1 or degree[e[1]] == 1]
-    checks.append({
+    }, {
         "name": "no_pendant_uncovered",
         "pass": not pendant_hits,
         "detail": "R avoids all pendant edges" if not pendant_hits
                   else f"pendant edges uncovered: {pendant_hits}",
-    })
-    r_vertices = sorted({v for e in r_edges for v in e})
-    degree_bound = ell - lam
-    offenders = [v for v in r_vertices if degree[v] > degree_bound]
-    checks.append({
+    }, {
         "name": "uncovered_degree_bound",
         "pass": not offenders,
         "detail": f"max tree-degree on R vertices "
                   f"{max((degree[v] for v in r_vertices), default=0)}, "
                   f"bound ell - lambda = {degree_bound}" if r_vertices
                   else "R is empty; bound is vacuous",
-    })
+    }]
     return {
-        "sigma": sigma,
+        "sigma": pair.weight,
         "I": sorted(pair.independent),
         "R": [list(e) for e in r_edges],
         "lambda": lam,

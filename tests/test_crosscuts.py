@@ -28,6 +28,40 @@ def relabeled(rng: random.Random, graph: Graph, extra: int = 0) -> Graph:
     return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in graph.edges])
 
 
+def mixed_forest(rng: random.Random) -> tuple[Graph, list[set[int]]]:
+    """A relabeled forest on 10-30 vertices with its components: random
+    trees, evenly split trees (even paths and balanced double stars) and
+    isolated vertices, so that a component's smallest vertex is often not
+    the root a peel gives it."""
+    pieces: list[list[tuple[int, int]]] = []  # each piece's edges on range(size)
+    sizes: list[int] = []
+    target = rng.randint(10, 30)
+    while sum(sizes) < target:
+        kind, size = rng.randrange(4), rng.randint(1, 8)
+        if kind == 0:  # a path on an even number of vertices
+            size += size % 2
+            edges = [(v, v + 1) for v in range(size - 1)]
+        elif kind == 1:  # two adjacent centres with k leaves each
+            k = rng.randint(0, 3)
+            size = 2 * k + 2
+            edges = [(0, 1)] + [(i % 2, i) for i in range(2, size)]
+        elif kind == 2:
+            edges = [(rng.randrange(v), v) for v in range(1, size)]
+        else:
+            size, edges = 1, []
+        pieces.append(edges)
+        sizes.append(size)
+    n = sum(sizes)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges, comps, offset = [], [], 0
+    for piece, size in zip(pieces, sizes):
+        edges += [(perm[offset + u], perm[offset + v]) for u, v in piece]
+        comps.append({perm[offset + v] for v in range(size)})
+        offset += size
+    return Graph.from_edges(n, edges), comps
+
+
 # ------------------------------------------------------------- expansion
 
 def test_expand_assigns_enlargement_vertices_in_sorted_edge_order():
@@ -250,6 +284,7 @@ def test_tree_scan_rejects_non_trees():
 
 
 def test_known_sigma_values():
+    assert tree_crosscut_number(Graph(1, frozenset())) == 0
     # single edge: one endpoint covers the only triple
     assert crosscut_number(Graph.from_edges(2, [(0, 1)])) == 1
     # stars: the center alone is a crosscut
@@ -278,6 +313,8 @@ def test_lambda_paths():
     p4 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     assert tree_lambda(p4) == 2
     assert tree_lambda(Graph.from_edges(2, [(0, 1)])) == 0
+    # one vertex is a tree, the only one without an edge
+    assert tree_lambda(Graph(1, frozenset())) == 0
 
 
 def test_lambda_matches_definition_oracle_on_all_small_trees():
@@ -302,6 +339,11 @@ def test_forest_lambda_additive_over_random_forests():
         per_component = sum(
             brute_lambda_tree(f, comp) for comp in f.components() if len(comp) > 1)
         assert forest_lambda(f) == per_component
+    # relabeled forests on 10-30 vertices, with components known by construction
+    for _ in range(200):
+        f, comps = mixed_forest(rng)
+        per_component = sum(brute_lambda_tree(f, comp) for comp in comps if len(comp) > 1)
+        assert forest_lambda(f) == per_component
 
 
 # ------------------------------------------------------------ completion
@@ -312,6 +354,11 @@ def test_completion_joins_components_and_preserves_sigma():
     assert tree.is_tree()
     assert forest.edges <= tree.edges
     assert crosscut_number(tree) == crosscut_number(forest)
+    # trees by smallest member, each joined from its least vertex outside I
+    # into the next one's least vertex of I, then the isolated 6 to min I = 1;
+    # recorded from the completion that walked the forest for its components
+    forest = Graph.from_edges(11, [(0, 7), (7, 3), (1, 5), (9, 2), (9, 4), (4, 8), (10, 2)])
+    assert complete_forest_to_tree(forest).edges - forest.edges == {(0, 1), (2, 5), (1, 6)}
 
 
 def test_completion_attaches_isolated_vertices():
@@ -326,6 +373,8 @@ def test_completion_leaves_trees_alone():
     assert complete_forest_to_tree(tree) is tree
     single = Graph(1, frozenset())
     assert complete_forest_to_tree(single) is single
+    empty = Graph(0, frozenset())
+    assert complete_forest_to_tree(empty) is empty
 
 
 def test_long_path_pair_completion_and_audit():
@@ -393,12 +442,15 @@ def test_completion_rejects_non_forests():
 
 def test_completion_sigma_preserved_random_sweep():
     rng = random.Random(31)
-    for _ in range(60):
-        f = random_forest(rng, rng.randint(2, 9))
+    forests = [random_forest(rng, rng.randint(2, 9)) for _ in range(60)]
+    # relabeled forests on 10-30 vertices with evenly split trees and isolated vertices
+    forests += [mixed_forest(rng)[0] for _ in range(200)]
+    for f in forests:
         if not f.edges:
             continue
         tree = complete_forest_to_tree(f)
         assert tree.is_tree()
+        assert f.edges <= tree.edges
         assert crosscut_number(tree) == crosscut_number(f)
 
 
@@ -453,3 +505,79 @@ def test_graph_routines_leave_the_graph_holding_only_its_edges(routine, n, edges
     graph = Graph.from_edges(n, edges)
     routine(graph)
     assert list(vars(graph)) == ["n", "edges"]
+
+
+# ------------------------------------------------------ one peel per graph
+
+TRIANGLE = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+TWO_EDGES = Graph.from_edges(4, [(0, 1), (2, 3)])
+TRIANGLE_AND_VERTEX = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])  # n - 1 edges and a cycle
+EMPTY, POINT = Graph(0, frozenset()), Graph(1, frozenset())
+NOT_FOREST, NOT_TREE = "input must be a forest", "input must be a tree"
+NOT_AUDITABLE = "audit requires a tree with at least one edge"
+
+
+@pytest.mark.parametrize("routine, graph, message", [
+    (forest_lambda, TRIANGLE, NOT_FOREST),
+    (tree_lambda, TRIANGLE, NOT_TREE),
+    (tree_crosscut_number, TRIANGLE, NOT_TREE),
+    (complete_forest_to_tree, TRIANGLE, NOT_FOREST),
+    (crosscut_audit, TRIANGLE, NOT_AUDITABLE),
+    (tree_lambda, TWO_EDGES, NOT_TREE),
+    (tree_crosscut_number, TWO_EDGES, NOT_TREE),
+    (crosscut_audit, TWO_EDGES, NOT_AUDITABLE),
+    (tree_lambda, TRIANGLE_AND_VERTEX, NOT_TREE),
+    (tree_crosscut_number, TRIANGLE_AND_VERTEX, NOT_TREE),
+    (crosscut_audit, TRIANGLE_AND_VERTEX, NOT_AUDITABLE),
+    (tree_lambda, EMPTY, NOT_TREE),
+    (tree_crosscut_number, EMPTY, NOT_TREE),
+    (crosscut_audit, EMPTY, NOT_AUDITABLE),
+    (crosscut_audit, POINT, NOT_AUDITABLE),
+    (complete_forest_to_tree, Graph(2, frozenset()),
+     "an edgeless forest on 2+ vertices cannot extend to a tree with the same crosscut number"),
+])
+def test_rejections_keep_their_type_and_message(routine, graph, message):
+    # the messages the walks gave before the peel answered the forest and
+    # tree tests
+    with pytest.raises(ValueError) as info:
+        routine(graph)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+# a tree whose optimal pair leaves the edge 01 uncovered, so the audit weighs a nonempty R
+BROOM_EDGES = [(0, 1), (0, 5), (1, 2), (2, 3), (2, 4), (5, 6), (5, 7)]
+
+
+@pytest.mark.parametrize("routine, n, edges, builds", [
+    (best_crosscut_pair, 4, C4_EDGES, 1),
+    (tree_crosscut_number, 8, BROOM_EDGES, 1),
+    (tree_lambda, 8, BROOM_EDGES, 1),
+    (forest_lambda, 7, FOREST_EDGES, 1),
+    (crosscut_audit, 8, BROOM_EDGES, 2),  # the tree, then its uncovered forest R
+    (complete_forest_to_tree, 7, FOREST_EDGES, 2),  # the forest, then the completed tree
+], ids=["best_crosscut_pair", "tree_crosscut_number", "tree_lambda", "forest_lambda",
+        "crosscut_audit", "complete_forest_to_tree"])
+def test_crosscut_routines_peel_each_graph_once(monkeypatch, routine, n, edges, builds):
+    # the peel builds the neighbour lists and answers the forest, tree,
+    # component and side questions, so no routine walks a graph again
+    from expansions import core, crosscuts
+    built = []
+    neighbours = core.Graph.neighbours
+
+    def counted(graph):
+        built.append(graph)
+        return neighbours(graph)
+
+    def walked(*args):
+        raise AssertionError("a crosscut routine walked a graph outside its peel")
+
+    monkeypatch.setattr(core.Graph, "neighbours", counted)
+    for name in ("is_tree", "is_forest", "components"):
+        monkeypatch.setattr(core.Graph, name, walked)
+    monkeypatch.setattr(core, "_walk", walked)
+    graph = Graph.from_edges(n, edges)
+    routine(graph)
+    assert len(built) == builds and built[0] is graph
+    assert not hasattr(crosscuts, "_walk")
+
