@@ -120,9 +120,9 @@ def _cmd_lambda(args):
 
 def _cmd_complete_tree(args):
     from . import crosscuts, io
-    tree = crosscuts.complete_forest_to_tree(io.load_graph(args.graph))
+    tree, sigma = crosscuts._complete_forest_to_tree(io.load_graph(args.graph))
     out = io.graph_to_json_dict(tree)
-    out["sigma"] = crosscuts.crosscut_number(tree)
+    out["sigma"] = sigma
     return out, False
 
 

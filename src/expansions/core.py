@@ -186,7 +186,13 @@ class TripleSystem(Record):
 
     @cached_property
     def pair_neighborhoods(self) -> dict[Edge, frozenset[int]]:
-        return {pair: frozenset(s) for pair, s in _pair_completions(self.edges).items()}
+        # for every pair inside a triple, the third vertices completing it to one
+        hoods: dict[Edge, set[int]] = {}
+        for a, b, c in self.edges:
+            hoods.setdefault((a, b), set()).add(c)
+            hoods.setdefault((a, c), set()).add(b)
+            hoods.setdefault((b, c), set()).add(a)
+        return {pair: frozenset(s) for pair, s in hoods.items()}
 
     @cached_property
     def twin_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -214,17 +220,6 @@ class TripleSystem(Record):
 
     def sorted_edges(self) -> list[Triple]:
         return sorted(self.edges)
-
-
-def _pair_completions(triples: Iterable[Triple]) -> dict[Edge, set[int]]:
-    """For every pair inside a triple, the third vertices completing it to
-    one; uncached, for a search that needs it only while it runs."""
-    hoods: dict[Edge, set[int]] = {}
-    for a, b, c in triples:
-        hoods.setdefault((a, b), set()).add(c)
-        hoods.setdefault((a, c), set()).add(b)
-        hoods.setdefault((b, c), set()).add(a)
-    return hoods
 
 
 class BudgetExhausted(Exception):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import compress
 
-from .core import Edge, Graph, Record, TripleSystem, canonical_edge
+from .core import Edge, Graph, Record, Triple, TripleSystem, canonical_edge
 
 
 class Expansion(Record):
@@ -47,65 +47,83 @@ def expand(graph: Graph) -> Expansion:
 def min_crosscut(system: TripleSystem) -> tuple[int, frozenset[int]] | None:
     """Smallest vertex set meeting every edge exactly once, or None.
 
-    Exact backtracking: branch on the first uncovered edge, over its
-    vertices in order; choosing a vertex covers its edges and forbids
-    every vertex sharing an edge with it, as a second chosen vertex in a
-    covered edge would break exactness.  So a vertex still allowed has no
-    covered edge, and a choice covers exactly its own edges.  A search
-    state is two int masks, covered edges (bit i for the i-th edge) and
-    forbidden vertices, with the chosen count and the chosen vertices as
-    a linked pair (v, rest).  One stack holds the states, children pushed
-    last vertex first: depth-first, with nothing to undo and no recursion
-    limit.  Of the crosscuts of minimum size, the first one the branching
-    meets is returned.  A branch is cut when its chosen vertices plus a
-    greedy set of pairwise disjoint uncovered edges, each needing its own
-    further vertex, reach the incumbent size: such a branch holds no
+    A crosscut meets each connected component of the system on its own,
+    so each is solved alone: the size is the sum, the witness the union,
+    and None if any component has none.  Per component, exact
+    backtracking: branch on the first uncovered edge, over its vertices in
+    order; choosing a vertex covers its edges and forbids every vertex
+    sharing an edge with it, as a second chosen vertex in a covered edge
+    would break exactness.  So a vertex still allowed has no covered edge,
+    and a choice covers exactly its own edges.  A search state is two int
+    masks, covered edges (bit i for the i-th edge) and forbidden vertices,
+    with the chosen count and the chosen vertices as a linked pair
+    (v, rest).  One stack holds the states, children pushed last vertex
+    first: depth-first, with nothing to undo and no recursion limit.  Of
+    the crosscuts of minimum size, the first one the branching meets is
+    returned; the branching meets a component's decisions in the same
+    order with or without the others, so that is the union of the
+    components' first ones.  A branch is cut when its chosen vertices plus
+    a greedy set of pairwise disjoint uncovered edges, each needing its
+    own further vertex, reach the incumbent size: such a branch holds no
     smaller crosscut, so the cut never changes the result.
     """
-    edges = system.sorted_edges()
-    at: dict[int, int] = {}  # the edges at each vertex
-    near: dict[int, int] = {}  # the vertices sharing an edge with each vertex, itself included
-    for i, e in enumerate(edges):
-        span = (1 << e[0]) | (1 << e[1]) | (1 << e[2])
+    n, edges = system.n, system.sorted_edges()
+    root = list(range(n))  # union-find over the vertices, for the components
+    for a, b, c in edges:
+        while root[a] != a:
+            a = root[a]
+        while root[b] != b:
+            b = root[b]
+        while root[c] != c:
+            c = root[c]
+        root[b] = root[c] = a
+    parts: dict[int, list[Triple]] = {}  # the edges of each component, by its root
+    at = [0] * n  # the edges at each vertex, by their index in its component
+    near = [0] * n  # the vertices sharing an edge with each vertex, itself included
+    for e in edges:
+        a = e[0]
+        while root[a] != a:
+            a = root[a]
+        part = parts.setdefault(a, [])
+        bit, span = 1 << len(part), (1 << e[0]) | (1 << e[1]) | (1 << e[2])
+        part.append(e)
         for v in e:
-            at[v] = at.get(v, 0) | 1 << i
-            near[v] = near.get(v, 0) | span
-    everything = (1 << len(edges)) - 1
-    best: tuple[int, tuple | None] | None = None
+            at[v] |= bit
+            near[v] |= span
 
-    def disjoint_uncovered(left: str, limit: int) -> int:
-        """Greedy count of pairwise disjoint edges flagged "1" in left, up to limit."""
-        seen: set[int] = set()
-        count = 0
-        for e in compress(edges, map("1".__eq__, left)):
-            if seen.isdisjoint(e):
-                seen.update(e)
-                count += 1
-                if count >= limit:
-                    break
-        return count
-
-    stack: list[tuple[int, int, int, tuple | None]] = [(0, 0, 0, None)]
-    while stack:
-        covered, forbidden, count, chosen = stack.pop()
-        if covered == everything:
-            # keep the first witness found at each size; later equal-size
-            # solutions must not displace it
-            if best is None or count < best[0]:
-                best = (count, chosen)
-            continue
-        left = bin(everything ^ covered)[:1:-1]  # character i is "1" when edge i is uncovered
-        if best is None or count + disjoint_uncovered(left, best[0] - count) < best[0]:
-            for v in reversed(edges[left.index("1")]):
+    size, witness = 0, []
+    for part in parts.values():
+        everything = (1 << len(part)) - 1
+        best, first = None, None  # the incumbent size and its chosen vertices
+        stack: list[tuple[int, int, int, tuple | None]] = [(0, 0, 0, None)]
+        while stack:
+            covered, forbidden, count, chosen = stack.pop()
+            if covered == everything:
+                # keep the first witness found at each size; later equal-size
+                # solutions must not displace it
+                if best is None or count < best:
+                    best, first = count, chosen
+                continue
+            left = bin(everything ^ covered)[:1:-1]  # character i is "1" when edge i is uncovered
+            if best is not None:  # greedy pairwise disjoint uncovered edges, up to the cut
+                limit, seen, disjoint = best - count, set(), 0
+                for e in compress(part, map("1".__eq__, left)):
+                    if seen.isdisjoint(e):
+                        seen.update(e)
+                        disjoint += 1
+                        if disjoint >= limit:
+                            break
+                if disjoint >= limit:
+                    continue
+            for v in reversed(part[left.index("1")]):
                 if not forbidden >> v & 1:
                     stack.append((covered | at[v], forbidden | near[v], count + 1, (v, chosen)))
-    if best is None:
-        return None
-    size, chosen = best
-    witness = []
-    while chosen is not None:
-        v, chosen = chosen
-        witness.append(v)
+        if best is None:
+            return None
+        size, chosen = size + best, first
+        while chosen is not None:
+            v, chosen = chosen
+            witness.append(v)
     return (size, frozenset(witness))
 
 
@@ -308,10 +326,15 @@ def complete_forest_to_tree(forest: Graph) -> Graph:
     more vertices but no edges has crosscut number 0, which no tree on
     those vertices can match, so that case is rejected.
     """
+    return _complete_forest_to_tree(forest)[0]
+
+
+def _complete_forest_to_tree(forest: Graph) -> tuple[Graph, int]:
+    """complete_forest_to_tree's tree, with the crosscut number it keeps."""
     peel = _peel(forest, ValueError("input must be a forest"))
     n, adj, root = forest.n, peel[0], peel[4]
     if n <= 1 or len(forest.edges) == n - 1:  # a forest with n - 1 edges is a tree
-        return forest
+        return forest, CrosscutPair.of(forest, _optimal_independent_set(peel)).weight
     if not forest.edges:
         raise ValueError(
             "an edgeless forest on 2+ vertices cannot extend to a tree "
@@ -339,7 +362,7 @@ def complete_forest_to_tree(forest: Graph) -> Graph:
     before, after = pair.weight, CrosscutPair.of(tree, _optimal_independent_set(peel)).weight
     if before != after:
         raise RuntimeError(f"completion changed the crosscut number: {before} -> {after}")
-    return tree
+    return tree, after
 
 
 def crosscut_audit(tree: Graph) -> dict:

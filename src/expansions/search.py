@@ -3,11 +3,12 @@
 Containment means a copy: an injective vertex map sending every triple
 of the pattern onto a triple of the host.  One kernel with one edge rule,
 _embeddings, finds copies for contains (contains_expansion is contains on
-the expansion).  The Turan routine maximizes the edge count of a host on
-n vertices avoiding such a copy, by lexicographic include/exclude
-branching over all triples with an optimistic-count prune, over int
-bitmasks of the copies it lists by an orbit walk.  Budgets turn the
-answer into a flagged lower bound, never a silently wrong exact value.
+the expansion), over int bit masks of host vertices.  The Turan routine
+maximizes the edge count of a host on n vertices avoiding such a copy,
+by lexicographic include/exclude branching over all triples with an
+optimistic-count prune, over int bitmasks of the copies it lists by an
+orbit walk.  Budgets turn the answer into a flagged lower bound, never a
+silently wrong exact value.
 
 The audit helpers compare the guaranteed construction (all triples
 meeting a small core exactly once) against exact counts where feasible.
@@ -24,7 +25,7 @@ from math import comb
 from operator import itemgetter
 
 from .core import (Budget, BudgetExhausted, Graph, Record, Triple, TripleSystem,
-                   _pair_completions, canonical_triple)
+                   canonical_triple)
 from .crosscuts import crosscut_number, expand
 
 EXACT_MAX_N = 6  # the largest n at which audit_forest_bound runs the exact search
@@ -57,26 +58,31 @@ class EmbeddingCertificate(Record):
 
 def _embeddings(edges, host: TripleSystem, twin_classes):
     """Yield every injective map of the vertices of the pattern triples
-    into range(host.n) sending each triple onto a host triple.
+    into range(host.n) sending each triple onto a host triple, as a fresh
+    dict.
 
     Pattern vertices are placed in descending degree order, each onto
     host vertices in increasing order, so maps come out in lexicographic
     order of their images in placement order; no edges give one map, the
-    empty one.  The edge rule: the vertex closing edges is drawn from the
-    host pair neighbourhoods of their other two images, intersected, and
-    once an edge has one vertex left to place, its neighbourhood must hold
-    an unused vertex or the branch dies.  Neither drops a copy.  A vertex
-    of pattern degree d only goes to host vertices of host degree >= d.
+    empty one.  Vertex sets are int masks: the used images, and per level
+    its untried candidates, walked low bit first.  link[x][y], for both
+    orders of every pair inside a host triple, has the bits of the third
+    vertices completing it.  The edge rule: a level's pool is its
+    candidates, less the used vertices, ANDed with the link masks of the
+    edges it closes; once an edge has one vertex left to place, its link
+    mask must hold an unused vertex or the branch dies.  Neither drops a
+    copy.  A vertex of pattern degree d only goes to host vertices of host
+    degree >= d.
 
-    With twin_classes, a host vertex is tried only when its next smaller
-    twin is used.  Each placed vertex passed that test and the last placed
-    is lifted first, so the used members of a class are its smallest: the
-    test is that every smaller twin is used.  Swapping a vertex with an
-    unused smaller twin is an automorphism fixing every used vertex, so
-    its subtree mirrors one already searched: a caller stopping at the
-    first map it accepts, by tests invariant under host automorphisms,
-    gets the same first map with or without pruning.  The yielded dict is
-    live.
+    With twin_classes, a host vertex h is tried only when need[h], the bit
+    of its next smaller twin (0 for none), is used.  Each placed vertex
+    passed that test and the last placed is lifted first, so the used
+    members of a class are its smallest: the test is that every smaller
+    twin is used.  Swapping a vertex with an unused smaller twin is an
+    automorphism fixing every used vertex, so its subtree mirrors one
+    already searched: a caller stopping at the first map it accepts, by
+    tests invariant under host automorphisms, gets the same first map with
+    or without pruning.
     """
     degree: dict[int, int] = {}
     for e in edges:
@@ -87,73 +93,62 @@ def _embeddings(edges, host: TripleSystem, twin_classes):
         yield {}
         return
     position = {v: i for i, v in enumerate(support)}
-    closing: list[list] = [[] for _ in support]  # placed vertices of the edges each level closes
-    short: list[list] = [[] for _ in support]  # ... of the edges left one vertex short there
+    closing: list[list] = [[] for _ in support]  # the placed levels of each edge a level closes
+    short: list[list] = [[] for _ in support]  # the other placed level of each edge left one short
     for e in edges:
-        *placed, v = sorted(e, key=position.__getitem__)
-        closing[position[v]].append(placed)
-        short[position[placed[-1]]].append(placed)
+        a, b, c = sorted(map(position.__getitem__, e))
+        closing[c].append((a, b))
+        short[b].append(a)
     host_degree = [0] * host.n
-    for e in host.edges:
-        for h in e:
-            host_degree[h] += 1
-    completions = _pair_completions(host.edges)
-    candidates = [[h for h in range(host.n) if host_degree[h] >= degree[v]] for v in support]
-    smaller = [-1] * host.n  # the next smaller twin; -1, always used, for none
+    link: dict[int, dict[int, int]] = {}
+    for a, b, c in host.edges:
+        A, B, C = 1 << a, 1 << b, 1 << c
+        la, lb, lc = link.setdefault(a, {}), link.setdefault(b, {}), link.setdefault(c, {})
+        la[b], la[c] = la.get(b, 0) | C, la.get(c, 0) | B
+        lb[a], lb[c] = lb.get(a, 0) | C, lb.get(c, 0) | A
+        lc[a], lc[b] = lc.get(a, 0) | B, lc.get(b, 0) | A
+        host_degree[a] += 1
+        host_degree[b] += 1
+        host_degree[c] += 1
+    fits = {d: sum(1 << h for h, at in enumerate(host_degree) if at >= d)
+            for d in set(degree.values())}
+    candidates = [fits[degree[v]] for v in support]
+    need = [0] * host.n
     for cls in twin_classes:
         for g, h in zip(cls, cls[1:]):
-            smaller[h] = g
-
-    mapping: dict[int, int] = {}
-    used = {-1}
-    nothing: frozenset[int] = frozenset()
-
-    def completing(placed):
-        a, b = mapping[placed[0]], mapping[placed[1]]
-        return completions.get((a, b) if a < b else (b, a), nothing)
+            need[h] = 1 << g
 
     last = len(support) - 1
-    rest = [iter(candidates[0])] + [None] * last  # untried candidates per level
-    i = 0
+    image, pools = [0] * len(support), [0] * len(support)
+    pools[0], used, i = candidates[0], 0, 0
     while i >= 0:
-        v, ahead = support[i], short[i]
-        if v in mapping:  # back from the level below: lift this level's choice
-            used.discard(mapping.pop(v))
-        for h in rest[i]:
-            if h in used or smaller[h] not in used:
+        pool, ahead = pools[i], short[i]
+        while pool:
+            bit = pool & -pool
+            pool ^= bit
+            h = bit.bit_length() - 1
+            if need[h] & ~used:
                 continue
-            mapping[v] = h
-            used.add(h)
-            for p in ahead:
-                if completing(p) <= used:  # no unused vertex can close the edge
+            row = link[h]
+            for j in ahead:
+                if not row.get(image[j], 0) & ~(used | bit):  # no unused vertex can close the edge
                     break
             else:
+                image[i] = h
                 if i < last:
                     break
-                yield mapping
-            del mapping[v]
-            used.discard(h)
-        if v in mapping:
-            i += 1
-            level = candidates[i]
-            if closing[i]:
-                pools = [completing(p) for p in closing[i]]
-                level = sorted(pools[0].intersection(*pools[1:], level))
-            rest[i] = iter(level)
-        else:
+                yield dict(zip(support, image))
+        else:  # the level is used up: lift the choice below it
             i -= 1
-
-
-def _fill(mapping: dict[int, int], n: int, host_n: int) -> dict[int, int]:
-    """Send the pattern vertices 0..n-1 still unmapped to the smallest
-    unused host vertices, in order."""
-    full = dict(mapping)
-    taken = set(full.values())
-    spare = (h for h in range(host_n) if h not in taken)
-    for v in range(n):
-        if v not in full:
-            full[v] = next(spare)
-    return full
+            used ^= 1 << image[i]  # at i = -1 the search ends, whatever used holds
+            continue
+        pools[i] = pool
+        used |= bit
+        i += 1
+        pool = candidates[i] & ~used
+        for a, b in closing[i]:
+            pool &= link[image[a]].get(image[b], 0)
+        pools[i] = pool
 
 
 def _contains(host: TripleSystem, pattern: TripleSystem,
@@ -165,7 +160,12 @@ def _contains(host: TripleSystem, pattern: TripleSystem,
     found = next(_embeddings(pattern.sorted_edges(), host, host.twin_classes), None)
     if found is None:
         return None
-    cert = EmbeddingCertificate(_fill(found, pattern.n, host.n), kind)
+    taken = set(found.values())  # the vertices outside pattern edges go to the smallest unused
+    spare = (h for h in range(host.n) if h not in taken)
+    for v in range(pattern.n):
+        if v not in found:
+            found[v] = next(spare)
+    cert = EmbeddingCertificate(found, kind)
     if not cert.check(host, pattern):
         raise RuntimeError("search produced a map that is not a copy of the pattern")
     return cert
@@ -236,10 +236,11 @@ def _holds(pattern: TripleSystem, n: int, budget: Budget) -> list[int]:
     pattern.n <= n) in the complete triple system on n vertices holding the
     i-th triple of combinations(range(n), 3).  It raises BudgetExhausted
     past the deadline, which Budget.tick reads after the shape images, the
-    copies lifted and the lanes set pass each multiple of its cadence.  A
-    listing estimated above LISTING_MAX_BYTES is refused before any table
-    is built, and the walk refuses as soon as its own shapes would pass
-    that size: BudgetExhausted under a budget, else a ValueError.
+    copies lifted, the lanes set and the row bytes turned into ints pass
+    each multiple of its cadence.  A listing estimated above
+    LISTING_MAX_BYTES is refused before any table is built, and the walk
+    refuses as soon as its own shapes would pass that size:
+    BudgetExhausted under a budget, else a ValueError.
 
     A copy spans one k-subset of range(n), k the number of vertices in
     pattern edges, as one shape: a copy on range(k), moved by the
@@ -305,8 +306,11 @@ def _holds(pattern: TripleSystem, n: int, budget: Budget) -> list[int]:
                 rows[i][byte] |= bit
         lanes += len(chunk)
         budget.tick(lanes, len(chunk))
+    done = 0
     for i, row in enumerate(rows):  # in place: each row is freed once its int is built
         rows[i] = int.from_bytes(row, "little")
+        done += len(row)
+        budget.tick(done, len(row))
     return rows
 
 

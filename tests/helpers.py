@@ -212,6 +212,29 @@ def brute_contains(host: TripleSystem, pattern: TripleSystem) -> bool:
     return False
 
 
+def brute_embeddings(edges, host: TripleSystem, twins: bool = False):
+    """Every injective map of the vertices of the pattern triples sending
+    each triple onto a host triple, as (vertex, image) lists in the
+    kernel's placement order (descending pattern degree, then vertex), by
+    a scan of permutations(range(host.n), k) in lexicographic order.  With
+    twins, a map is kept only when each image's next smaller twin (from
+    brute_twin_pairs) is an earlier image."""
+    degree: dict[int, int] = {}
+    for e in edges:
+        for v in e:
+            degree[v] = degree.get(v, 0) + 1
+    support = sorted(degree, key=lambda v: (-degree[v], v))
+    smaller = {}
+    if twins:
+        for g, h in sorted(brute_twin_pairs(host.n, host.edges)):
+            smaller[h] = g  # the largest smaller twin comes last
+    for image in permutations(range(host.n), len(support)):
+        at = dict(zip(support, image))
+        if all(tuple(sorted(at[v] for v in e)) in host.edges for e in edges) and \
+                all(smaller.get(h, -1) in (-1, *image[:i]) for i, h in enumerate(image)):
+            yield list(zip(support, image))
+
+
 def brute_graph_contains(host: Graph, pattern: Graph) -> bool:
     """Injective map over all vertex arrangements; no pruning."""
     if pattern.n > host.n:

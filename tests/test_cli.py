@@ -193,6 +193,28 @@ def test_complete_tree(capsys, tmp_path):
     assert out["sigma"] == 2
 
 
+@pytest.mark.parametrize("edges, dps", [
+    ([(0, 1), (2, 3)], 2),  # the forest's pair, then the completed tree's self-check
+    ([(0, 1), (1, 2), (1, 3), (3, 4)], 1),  # already a tree: its one pair
+], ids=["forest", "tree"])
+def test_complete_tree_prints_the_crosscut_number_it_kept(capsys, tmp_path, monkeypatch,
+                                                          edges, dps):
+    # the printed sigma is the weight the completion computed, not a third DP
+    from expansions import crosscuts
+    runs = []
+    dp = crosscuts._optimal_independent_set
+
+    def counted(peel):
+        runs.append(peel)
+        return dp(peel)
+
+    monkeypatch.setattr(crosscuts, "_optimal_independent_set", counted)
+    forest = tmp_path / "forest.txt"
+    forest.write_text(graph_to_text(Graph.from_edges(5, edges)))
+    code, out = run_json(capsys, ["complete-tree", "--graph", str(forest)])
+    assert (code, out["sigma"], len(runs)) == (0, 2, dps)
+
+
 def test_full_subgraph_command(capsys, tmp_path):
     h = TripleSystem.from_edges(6, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 5)])
     tri = tmp_path / "h.txt"

@@ -172,6 +172,31 @@ def test_min_crosscut_beyond_the_recursion_limit():
     assert min_crosscut(h) == (k, frozenset(3 * i for i in range(k)))
 
 
+def test_min_crosscut_solves_each_component_alone():
+    from expansions import TripleSystem
+    from helpers import random_system
+    # 3,000 disjoint triples, 3,000 components: solved alone, each is one
+    # state and one choice (0.02 s), where the search over the whole system
+    # rebuilt its disjoint-edge bound at every state (about 5 s)
+    k = 3000
+    h = TripleSystem.from_edges(3 * k, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)])
+    assert min_crosscut(h) == (k, frozenset(3 * i for i in range(k)))
+    # the size adds and the witness is the union of the components' first
+    # ones; one component with no crosscut leaves the system without one
+    rng = random.Random(17)
+    for _ in range(40):
+        a = random_system(rng, rng.randint(3, 7), rng.randint(1, 6))
+        b = random_system(rng, rng.randint(3, 7), rng.randint(1, 6))
+        both = TripleSystem(a.n + b.n, a.edges | {tuple(a.n + v for v in e) for e in b.edges})
+        parts = [brute_min_crosscut(a), brute_min_crosscut(b)]
+        got = min_crosscut(both)
+        if None in parts:
+            assert got is None
+        else:
+            assert got[0] == parts[0][0] + parts[1][0]
+            assert got[1] == min_crosscut(a)[1] | {a.n + v for v in min_crosscut(b)[1]}
+
+
 def test_pair_weight_formula_matches_hypergraph_search_on_random_graphs():
     rng = random.Random(5)
     for _ in range(40):

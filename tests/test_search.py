@@ -10,10 +10,10 @@ from expansions import (Graph, TripleSystem, audit_forest_bound, audit_sigma_jum
                         lower_bound_construction, trees, triple_trees, turan_number)
 
 from expansions import search
-from expansions.core import Budget
+from expansions.core import Budget, BudgetExhausted
 from expansions.search import _embeddings, _holds
-from helpers import (brute_contains, brute_graph_contains, brute_turan, counter_copies,
-                     counter_turan, random_graph, random_system)
+from helpers import (brute_contains, brute_embeddings, brute_graph_contains, brute_turan,
+                     counter_copies, counter_turan, random_graph, random_system)
 
 
 PATH2 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -201,8 +201,7 @@ def test_expansion_witness_keeps_the_matched_base_images(host, base, matched):
 
 
 def _first_maps(edges, host, twin_classes):
-    found = [next(_embeddings(edges, host, classes), None) for classes in ((), twin_classes)]
-    return [None if m is None else dict(m) for m in found]
+    return [next(_embeddings(edges, host, classes), None) for classes in ((), twin_classes)]
 
 
 def test_prefix_twin_rule_keeps_the_first_map():
@@ -219,10 +218,34 @@ def test_prefix_twin_rule_keeps_the_first_map():
         assert plain == pruned
 
 
-def test_core_constructions_separate_every_tree_on_seven_vertices():
+def test_kernel_matches_the_permutation_oracle_in_order():
+    # the first map and the whole listing, in order, with and without twin
+    # pruning, against a scan of every arrangement in lexicographic order
+    rng = random.Random(127)
+    listed = pruned = 0
+    for _ in range(120):
+        host = twin_rich_system(rng) if rng.random() < 0.5 else \
+            random_system(rng, rng.randint(4, 9), rng.randint(0, 24))
+        pattern = expand(random_graph(rng, rng.randint(2, 4), 0.6)).system \
+            if rng.random() < 0.5 else random_system(rng, rng.randint(3, 5), rng.randint(0, 3))
+        if pattern.n > 5 and host.n > 8:  # keep the scan under 10^5 arrangements
+            continue
+        edges = pattern.sorted_edges()
+        plain = list(brute_embeddings(edges, host))
+        for classes, want in (((), plain), (host.twin_classes,
+                                            list(brute_embeddings(edges, host, twins=True)))):
+            got = [list(found.items()) for found in _embeddings(edges, host, classes)]
+            assert got == want
+            assert got[:1] == plain[:1]  # pruning keeps the first map
+        listed += len(plain)
+        pruned += len(plain) > len(want)
+    assert listed > 10_000 and pruned > 30
+
+
+def separate_trees_on_seven_vertices(n: int):
     # the crosscut argument: T+ is absent from the core-(sigma-1)
     # construction and present in the core-sigma one
-    n, checked = 13, 0
+    checked = 0
     for tree in trees(7):
         sigma = crosscut_number(tree)
         if sigma < 2:
@@ -233,6 +256,15 @@ def test_core_constructions_separate_every_tree_on_seven_vertices():
         assert cert is not None and cert.check(host, expand(tree).system)
         checked += 1
     assert checked == 10
+
+
+def test_core_constructions_separate_every_tree_on_seven_vertices():
+    separate_trees_on_seven_vertices(13)
+
+
+def test_core_constructions_separate_trees_with_masks_wider_than_64_bits():
+    # at n = 70 every candidate and link mask spans more than 64 vertices
+    separate_trees_on_seven_vertices(70)
 
 
 # ------------------------------------------------------------ construction
@@ -471,22 +503,32 @@ def test_turan_equals_counter_reference_on_benchmark_instances(n, pattern, cap):
     assert kernel_result(n, pattern, cap) == counter_turan(n, pattern, budget_nodes=cap)
 
 
+def row_bytes(pattern: TripleSystem, n: int) -> list[int]:
+    """The byte length of each of _holds's rows, row i one lane per copy
+    whose last triple is triple i or a later one."""
+    rank = {t: i for i, t in enumerate(combinations(range(n), 3))}
+    ends = [max(map(rank.__getitem__, copy)) for copy in counter_copies(pattern, n)]
+    return [(sum(end >= i for end in ends) + 7) // 8 for i in range(len(rank))]
+
+
 @pytest.mark.parametrize("n, pattern, cap", BENCHMARK_TURAN)
 def test_turan_equals_counter_reference_past_a_spent_deadline(n, pattern, cap):
     # a spent deadline stops the first checkpoint it meets: shape image
-    # 1,024, copy 1,024 lifted or lane 1,024 set in the copy listing, with
-    # the empty lower bound, or else node 1,024 of a longer search, in the
-    # middle of its tree (the book rows, with three-triple copies, as well
-    # as P2+ and M2+); the orbit walk images each of the shapes (the copies
-    # on k vertices) k - 1 times, each k-subset lifts every shape, and
-    # only P3+ at n = 7 stops in the listing: k = n = 7, and 630 shapes
-    # give 3,780 images
+    # 1,024, copy 1,024 lifted, lane 1,024 set or row byte 1,024 turned
+    # into an int in the copy listing, with the empty lower bound, or else
+    # node 1,024 of a longer search, in the middle of its tree (the book
+    # at n = 6, with three-triple copies, as well as P2+ and M2+); the
+    # orbit walk images each of the shapes (the copies on k vertices)
+    # k - 1 times, each k-subset lifts every shape, and only P3+ at n = 7
+    # (k = n = 7: 630 shapes give 3,780 images) and the book at n = 8 (560
+    # copies, whose 56 rows hold 2,591 bytes) stop in the listing
     result = turan_number(n, pattern, budget_ms=0, budget_nodes=cap)
     got = (result.value, result.exact, result.nodes, result.witness)
     k = len({v for e in pattern.edges for v in e})
     shapes = len(counter_copies(pattern, k))
-    listing = pattern.n <= n and ((k - 1) * shapes >= 1024 or comb(n, k) * shapes >= 1024)
-    assert listing == (n == 7 and pattern == expand(PATH3).system)
+    listing = pattern.n <= n and ((k - 1) * shapes >= 1024 or comb(n, k) * shapes >= 1024
+                                  or sum(row_bytes(pattern, n)) >= 1024)
+    assert listing == ((n, pattern) in ((7, expand(PATH3).system), (8, BOOK)))
     if listing:
         assert got == (0, False, 0, ())
     else:
@@ -571,23 +613,45 @@ def test_turan_orbit_walk_refuses_once_its_shapes_pass_the_cap(monkeypatch):
 CHAIN4 = TripleSystem.from_edges(7, [(0, 1, 2), (2, 3, 4), (1, 4, 5), (5, 6, 0)])
 
 
-@pytest.mark.parametrize("n, pattern, reads", [
+@pytest.mark.parametrize("n, pattern, reads, row_reads", [
     # 630 shapes, 3,780 images, 36 subsets and 22,680 copies: 3 reads in
     # the walk, then 22 in the lift and 22 in the lanes, where one read per
-    # 1,024 subsets would make none
-    (9, expand(PATH3).system, 3 + 22 + 22),
+    # 1,024 subsets would make none; then 79 as the 84 rows, 186,988 bytes
+    # (74 rows of 1,024 or more, each read after), are turned into ints
+    (9, expand(PATH3).system, 3 + 22 + 22, 79),
     # 1,260 shapes, so a read after each of the 8 subsets, 7,560 images
-    # and 10,080 copies
-    (8, CHAIN4, 7 + 8 + 9),
+    # and 10,080 copies, then 50 over 56 rows of 59,752 bytes (41 of 1,024
+    # or more)
+    (8, CHAIN4, 7 + 8 + 9, 50),
 ], ids=["P3+ n9", "CHAIN4 n8"])
-def test_turan_listing_reads_its_deadline_every_1024_copies(monkeypatch, n, pattern, reads):
+def test_turan_listing_reads_its_deadline_every_1024_copies(monkeypatch, n, pattern, reads,
+                                                            row_reads):
     # a subset lifts every shape: P4+ has 45,360, and reading once per
     # 1,024 subsets let a 1 s deadline run 12 s at n = 12
     counted = []
     monkeypatch.setattr(Budget, "expired", lambda budget: counted.append(budget) or False)
     result = turan_number(n, pattern, budget_ms=10 ** 9, budget_nodes=0)
     assert (result.value, result.exact, result.nodes) == (0, False, 1)  # the cap stops node 1
-    assert len(counted) == reads
+    assert len(counted) == reads + row_reads
+    done = 0  # a row read comes each time the bytes turned pass a multiple of 1,024
+    assert sum((done := done + size) % 1024 < size for size in row_bytes(pattern, n)) == row_reads
+
+
+def test_turan_listing_reads_its_deadline_while_turning_rows_into_ints(monkeypatch):
+    # P3+ at n = 9 reads the deadline 47 times while it walks, lifts and
+    # sets its lanes; a deadline found passed at the next read, the first
+    # of the loop turning the rows into ints, stops the listing in that
+    # loop, after its first row
+    counted = []
+    monkeypatch.setattr(Budget, "expired", lambda budget: counted.append(budget) or len(counted) > 47)
+    with pytest.raises(BudgetExhausted) as info:
+        _holds(expand(PATH3).system, 9, Budget(budget_ms=10 ** 9))
+    rows = next(entry for entry in info.traceback if entry.name == "_holds").locals["rows"]
+    assert len(counted) == 48
+    assert isinstance(rows[0], int) and all(isinstance(row, bytearray) for row in rows[1:])
+    counted.clear()
+    result = turan_number(9, expand(PATH3).system, budget_ms=10 ** 9)
+    assert (result.value, result.exact, result.nodes, result.witness) == (0, False, 0, ())
 
 
 def test_turan_as_dict_round_trips_fields():
