@@ -2,11 +2,11 @@
 
 Vertices are always 0..n-1 with n stored explicitly, so isolated vertices
 are representable.  Graph edges are canonical pairs (u, v) with u < v and
-triples are canonical sorted 3-tuples.  Both containers are immutable;
-a triple system caches its codegree tables on first use, a graph nothing.
-The node and time budget shared by the exhaustive searches lives here too,
-with the lexicographic search for pairwise compatible candidates and
-Record, the import-free base of every value class.
+triples are canonical sorted 3-tuples.  Both containers are immutable; a
+graph caches nothing, a triple system only its codegree tables and pair
+neighbourhoods.  Here too: the node and time budget of the exhaustive
+searches, the lexicographic search for pairwise compatible candidates,
+and Record, the import-free base of every value class.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def _walk(nbrs: list[list[int]]) -> tuple[list[frozenset[int]], tuple[int, ...],
 
 
 class TripleSystem(Record):
-    """3-uniform set system; edges are canonical sorted triples."""
+    """3-uniform set system of sorted triples; caches only pair_counts and pair_neighborhoods."""
 
     n: int
     edges: frozenset[Triple]
@@ -193,30 +193,6 @@ class TripleSystem(Record):
             hoods.setdefault((a, c), set()).add(b)
             hoods.setdefault((b, c), set()).add(a)
         return {pair: frozenset(s) for pair, s in hoods.items()}
-
-    @cached_property
-    def twin_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Vertices h, g whose swap is an automorphism: the link pairs of h
-        that avoid g equal the link pairs of g that avoid h.  Twins are an
-        equivalence relation (a transposition conjugated by another is
-        one), so each vertex is compared only with one member per class of
-        its link size, which twins share."""
-        links: list[set[Edge]] = [set() for _ in range(self.n)]
-        for a, b, c in self.edges:
-            links[a].add((b, c))
-            links[b].add((a, c))
-            links[c].add((a, b))
-        classes: list[list[int]] = []
-        for v, link in enumerate(links):
-            for cls in classes:
-                h = cls[0]
-                if len(links[h]) == len(link) and \
-                        {p for p in links[h] if v not in p} == {p for p in link if h not in p}:
-                    cls.append(v)
-                    break
-            else:
-                classes.append([v])
-        return tuple(tuple(cls) for cls in classes)
 
     def sorted_edges(self) -> list[Triple]:
         return sorted(self.edges)

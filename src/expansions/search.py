@@ -56,7 +56,47 @@ class EmbeddingCertificate(Record):
         )
 
 
-def _embeddings(edges, host: TripleSystem, twin_classes):
+def _host_masks(host: TripleSystem, twins: bool = True):
+    """The host's incidences from one pass over its triples, as (link,
+    degree, need): link[x][y], for both orders of every pair inside a
+    triple, has the bits of the third vertices completing it, degree[x]
+    counts the triples at x, and need[v] is the bit of v's next smaller
+    twin (0 for none, or without twins).  Twins, whose swap is an
+    automorphism, have equal link rows, or share a triple and have rows
+    equal once each drops the other.  Twins are an equivalence relation
+    of equal degrees, so v is compared only with the smallest member of
+    each class of its degree found so far."""
+    link: dict[int, dict[int, int]] = {}
+    degree = [0] * host.n
+    for a, b, c in host.edges:
+        A, B, C = 1 << a, 1 << b, 1 << c
+        la, lb, lc = link.setdefault(a, {}), link.setdefault(b, {}), link.setdefault(c, {})
+        la[b], la[c] = la.get(b, 0) | C, la.get(c, 0) | B
+        lb[a], lb[c] = lb.get(a, 0) | C, lb.get(c, 0) | A
+        lc[a], lc[b] = lc.get(a, 0) | B, lc.get(b, 0) | A
+        degree[a] += 1
+        degree[b] += 1
+        degree[c] += 1
+    need = [0] * host.n
+    if twins:
+        classes: dict[int, list[list[int]]] = {}  # by degree, the classes found so far
+        for v, d in enumerate(degree):
+            rv = link.get(v, {})
+            for cls in classes.setdefault(d, []):
+                h = cls[0]
+                rh = link.get(h, {})
+                if rh != rv and (v not in rh or len(rh) != len(rv) or any(
+                        rv.get(y, 0) & ~(1 << h) != m & ~(1 << v) for y, m in rh.items() if y != v)):
+                    continue
+                need[v] = 1 << cls[-1]
+                cls.append(v)
+                break
+            else:
+                classes[d].append([v])
+    return link, degree, need
+
+
+def _embeddings(edges, host: TripleSystem, twins: bool = True):
     """Yield every injective map of the vertices of the pattern triples
     into range(host.n) sending each triple onto a host triple, as a fresh
     dict.
@@ -65,24 +105,22 @@ def _embeddings(edges, host: TripleSystem, twin_classes):
     host vertices in increasing order, so maps come out in lexicographic
     order of their images in placement order; no edges give one map, the
     empty one.  Vertex sets are int masks: the used images, and per level
-    its untried candidates, walked low bit first.  link[x][y], for both
-    orders of every pair inside a host triple, has the bits of the third
-    vertices completing it.  The edge rule: a level's pool is its
-    candidates, less the used vertices, ANDed with the link masks of the
-    edges it closes; once an edge has one vertex left to place, its link
-    mask must hold an unused vertex or the branch dies.  Neither drops a
-    copy.  A vertex of pattern degree d only goes to host vertices of host
-    degree >= d.
+    its untried candidates, walked low bit first.  The host's link masks
+    and degrees come from _host_masks, once per call.  The edge rule: a
+    level's pool is its candidates, less the used vertices, ANDed with the
+    link masks of the edges it closes; once an edge has one vertex left to
+    place, its link mask must hold an unused vertex or the branch dies.
+    Neither drops a copy.  A vertex of pattern degree d only goes to host
+    vertices of host degree >= d.
 
-    With twin_classes, a host vertex h is tried only when need[h], the bit
-    of its next smaller twin (0 for none), is used.  Each placed vertex
-    passed that test and the last placed is lifted first, so the used
-    members of a class are its smallest: the test is that every smaller
-    twin is used.  Swapping a vertex with an unused smaller twin is an
-    automorphism fixing every used vertex, so its subtree mirrors one
-    already searched: a caller stopping at the first map it accepts, by
-    tests invariant under host automorphisms, gets the same first map with
-    or without pruning.
+    With twins, a host vertex h is tried only when need[h], the bit of its
+    next smaller twin (0 for none), is used.  Each placed vertex passed
+    that test and the last placed is lifted first, so the used members of
+    a class are its smallest: the test is that every smaller twin is used.
+    Swapping a vertex with an unused smaller twin is an automorphism
+    fixing every used vertex, so its subtree mirrors one already searched:
+    a caller stopping at the first map it accepts, by tests invariant
+    under host automorphisms, gets the same first map either way.
     """
     degree: dict[int, int] = {}
     for e in edges:
@@ -99,24 +137,10 @@ def _embeddings(edges, host: TripleSystem, twin_classes):
         a, b, c = sorted(map(position.__getitem__, e))
         closing[c].append((a, b))
         short[b].append(a)
-    host_degree = [0] * host.n
-    link: dict[int, dict[int, int]] = {}
-    for a, b, c in host.edges:
-        A, B, C = 1 << a, 1 << b, 1 << c
-        la, lb, lc = link.setdefault(a, {}), link.setdefault(b, {}), link.setdefault(c, {})
-        la[b], la[c] = la.get(b, 0) | C, la.get(c, 0) | B
-        lb[a], lb[c] = lb.get(a, 0) | C, lb.get(c, 0) | A
-        lc[a], lc[b] = lc.get(a, 0) | B, lc.get(b, 0) | A
-        host_degree[a] += 1
-        host_degree[b] += 1
-        host_degree[c] += 1
+    link, host_degree, need = _host_masks(host, twins)
     fits = {d: sum(1 << h for h, at in enumerate(host_degree) if at >= d)
             for d in set(degree.values())}
     candidates = [fits[degree[v]] for v in support]
-    need = [0] * host.n
-    for cls in twin_classes:
-        for g, h in zip(cls, cls[1:]):
-            need[h] = 1 << g
 
     last = len(support) - 1
     image, pools = [0] * len(support), [0] * len(support)
@@ -157,7 +181,7 @@ def _contains(host: TripleSystem, pattern: TripleSystem,
     given kind: the search behind contains and contains_expansion."""
     if pattern.n > host.n:
         return None
-    found = next(_embeddings(pattern.sorted_edges(), host, host.twin_classes), None)
+    found = next(_embeddings(pattern.sorted_edges(), host), None)
     if found is None:
         return None
     taken = set(found.values())  # the vertices outside pattern edges go to the smallest unused
@@ -176,11 +200,11 @@ def contains(host: TripleSystem, pattern: TripleSystem) -> EmbeddingCertificate 
 
     The edge rule of _embeddings: a triple's last vertex is drawn from the
     host pair neighbourhood of its other two images, which must hold an
-    unused vertex once those are placed; a host twin is tried only once
-    its next smaller twin is used.  The copy returned is the first in
-    placement order (descending pattern degree), as a plain scan's would
-    be.  Pattern vertices outside any edge get the smallest unused host
-    vertices, at the end.
+    unused vertex once those are placed; a host twin, found on each call
+    from the host's link masks, is tried only once its next smaller twin is
+    used.  The copy returned is the first in placement order (descending
+    pattern degree), as a plain scan's would be.  Pattern vertices outside
+    any edge get the smallest unused host vertices, at the end.
     """
     return _contains(host, pattern, "generic")
 

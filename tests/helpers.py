@@ -218,16 +218,13 @@ def brute_embeddings(edges, host: TripleSystem, twins: bool = False):
     kernel's placement order (descending pattern degree, then vertex), by
     a scan of permutations(range(host.n), k) in lexicographic order.  With
     twins, a map is kept only when each image's next smaller twin (from
-    brute_twin_pairs) is an earlier image."""
+    brute_smaller_twins) is an earlier image."""
     degree: dict[int, int] = {}
     for e in edges:
         for v in e:
             degree[v] = degree.get(v, 0) + 1
     support = sorted(degree, key=lambda v: (-degree[v], v))
-    smaller = {}
-    if twins:
-        for g, h in sorted(brute_twin_pairs(host.n, host.edges)):
-            smaller[h] = g  # the largest smaller twin comes last
+    smaller = brute_smaller_twins(host.n, host.edges) if twins else {}
     for image in permutations(range(host.n), len(support)):
         at = dict(zip(support, image))
         if all(tuple(sorted(at[v] for v in e)) in host.edges for e in edges) and \
@@ -254,6 +251,14 @@ def brute_twin_pairs(n: int, edges) -> set:
         if {tuple(sorted(swap.get(v, v) for v in e)) for e in edges} == edges:
             pairs.add((h, g))
     return pairs
+
+
+def brute_smaller_twins(n: int, edges) -> dict:
+    """Each vertex's largest smaller twin, for the vertices that have one."""
+    smaller = {}
+    for g, h in sorted(brute_twin_pairs(n, edges)):
+        smaller[h] = g  # the largest smaller twin comes last
+    return smaller
 
 
 def brute_turan(n: int, pattern: TripleSystem):

@@ -10,8 +10,9 @@ from expansions import (AugmentedFamily, CrosscutPair, EmbeddingCertificate, Exp
                         StructuredSearch, Sunflower, TripleSystem, TuranResult, canonical_edge,
                         canonical_triple, codegree, neighborhood, shadow)
 from expansions.core import Budget, BudgetExhausted
+from expansions.search import _host_masks
 
-from helpers import (brute_two_coloring, brute_twin_pairs, random_forest, random_graph,
+from helpers import (brute_smaller_twins, brute_two_coloring, random_forest, random_graph,
                      random_system)
 
 
@@ -128,10 +129,6 @@ def test_shadow_pairs_exactly_covered_pairs(n, data):
     assert shadow(h).edges == frozenset(expected)
 
 
-def _class_pairs(classes):
-    return {pair for cls in classes for pair in combinations(cls, 2)}
-
-
 def test_twin_classes_match_transposition_oracle():
     rng = random.Random(83)
     for _ in range(150):
@@ -139,14 +136,18 @@ def test_twin_classes_match_transposition_oracle():
         for _ in combinations(range(n), 2):  # draws that keep the seed's triple systems
             rng.random(), rng.choice((0.2, 0.5, 0.9))
         system = random_system(rng, max(n, 3), rng.randint(0, 20))
-        assert _class_pairs(system.twin_classes) == brute_twin_pairs(system.n, system.edges)
+        smaller = brute_smaller_twins(system.n, system.edges)  # each need bit is the largest
+        assert _host_masks(system)[2] == [1 << smaller[v] if v in smaller else 0
+                                          for v in range(system.n)]
+        assert _host_masks(system, twins=False)[2] == [0] * system.n
 
 
 def test_twin_classes_of_core_construction():
-    # every non-core vertex is a twin of every other; core vertices too
+    # every non-core vertex is a twin of every other; core vertices too:
+    # the chains 0 <- 1 and 2 <- 3 <- 4 <- 5 <- 6
     system = TripleSystem.from_edges(
         7, [(c, x, y) for c in (0, 1) for x, y in combinations(range(2, 7), 2)])
-    assert system.twin_classes == ((0, 1), (2, 3, 4, 5, 6))
+    assert _host_masks(system)[2] == [0, 1 << 0, 0, 1 << 2, 1 << 3, 1 << 4, 1 << 5]
 
 
 # ------------------------------------------------------------ 2-coloring

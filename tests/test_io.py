@@ -32,6 +32,27 @@ def test_parse_errors_are_diagnostic():
         parse_graph_text("   \n")
 
 
+def test_repeated_edges_are_read_once_and_loops_rejected():
+    # a repeated line, in any vertex order, counts toward the header's m
+    # but gives one edge
+    assert parse_graph_text("3 3\n0 1\n1 0\n1 2\n") == Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert parse_triples_text("4 3\n0 1 2\n2 0 1\n1 2 3\n") == \
+        TripleSystem.from_edges(4, [(0, 1, 2), (1, 2, 3)])
+    with pytest.raises(ValueError, match="promises 1 edges, found 2"):
+        parse_triples_text("3 1\n0 1 2\n2 1 0\n")
+    assert graph_from_json_dict({"n": 3, "edges": [[0, 1], [1, 0]]}) == Graph.from_edges(3, [(0, 1)])
+    assert triples_from_json_dict({"n": 3, "edges": [[0, 1, 2], [2, 1, 0]]}) == \
+        TripleSystem.from_edges(3, [(0, 1, 2)])
+    with pytest.raises(ValueError, match="loop"):
+        parse_graph_text("2 1\n1 1\n")
+    with pytest.raises(ValueError, match="loop"):
+        graph_from_json_dict({"n": 2, "edges": [[0, 1], [1, 1]]})
+    with pytest.raises(ValueError, match="repeated vertex"):
+        parse_triples_text("3 1\n0 1 1\n")
+    with pytest.raises(ValueError, match="repeated vertex"):
+        triples_from_json_dict({"n": 3, "edges": [[2, 0, 2]]})
+
+
 def test_text_round_trip_random_sweep():
     rng = random.Random(7)
     for _ in range(40):

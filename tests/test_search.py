@@ -11,7 +11,7 @@ from expansions import (Graph, TripleSystem, audit_forest_bound, audit_sigma_jum
 
 from expansions import search
 from expansions.core import Budget, BudgetExhausted
-from expansions.search import _embeddings, _holds
+from expansions.search import _embeddings, _holds, _host_masks
 from helpers import (brute_contains, brute_embeddings, brute_graph_contains, brute_turan,
                      counter_copies, counter_turan, random_graph, random_system)
 
@@ -125,6 +125,7 @@ def test_containment_agrees_with_permutation_oracle_on_twin_rich_hosts():
 
 
 P4 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+P5 = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
 S3 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
 M2 = Graph.from_edges(4, [(0, 1), (2, 3)])
 K4 = Graph.from_edges(4, combinations(range(4), 2))
@@ -200,8 +201,18 @@ def test_expansion_witness_keeps_the_matched_base_images(host, base, matched):
     assert [w for _, w in got[base.n:]] == sorted(w for _, w in matched[base.n:])
 
 
-def _first_maps(edges, host, twin_classes):
-    return [next(_embeddings(edges, host, classes), None) for classes in ((), twin_classes)]
+def test_containment_caches_nothing_on_the_host():
+    # the kernel builds its link masks and twins on each call: a host
+    # holds only its fields afterwards, found or free
+    for search, pattern, found in ((contains, expand(P4).system, True), (contains, FANO, False),
+                                   (contains_expansion, P4, True), (contains_expansion, P5, False)):
+        host = lower_bound_construction(9, 2)
+        assert (search(host, pattern) is not None) == found
+        assert list(vars(host)) == ["n", "edges"]
+
+
+def _first_maps(edges, host):
+    return [next(_embeddings(edges, host, twins), None) for twins in (False, True)]
 
 
 def test_prefix_twin_rule_keeps_the_first_map():
@@ -210,11 +221,11 @@ def test_prefix_twin_rule_keeps_the_first_map():
     rng = random.Random(113)
     hosts = [lower_bound_construction(10, 1), lower_bound_construction(9, 2)]
     hosts += [twin_rich_system(rng) for _ in range(150)]
-    assert max(len(cls) for cls in hosts[0].twin_classes) == 9
+    assert _host_masks(hosts[0])[2] == [0, 0] + [1 << (v - 1) for v in range(2, 10)]  # 1 <- ... <- 9
     for host in hosts:
         pattern = expand(random_graph(rng, rng.randint(2, 5), 0.6)).system \
             if rng.random() < 0.5 else random_system(rng, rng.randint(3, 6), rng.randint(1, 3))
-        plain, pruned = _first_maps(pattern.sorted_edges(), host, host.twin_classes)
+        plain, pruned = _first_maps(pattern.sorted_edges(), host)
         assert plain == pruned
 
 
@@ -232,9 +243,8 @@ def test_kernel_matches_the_permutation_oracle_in_order():
             continue
         edges = pattern.sorted_edges()
         plain = list(brute_embeddings(edges, host))
-        for classes, want in (((), plain), (host.twin_classes,
-                                            list(brute_embeddings(edges, host, twins=True)))):
-            got = [list(found.items()) for found in _embeddings(edges, host, classes)]
+        for twins, want in ((False, plain), (True, list(brute_embeddings(edges, host, twins=True)))):
+            got = [list(found.items()) for found in _embeddings(edges, host, twins)]
             assert got == want
             assert got[:1] == plain[:1]  # pruning keeps the first map
         listed += len(plain)
