@@ -209,9 +209,9 @@ class Budget:
     counts (shape images, copies, lanes).  check(nodes) is the node rule:
     past the cap (so a search stopped by it has counted cap + 1 nodes), or
     at a multiple of CADENCE past the deadline.  A hot loop keeps its own
-    count, calls check() at node 1 and then at the count check() returns;
-    spend() counts one node and checks it.  A negative budget is a
-    ValueError; 0 is valid."""
+    count and passes check() 1, then each count check() returns (an int)
+    once reached; spend() counts one node and checks it.  A negative
+    budget is a ValueError; 0 is valid."""
 
     CADENCE = 1024
 
@@ -229,15 +229,15 @@ class Budget:
         if done % self.CADENCE < step and self.expired():
             raise BudgetExhausted
 
-    def check(self, nodes: int) -> float:
-        """Record the count; stop here or return the next count at which
-        check() can stop the search."""
+    def check(self, nodes: int) -> int:
+        """Record the count; stop here or return the next count to check:
+        the next multiple of CADENCE, or the cap + 1 if that comes first."""
         self.nodes = nodes
         if self.node_cap is not None and nodes > self.node_cap:
             raise BudgetExhausted
         self.tick(nodes)
-        due = math.inf if self.node_cap is None else self.node_cap + 1
-        return due if self.deadline is None else min(due, nodes - nodes % self.CADENCE + self.CADENCE)
+        due = nodes - nodes % self.CADENCE + self.CADENCE
+        return due if self.node_cap is None else min(due, self.node_cap + 1)
 
     def spend(self) -> None:
         self.check(self.nodes + 1)

@@ -362,15 +362,16 @@ def turan_number(
     1..m-3 a list walked only when m >= 4.  Every test is on a set of
     lanes, so their order never changes a node count, value or witness.
 
-    The bound is one index, limit = min(total, depth + total - value):
-    triple idx is decided only while idx < limit, which changes only at
-    an inclusion or a pop, so a refused triple costs the node count, two
-    comparisons and one AND.  The incumbent is recorded at the inclusion,
-    the only step that raises depth, but counts from the next node, as
-    in the recursive search this loop replaced: a budget stopping that
-    node puts the previous one back.  The budget is consulted at node 1
-    and then only at the node count Budget.check returns.  On exhaustion
-    the incumbent is returned with exact=False, a witnessed lower bound; a
+    The bound is one index, limit = len(saved) + total - value <= total,
+    moved only by an inclusion (+1, or an improvement exactly when limit
+    == total) and a pop (-1); idx is decided while idx < limit.  The pass
+    deciding idx is node base + idx (a pop from idx to a saved j adds
+    idx - j to base), so a refused triple, which changes nothing, costs
+    one comparison and one AND; the budget is checked at inclusions, pops
+    and the end node for every count due by then, with the same result.
+    The incumbent counts from the node after its inclusion: a budget
+    stopping that node puts the previous one back.  On exhaustion the
+    incumbent is returned with exact=False, a witnessed lower bound; a
     deadline passed while listing copies, or a listing over the cap under
     a budget, leaves the empty one (value 0).
     """
@@ -389,39 +390,38 @@ def turan_number(
     saved: list[tuple] = []  # (idx, full, near, rest) at each inclusion, idx ascending
     value, best, exact = 0, [], True  # the empty set is free
     gained, prior = -1, (value, best)  # the node of the last improvement, the incumbent before it
-    nodes, due = 0, 1
-    idx, depth, limit = 0, 0, total  # next triple to decide, len(saved), the bound
+    idx, limit, base, due = 0, total, 1, 1  # next triple, bound, node base + idx, next check
     try:
         holds = _holds(forbidden, n, budget)
-        while True:  # each pass is one node
-            nodes += 1
-            if nodes >= due:
-                due = budget.check(nodes)
-            if idx < limit:
-                if not full & (held := holds[idx]):  # including idx completes no copy
-                    saved.append((idx, full, near, rest))
-                    full |= near & held
-                    near |= rest[-1] & held if rest else held
-                    if rest:  # m >= 4: a new list, as the saved one is restored on the pop
-                        rest = rest[:]
-                        for k in ks:
-                            rest[k] |= rest[k - 1] & held
-                        rest[0] |= held
-                    depth += 1
-                    if depth > value:  # limit stays total: depth - 1 == value before
-                        gained, prior = nodes, (value, best)
-                        value, best = depth, [entry[0] for entry in saved]
-                    else:
-                        limit += 1  # below total before: depth - 1 < value
-            elif depth:  # dead end: take the exclude branch of the last inclusion
-                idx, full, near, rest = saved.pop()
-                depth -= 1
-                limit = depth + total - value  # below total: depth < value here
+        while True:  # refused nodes, then one that includes, pops or ends
+            while idx < limit and full & (held := holds[idx]):  # idx completes a copy
+                idx += 1
+            while base + idx >= due:  # refused nodes change nothing, so check them here
+                due = budget.check(due)
+            if idx < limit:  # include idx
+                saved.append((idx, full, near, rest))
+                full |= near & held
+                near |= rest[-1] & held if rest else held
+                if rest:  # m >= 4: a new list, as the saved one is restored on the pop
+                    rest = rest[:]
+                    for k in ks:
+                        rest[k] |= rest[k - 1] & held
+                    rest[0] |= held
+                if limit == total:  # len(saved) - 1 == value before: an improvement
+                    gained, prior = base + idx, (value, best)
+                    value, best = len(saved), [entry[0] for entry in saved]
+                else:
+                    limit += 1
+                idx += 1
+            elif saved:  # dead end: take the exclude branch of the last inclusion
+                j, full, near, rest = saved.pop()
+                base += idx - j
+                idx, limit = j + 1, limit - 1
             else:
                 break
-            idx += 1
+        nodes = base + idx
     except BudgetExhausted:
-        exact = False
+        exact, nodes = False, budget.nodes
         if nodes == gained + 1:  # the improvement counts from this node, which was stopped
             value, best = prior
     witness = tuple(all_triples[i] for i in best)

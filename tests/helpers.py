@@ -291,11 +291,14 @@ def counter_copies(pattern: TripleSystem, n: int) -> list[frozenset]:
     return sorted(copies, key=sorted)
 
 
-def counter_turan(n: int, forbidden: TripleSystem, budget_ms=None, budget_nodes=None):
+def counter_turan(n: int, forbidden: TripleSystem, budget_ms=None, budget_nodes=None,
+                  refused: list | None = None):
     """Include-first branch-and-bound over the triples in lex order with one
     hit counter per copy, updated on every include and pop: the loop
     turan_number ran before its bitset kernel, kept as the reference that
-    kernel is tested against.  Returns (value, exact, nodes, witness)."""
+    kernel is tested against.  Returns (value, exact, nodes, witness); a
+    given refused list gets the number of each node whose triple would
+    complete a copy."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     all_triples = list(combinations(range(n), 3))
@@ -329,6 +332,8 @@ def counter_turan(n: int, forbidden: TripleSystem, budget_ms=None, budget_nodes=
                     for c in copies_at[t]:
                         hits[c] += 1
                     included.append(idx)
+                elif refused is not None:
+                    refused.append(budget.nodes)
             elif included:  # dead end: take the exclude branch of the last inclusion
                 idx = included.pop()
                 for c in copies_at[all_triples[idx]]:

@@ -267,6 +267,29 @@ def test_budget_rejects_negative_values_and_accepts_zero():
     assert budget.nodes == 1
 
 
+@pytest.mark.parametrize("budget_ms", [None, 0, 10 ** 9])
+@pytest.mark.parametrize("budget_nodes", [None, 0, 5000])
+def test_budget_check_returns_the_next_count_to_check_as_an_int(monkeypatch, budget_ms,
+                                                                budget_nodes):
+    # the next multiple of 1,024, or the cap + 1 if that comes first, in
+    # every mode; a deadline that never passes lets each count through
+    monkeypatch.setattr(Budget, "expired", lambda budget: False)
+    budget = Budget(budget_ms, budget_nodes)
+    last = 6000 if budget_nodes is None else budget_nodes
+    nodes, seen = 0, []
+    while nodes <= last:
+        due = budget.check(nodes)
+        assert type(due) is int
+        assert budget.nodes == nodes
+        seen.append(due)
+        nodes = due
+    steps = list(range(1024, last + 1024, 1024))
+    assert seen == (steps if budget_nodes is None else steps[:-1] + [budget_nodes + 1])
+    if budget_nodes is not None:
+        with pytest.raises(BudgetExhausted):
+            budget.check(nodes)
+
+
 @pytest.mark.parametrize("done, step", [(1, 1), (1023, 1), (1024, 1), (1025, 1), (3072, 1),
                                         (1033, 10), (1034, 10), (900, 900), (2048, 900),
                                         (5000, 2000)])

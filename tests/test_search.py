@@ -496,6 +496,67 @@ def test_turan_every_node_cap_matches_counter_reference(n, pattern):
     for cap in range(65):
         assert kernel_result(n, pattern, cap) == counter_turan(n, pattern, budget_nodes=cap), cap
 
+
+# whole searches, each with its node count (the book and FIVE_TRIPLES
+# under a 40,000-node cap)
+DEEP_TURAN = [(7, expand(PATH2).system, 10_436), (6, M2_SYSTEM, 38_578),
+              (8, BOOK, 40_000), (7, FIVE_TRIPLES, 40_000)]
+DEEP_IDS = ["P2+ n7", "M2+ n6", "book n8", "five triples n7"]
+
+
+@pytest.mark.parametrize("n, pattern, nodes", DEEP_TURAN, ids=DEEP_IDS)
+def test_turan_node_caps_deep_in_the_tree_match_counter_reference(n, pattern, nodes):
+    # a refused node changes nothing, so the loop checks its budget only
+    # at the next inclusion, pop or end node; a cap whose stop falls on a
+    # refused node must give the same count, incumbent and witness
+    refused = []
+    counter_turan(n, pattern, budget_nodes=nodes, refused=refused)
+    refused = set(refused)
+    caps = sorted(random.Random(nodes).sample(range(65, nodes), 8))
+    for cap in caps:
+        assert kernel_result(n, pattern, cap) == counter_turan(n, pattern, budget_nodes=cap), cap
+    assert 0 < sum(cap + 1 in refused for cap in caps) < len(caps)
+
+
+@pytest.mark.parametrize("n, pattern, nodes", DEEP_TURAN, ids=DEEP_IDS)
+def test_turan_deadline_stops_deep_in_the_tree_match_counter_reference(monkeypatch, n, pattern,
+                                                                       nodes):
+    # the deadline is found passed at node 2,048, 4,096 or 9,216; most of
+    # these are refused nodes, whose check comes at a later node
+    refused = []
+    counter_turan(n, pattern, budget_nodes=nodes, refused=refused)
+    stops = (2048, 4096, 9216)
+    for stop in stops:
+        monkeypatch.setattr(Budget, "expired", lambda budget: budget.nodes >= stop)
+        result = turan_number(n, pattern, budget_ms=10 ** 9)
+        got = (result.value, result.exact, result.nodes, result.witness)
+        assert got == counter_turan(n, pattern, budget_ms=10 ** 9), stop
+        assert result.nodes == stop
+    assert sum(stop in refused for stop in stops) >= 2
+
+
+@pytest.mark.parametrize("n, pattern, nodes", [
+    (7, expand(PATH2).system, 10_436), (6, M2_SYSTEM, 38_578),
+    # every node refuses its triple: one run of 9,880 refused nodes, so all
+    # nine reads come at the end node
+    (40, TripleSystem.from_edges(3, [(0, 1, 2)]), comb(40, 3) + 1),
+], ids=["P2+ n7", "M2+ n6", "one triple n40"])
+def test_turan_loop_reads_its_deadline_once_per_1024_nodes(monkeypatch, n, pattern, nodes):
+    counted, listed = [], []  # the node count at each read; the reads by the listing
+    monkeypatch.setattr(Budget, "expired", lambda budget: counted.append(budget.nodes) or False)
+    real = search._holds
+
+    def holds(*args):
+        rows = real(*args)
+        listed.append(len(counted))
+        return rows
+
+    monkeypatch.setattr(search, "_holds", holds)
+    result = turan_number(n, pattern, budget_ms=10 ** 9)
+    assert (result.exact, result.nodes) == (True, nodes)
+    assert counted[listed[0]:] == list(range(1024, nodes + 1, 1024))
+
+
 # every Turan call of the benchmark workloads (perfbench/tasks.py and
 # perfbench/clibatch.py), with its node cap
 BENCHMARK_TURAN = [
