@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import compress
 
-from .core import Edge, Graph, Record, Triple, TripleSystem, canonical_edge
+from .core import Edge, Graph, Record, Triple, TripleSystem, _set, canonical_edge
 
 
 class Expansion(Record):
@@ -137,18 +137,26 @@ class CrosscutPair(Record):
     independent: frozenset[int]
     uncovered: frozenset[Edge]
 
+    # written out, as every crosscut routine builds one; Record's generic
+    # __init__ costs about four times as much
+    def __init__(self, independent: frozenset[int], uncovered: frozenset[Edge]):
+        _set(self, "independent", independent)
+        _set(self, "uncovered", uncovered)
+
     @property
     def weight(self) -> int:
         return len(self.independent) + len(self.uncovered)
 
     @staticmethod
     def of(graph: Graph, independent: Iterable[int]) -> "CrosscutPair":
-        ind = frozenset(independent)
-        for u, v in graph.edges:
-            if u in ind and v in ind:
-                raise ValueError(f"set is not independent: contains edge {(u, v)}")
-        uncovered = frozenset(e for e in graph.edges if e[0] not in ind and e[1] not in ind)
-        return CrosscutPair(ind, uncovered)
+        ind, uncovered = frozenset(independent), []
+        for e in graph.edges:
+            if e[0] not in ind:
+                if e[1] not in ind:
+                    uncovered.append(e)
+            elif e[1] in ind:
+                raise ValueError(f"set is not independent: contains edge {e}")
+        return CrosscutPair(ind, frozenset(uncovered))
 
 
 def best_crosscut_pair(graph: Graph) -> CrosscutPair:
@@ -169,16 +177,14 @@ def _peel(graph: Graph, error: Exception | None = None, tree: int = 0) -> tuple:
     neighbour; when none is left, a vertex of maximum remaining degree
     (smallest on ties) joins F and the trees peeled into it become roots.
     Given an error, the peel raises it rather than fill F, and, when a tree on
-    at least `tree` vertices is required, when m != n - 1 or n < tree; it then
-    pushes each vertex's root and side, the parity of its depth, down the
-    order.  Returns (lists, order, parent, F, root, side)."""
+    at least `tree` vertices is required, when m != n - 1 or n < tree.
+    Returns (lists, order, parent, F)."""
     n = graph.n
     if tree and (len(graph.edges) != n - 1 or n < tree):
         raise error
     adj = graph.neighbours()
     degree = [len(nbrs) for nbrs in adj]
     parent = list(range(n))
-    root, side = list(range(n)), [0] * n
     order, feedback = [], []
     stack = [v for v in range(n) if degree[v] <= 1]
     while len(order) + len(feedback) < n:
@@ -201,11 +207,18 @@ def _peel(graph: Graph, error: Exception | None = None, tree: int = 0) -> tuple:
                 degree[u] -= 1
                 if degree[u] == 1:
                     stack.append(u)
-    if error is not None:  # a forest, whose roots and sides the DP does not need
-        for v in reversed(order):
-            p = parent[v]
-            root[v], side[v] = root[p], side[p] ^ (p != v)
-    return adj, order, parent, feedback, root, side
+    return adj, order, parent, feedback
+
+
+def _roots(order: list[int], parent: list[int]) -> tuple[list[int], list[int]]:
+    """Each vertex's root and side, the parity of its depth, pushed down the
+    reverse peel order of a forest; a root is its own parent."""
+    root, side = list(range(len(parent))), [0] * len(parent)
+    for v in reversed(order):
+        p = parent[v]
+        if p != v:
+            root[v], side[v] = root[p], side[p] ^ 1
+    return root, side
 
 
 def _optimal_independent_set(peel: tuple) -> list[int]:
@@ -236,7 +249,7 @@ def _optimal_independent_set(peel: tuple) -> list[int]:
     it where it is used; each independent subset of F carries its summed
     in_term, and F's vertices set their bits in their neighbours' masks.
     """
-    adj, order, parent, feedback, _, _ = peel
+    adj, order, parent, feedback = peel
     n = len(adj)
     small = [(1 - len(nbrs)) * (n + 1) - 1 for nbrs in adj]
     f_nbrs = [0] * n  # bit i is set at each neighbour of the i-th vertex of F
@@ -287,14 +300,15 @@ def tree_crosscut_number(tree: Graph) -> int:
     return CrosscutPair.of(tree, _optimal_independent_set(peel)).weight
 
 
-def _forest_lambda(peel: tuple) -> int:
-    adj, _, _, _, root, side = peel
+def _forest_lambda(degree: Iterable[int], root: list[int], side: list[int]) -> int:
+    """Lambda of a forest from each vertex's degree, tree root and side;
+    vertices of degree 0 add zero and are skipped."""
     parts: dict[int, list[int]] = {}  # per edge-bearing tree: side sizes, then 1 if a side has a leaf
-    for v, nbrs in enumerate(adj):
-        if nbrs:
+    for v, d in enumerate(degree):
+        if d:
             part = parts.setdefault(root[v], [0, 0, 0, 0])
             part[side[v]] += 1
-            part[2 + side[v]] |= len(nbrs) == 1
+            part[2 + side[v]] |= d == 1
     total = 0
     for size0, size1, leaf0, leaf1 in parts.values():
         # the smaller part, less one if it has a leaf: a larger part is bigger by
@@ -307,12 +321,14 @@ def _forest_lambda(peel: tuple) -> int:
 
 def tree_lambda(tree: Graph) -> int:
     """Size of the smaller bipartition part, discounted by one if it has a leaf."""
-    return _forest_lambda(_peel(tree, ValueError("input must be a tree"), tree=1))
+    adj, order, parent, _ = _peel(tree, ValueError("input must be a tree"), tree=1)
+    return _forest_lambda(map(len, adj), *_roots(order, parent))
 
 
 def forest_lambda(forest: Graph) -> int:
     """Sum of the tree values over components; isolated vertices, which add zero, are skipped."""
-    return _forest_lambda(_peel(forest, ValueError("input must be a forest")))
+    adj, order, parent, _ = _peel(forest, ValueError("input must be a forest"))
+    return _forest_lambda(map(len, adj), *_roots(order, parent))
 
 
 def complete_forest_to_tree(forest: Graph) -> Graph:
@@ -332,7 +348,8 @@ def complete_forest_to_tree(forest: Graph) -> Graph:
 def _complete_forest_to_tree(forest: Graph) -> tuple[Graph, int]:
     """complete_forest_to_tree's tree, with the crosscut number it keeps."""
     peel = _peel(forest, ValueError("input must be a forest"))
-    n, adj, root = forest.n, peel[0], peel[4]
+    adj, order, parent, _ = peel
+    n = forest.n
     if n <= 1 or len(forest.edges) == n - 1:  # a forest with n - 1 edges is a tree
         return forest, CrosscutPair.of(forest, _optimal_independent_set(peel)).weight
     if not forest.edges:
@@ -343,6 +360,7 @@ def _complete_forest_to_tree(forest: Graph) -> tuple[Graph, int]:
     # weight and |I| add over components, so the forest's optimal pair
     # restricts to an optimal pair of each component
     pair = CrosscutPair.of(forest, _optimal_independent_set(peel))
+    root = _roots(order, parent)[0]
     joints: dict[int, list] = {}  # per edge-bearing tree: least vertex outside I, then inside I
     for v in reversed(range(n)):
         if adj[v]:
@@ -371,18 +389,26 @@ def crosscut_audit(tree: Graph) -> dict:
     Writing the crosscut number as ell + 1, the audited facts are: at most
     ell/2 uncovered edges, no pendant edge uncovered, and every vertex of
     an uncovered edge has tree-degree at most ell minus the bipartition
-    weight of the uncovered forest.
+    weight of the uncovered forest R.  R is weighed on the tree's own peel,
+    with no second graph.
     """
     peel = _peel(tree, ValueError("audit requires a tree with at least one edge"), tree=2)
+    adj, order, parent, _ = peel
     pair = CrosscutPair.of(tree, _optimal_independent_set(peel))
     ell = pair.weight - 1
     r_edges = sorted(pair.uncovered)
-    lam = forest_lambda(Graph(tree.n, pair.uncovered))
-    degree = [len(nbrs) for nbrs in peel[0]]
-    pendant_hits = [e for e in r_edges if degree[e[0]] == 1 or degree[e[1]] == 1]
-    r_vertices = sorted({v for e in r_edges for v in e})
+    # each tree edge joins a vertex to its peel parent, so R's peel is the
+    # tree's with the parent links outside R cut
+    r_degree, r_parent = [0] * tree.n, list(range(tree.n))
+    for u, v in r_edges:
+        r_degree[u] += 1
+        r_degree[v] += 1
+        child = v if parent[v] == u else u
+        r_parent[child] = parent[child]
+    lam = _forest_lambda(r_degree, *_roots(order, r_parent))
     degree_bound = ell - lam
-    offenders = [v for v in r_vertices if degree[v] > degree_bound]
+    pendant_hits = [e for e in r_edges if len(adj[e[0]]) == 1 or len(adj[e[1]]) == 1]
+    top = max((len(adj[v]) for v in compress(range(tree.n), r_degree)), default=0)
     checks = [{
         "name": "uncovered_edge_count",
         "pass": len(r_edges) <= ell / 2,
@@ -394,10 +420,9 @@ def crosscut_audit(tree: Graph) -> dict:
                   else f"pendant edges uncovered: {pendant_hits}",
     }, {
         "name": "uncovered_degree_bound",
-        "pass": not offenders,
-        "detail": f"max tree-degree on R vertices "
-                  f"{max((degree[v] for v in r_vertices), default=0)}, "
-                  f"bound ell - lambda = {degree_bound}" if r_vertices
+        "pass": top <= degree_bound,  # an empty R passes, as lambda is then 0 and ell >= 0
+        "detail": f"max tree-degree on R vertices {top}, "
+                  f"bound ell - lambda = {degree_bound}" if r_edges
                   else "R is empty; bound is vacuous",
     }]
     return {

@@ -214,6 +214,22 @@ def test_crosscut_pair_of_validates_independence():
     pair = CrosscutPair.of(g, [0])
     assert pair.uncovered == frozenset()
     assert pair.weight == 1
+    # a dependent set is refused on the first edge inside it, in the order of
+    # graph.edges; otherwise R is every edge that misses the set
+    rng = random.Random(29)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(2, 12), rng.choice([0.2, 0.5, 0.8]))
+        chosen = frozenset(v for v in range(g.n) if rng.random() < 0.4)
+        inside = [e for e in g.edges if e[0] in chosen and e[1] in chosen]
+        if inside:
+            with pytest.raises(ValueError) as info:
+                CrosscutPair.of(g, chosen)
+            assert type(info.value) is ValueError
+            assert str(info.value) == f"set is not independent: contains edge {inside[0]}"
+            continue
+        pair = CrosscutPair.of(g, iter(sorted(chosen)))
+        assert pair.independent == chosen
+        assert pair.uncovered == frozenset(e for e in g.edges if not chosen.intersection(e))
 
 
 def test_best_pair_weight_matches_subset_oracle():
@@ -504,6 +520,77 @@ def test_audit_passes_on_all_small_trees():
             assert all(c["pass"] for c in report["checks"]), (n, report)
 
 
+# a tree whose optimal pair leaves the edge 01 uncovered, so the audit weighs a nonempty R
+BROOM_EDGES = [(0, 1), (0, 5), (1, 2), (2, 3), (2, 4), (5, 6), (5, 7)]
+
+
+def audited_trees(rng: random.Random):
+    """About 2,400 trees, each also relabeled: random recursive trees, paths,
+    stars, caterpillars, spiders, brooms, spines of stars and BROOM_EDGES."""
+    shapes = [Graph.from_edges(8, BROOM_EDGES)]
+    for _ in range(900):
+        n = rng.randint(2, 40)
+        shapes.append(Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)]))
+    for k in range(2, 14):
+        shapes.append(Graph.from_edges(k, [(i, i + 1) for i in range(k - 1)]))
+        shapes.append(Graph.from_edges(k, [(0, i) for i in range(1, k)]))
+    for _ in range(80):  # caterpillars: a spine with legs at each spine vertex
+        spine = rng.randint(1, 10)
+        edges, n = [(i, i + 1) for i in range(spine - 1)], spine
+        for i in range(spine):
+            for _ in range(rng.randint(0, 3)):
+                edges.append((i, n))
+                n += 1
+        if n > 1:
+            shapes.append(Graph.from_edges(n, edges))
+    for _ in range(60):  # spiders: legs of given lengths from one centre
+        edges, n = [], 1
+        for _ in range(rng.randint(1, 6)):
+            last = 0
+            for _ in range(rng.randint(1, 5)):
+                edges.append((last, n))
+                last, n = n, n + 1
+        shapes.append(Graph.from_edges(n, edges))
+    for _ in range(40):  # brooms: a handle path ending in a star
+        handle, bristles = rng.randint(1, 10), rng.randint(1, 8)
+        edges = [(i, i + 1) for i in range(handle)]
+        edges += [(handle, handle + 1 + j) for j in range(bristles)]
+        shapes.append(Graph.from_edges(handle + 1 + bristles, edges))
+    for _ in range(100):  # a random spine, each vertex hung with its own star: R is much of the spine
+        spine = rng.randint(2, 12)
+        edges, n = [(rng.randrange(v), v) for v in range(1, spine)], spine
+        for v in range(spine):
+            centre, n = n, n + 1
+            edges.append((v, centre))
+            for _ in range(rng.randint(1, 4)):
+                edges.append((centre, n))
+                n += 1
+        shapes.append(Graph.from_edges(n, edges))
+    for tree in shapes:
+        yield tree
+        yield relabeled(rng, tree)
+
+
+def test_audit_lambda_matches_the_uncovered_forest_on_seeded_trees():
+    # the audit reads lambda of R from the tree's own peel; the oracles are
+    # forest_lambda on R built as a graph, and the definition summed over R's
+    # components
+    rng = random.Random(31)
+    count = nonempty = positive = 0
+    for tree in audited_trees(rng):
+        if tree.n < 2:
+            continue
+        report = crosscut_audit(tree)
+        uncovered = Graph.from_edges(tree.n, report["R"])
+        oracle = sum(brute_lambda_tree(uncovered, comp) for comp in uncovered.components()
+                     if len(comp) > 1)
+        assert report["lambda"] == forest_lambda(uncovered) == oracle, sorted(tree.edges)
+        count += 1
+        nonempty += bool(report["R"])
+        positive += report["lambda"] > 0
+    assert count >= 2000 and nonempty >= 400 and positive >= 80, (count, nonempty, positive)
+
+
 # ------------------------------------------------------- graph contents
 
 P4_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4)]  # a tree with crosscut number 2
@@ -570,16 +657,12 @@ def test_rejections_keep_their_type_and_message(routine, graph, message):
     assert str(info.value) == message
 
 
-# a tree whose optimal pair leaves the edge 01 uncovered, so the audit weighs a nonempty R
-BROOM_EDGES = [(0, 1), (0, 5), (1, 2), (2, 3), (2, 4), (5, 6), (5, 7)]
-
-
 @pytest.mark.parametrize("routine, n, edges, builds", [
     (best_crosscut_pair, 4, C4_EDGES, 1),
     (tree_crosscut_number, 8, BROOM_EDGES, 1),
     (tree_lambda, 8, BROOM_EDGES, 1),
     (forest_lambda, 7, FOREST_EDGES, 1),
-    (crosscut_audit, 8, BROOM_EDGES, 2),  # the tree, then its uncovered forest R
+    (crosscut_audit, 8, BROOM_EDGES, 1),  # R's trees and sides come from the tree's peel
     (complete_forest_to_tree, 7, FOREST_EDGES, 2),  # the forest, then the completed tree
 ], ids=["best_crosscut_pair", "tree_crosscut_number", "tree_lambda", "forest_lambda",
         "crosscut_audit", "complete_forest_to_tree"])
