@@ -112,23 +112,9 @@ class Graph(Record):
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def components(self) -> list[frozenset[int]]:
-        """Connected components, ordered by smallest member."""
-        return _walk(self.neighbours())[0]
-
-    def two_coloring(self) -> tuple[int, ...]:
-        """Side 0 or 1 of every vertex; each component is colored from its
-        smallest vertex, which gets side 0.  Raises ValueError on an odd cycle."""
-        _, color, proper = _walk(self.neighbours())
-        if not proper:
-            raise ValueError("graph is not bipartite: it has an odd cycle")
-        return color
-
-    def is_forest(self) -> bool:
-        return len(self.edges) == self.n - len(self.components())
-
     def is_tree(self) -> bool:
-        return self.n > 0 and len(self.edges) == self.n - 1 and len(self.components()) == 1
+        return (self.n > 0 and len(self.edges) == self.n - 1
+                and len(_walk(self.neighbours())[0]) == 1)
 
 
 def _walk(nbrs: list[list[int]]) -> tuple[list[frozenset[int]], tuple[int, ...], bool]:

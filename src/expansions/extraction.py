@@ -14,7 +14,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import factorial
 
-from .core import Edge, Graph, Record, TripleSystem, canonical_edge, first_compatible
+from .core import Edge, Graph, Record, TripleSystem, _walk, canonical_edge, first_compatible
 
 
 def full_subgraph(system: TripleSystem, d: int) -> TripleSystem:
@@ -246,8 +246,11 @@ def find_biclique_avoiding_lists(
     if len(sizes) > 1:
         raise ValueError("all edge lists must have the same size")
 
-    color, edges = grid_graph.two_coloring(), grid_graph.edges
-    for comp in grid_graph.components():
+    comps, color, proper = _walk(grid_graph.neighbours())
+    if not proper:
+        raise ValueError("graph is not bipartite: it has an odd cycle")
+    edges = grid_graph.edges
+    for comp in comps:
         side = sorted(v for v in comp if color[v] == 0)
         other = sorted(v for v in comp if color[v] == 1)
         if len(side) < t or len(other) < t:

@@ -26,7 +26,7 @@ from operator import itemgetter
 
 from .core import (Budget, BudgetExhausted, Graph, Record, Triple, TripleSystem,
                    canonical_triple)
-from .crosscuts import crosscut_number, expand
+from .crosscuts import CrosscutPair, _optimal_independent_set, _peel, expand
 
 EXACT_MAX_N = 6  # the largest n at which audit_forest_bound runs the exact search
 # the largest copy listing turan_number builds, in bytes estimated as copies *
@@ -444,12 +444,13 @@ def audit_forest_bound(
     to EXACT_MAX_N, the exact maximum with the ratio to C(n, 2) scaled by
     sigma - 1.  Ratios are finite-n observations only.
     """
-    if not forest.is_forest() or not forest.edges:
-        raise ValueError("audit expects a forest with at least one edge")
+    unfit = ValueError("audit expects a forest with at least one edge")
+    if not forest.edges:
+        raise unfit
+    sigma = CrosscutPair.of(forest, _optimal_independent_set(_peel(forest, unfit))).weight
     ns = sorted(set(ns))
     if ns and ns[0] < 0:
         raise ValueError("n must be nonnegative")
-    sigma = crosscut_number(forest)
     core = sigma - 1
     rows = []
     for n in ns:
@@ -497,7 +498,8 @@ def audit_sigma_jump(graph: Graph, n: int) -> dict:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    sigma = crosscut_number(graph)
+    peel = _peel(graph)
+    sigma = CrosscutPair.of(graph, _optimal_independent_set(peel)).weight
     report: dict = {
         "sigma": sigma,
         "n": n,
@@ -516,7 +518,7 @@ def audit_sigma_jump(graph: Graph, n: int) -> dict:
     report["expected_edges"] = core * comb(n - core, 2)
     report["free"] = contains_expansion(construction, graph) is None
     if sigma == 2:
-        m, degree = len(graph.edges), [len(nbrs) for nbrs in graph.neighbours()]
+        m, degree = len(graph.edges), [len(nbrs) for nbrs in peel[0]]
         report["shape"] = {
             "in_star_plus_edge": any(m - d <= 1 for d in degree),
             "in_complete_bipartite_two": any(degree[a] + degree[b] == m

@@ -423,10 +423,9 @@ def brute_subgrid_labels(colors, xs, ys):
 
 # --------------------------------------------------------- random inputs
 
-def brute_two_coloring(n: int, edges):
-    """Parity of the distance from the smallest vertex of each component,
-    by relaxing every edge until nothing changes; None when some edge joins
-    two vertices of equal parity (an odd cycle)."""
+def brute_components(n: int, edges) -> list[frozenset[int]]:
+    """Connected components ordered by smallest member, by relaxing every
+    edge to the smaller of its ends' roots until nothing changes."""
     root = list(range(n))
     changed = True
     while changed:
@@ -436,7 +435,27 @@ def brute_two_coloring(n: int, edges):
             if root[u] != low or root[v] != low:
                 root[u] = root[v] = low
                 changed = True
-    dist = [0 if root[v] == v else n for v in range(n)]
+    comps: dict[int, set[int]] = {}  # a root is its component's smallest member
+    for v in range(n):
+        comps.setdefault(root[v], set()).add(v)
+    return [frozenset(comp) for comp in comps.values()]
+
+
+def brute_is_forest(graph: Graph) -> bool:
+    return len(graph.edges) == graph.n - len(brute_components(graph.n, graph.edges))
+
+
+def brute_is_tree(graph: Graph) -> bool:
+    return graph.n > 0 and len(graph.edges) == graph.n - 1 and brute_is_forest(graph)
+
+
+def brute_two_coloring(n: int, edges):
+    """Parity of the distance from the smallest vertex of each component,
+    by relaxing every edge until nothing changes; None when some edge joins
+    two vertices of equal parity (an odd cycle)."""
+    dist = [n] * n
+    for comp in brute_components(n, edges):
+        dist[min(comp)] = 0
     changed = True
     while changed:
         changed = False

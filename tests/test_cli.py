@@ -395,6 +395,15 @@ def test_audit_theorem1_rejects_an_edgeless_forest(capsys, tmp_path):
     assert err == "error: audit expects a forest with at least one edge\n"
 
 
+def test_audit_theorem1_rejects_a_graph_with_a_cycle(capsys, tmp_path):
+    # the forest test is the crosscut peel's, with the edgeless test's message
+    triangle = tmp_path / "triangle.txt"
+    triangle.write_text("3 3\n0 1\n1 2\n0 2\n")
+    assert main(["audit-theorem1", "--graph", str(triangle), "--n-list", "3,5"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: audit expects a forest with at least one edge\n"
+
+
 def test_multicolor_structured_honours_budget_ms(capsys, tmp_path):
     xs, ys = range(6), range(6, 12)
     host = TripleSystem.from_edges(15, [(x, y, 12 + c) for x in xs for y in ys

@@ -9,11 +9,11 @@ from expansions import (AugmentedFamily, CrosscutPair, EmbeddingCertificate, Exp
                         GridColoring, ListAssignment, Multicoloring, SetFamily,
                         StructuredSearch, Sunflower, TripleSystem, TuranResult, canonical_edge,
                         canonical_triple, codegree, neighborhood, shadow)
-from expansions.core import Budget, BudgetExhausted
+from expansions.core import Budget, BudgetExhausted, _walk
 from expansions.search import _host_masks
 
-from helpers import (brute_smaller_twins, brute_two_coloring, random_forest, random_graph,
-                     random_system)
+from helpers import (brute_components, brute_is_forest, brute_smaller_twins, brute_two_coloring,
+                     random_forest, random_graph, random_system)
 
 
 def test_canonical_edge_orders_and_rejects_loops():
@@ -49,17 +49,18 @@ def test_graph_adjacency_and_degrees():
 
 def test_graph_components_ordered_by_smallest_member():
     g = Graph.from_edges(6, [(4, 5), (0, 2)])
-    comps = g.components()
+    comps, _, proper = _walk(g.neighbours())
     assert comps == [frozenset({0, 2}), frozenset({1}), frozenset({3}), frozenset({4, 5})]
+    assert comps == brute_components(g.n, g.edges) and proper
 
 
 def test_forest_and_tree_predicates():
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    assert path.is_tree() and path.is_forest()
+    assert path.is_tree()
     two_paths = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert two_paths.is_forest() and not two_paths.is_tree()
-    triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    assert not triangle.is_forest()
+    assert not two_paths.is_tree()
+    triangle_and_vertex = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])  # n - 1 edges
+    assert not triangle_and_vertex.is_tree()
     assert not Graph(0, frozenset()).is_tree()
 
 
@@ -153,6 +154,7 @@ def test_twin_classes_of_core_construction():
 # ------------------------------------------------------------ 2-coloring
 
 def test_two_coloring_matches_distance_parity_oracle():
+    # one walk gives the components, the sides and whether they are proper
     rng = random.Random(23)
     kinds = {"forest": 0, "bipartite": 0, "odd": 0}
     for _ in range(300):
@@ -166,29 +168,21 @@ def test_two_coloring_matches_distance_parity_oracle():
                                          if side[u] != side[v] and rng.random() < 0.4])
         else:
             graph = random_graph(rng, n, 0.3)
+        comps, color, proper = _walk(graph.neighbours())
+        assert comps == brute_components(n, graph.edges)
         want = brute_two_coloring(n, graph.edges)
+        assert proper == (want is not None)
         if want is None:
             kinds["odd"] += 1
-            with pytest.raises(ValueError, match="bipartite"):
-                graph.two_coloring()
         else:
-            kinds["forest" if graph.is_forest() else "bipartite"] += 1
-            assert graph.two_coloring() == want
+            kinds["forest" if brute_is_forest(graph) else "bipartite"] += 1
+            assert color == want
     assert all(count >= 20 for count in kinds.values())
 
 
 def test_two_coloring_colors_each_component_from_its_smallest_vertex():
     graph = Graph.from_edges(7, [(4, 1), (1, 6), (5, 3)])
-    assert graph.two_coloring() == (0, 0, 0, 0, 1, 1, 1)
-
-
-@pytest.mark.parametrize("edges", [
-    [(0, 1), (1, 2), (0, 2)],
-    [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (5, 6)],
-])
-def test_two_coloring_rejects_odd_cycle(edges):
-    with pytest.raises(ValueError, match="bipartite"):
-        Graph.from_edges(7, edges).two_coloring()
+    assert _walk(graph.neighbours())[1] == (0, 0, 0, 0, 1, 1, 1)
 
 
 PATH = Graph(3, frozenset({(0, 1), (1, 2)}))

@@ -8,8 +8,9 @@ from expansions import (CrosscutPair, Graph, audit_forest_bound, audit_sigma_jum
                         crosscut_number, expand, forest_lambda, min_crosscut,
                         tree_crosscut_number, tree_lambda, trees)
 
-from helpers import (branching_pair, brute_lambda_tree, brute_min_crosscut,
-                     brute_optimal_pairs, brute_sigma, random_forest, random_graph)
+from helpers import (branching_pair, brute_components, brute_is_forest, brute_is_tree,
+                     brute_lambda_tree, brute_min_crosscut, brute_optimal_pairs, brute_sigma,
+                     random_forest, random_graph)
 
 
 LONG_PATH = Graph.from_edges(1200, [(i, i + 1) for i in range(1199)])
@@ -257,7 +258,7 @@ def test_forest_pair_tie_breaks_on_relabeled_forests_with_isolated_vertices():
     rng = random.Random(41)
     for _ in range(150):
         forest = relabeled(rng, random_forest(rng, rng.randint(1, 7)), rng.randint(0, 2))
-        assert forest.is_forest()
+        assert brute_is_forest(forest)
         pair = best_crosscut_pair(forest)
         sigma, optima = brute_optimal_pairs(forest)
         assert pair.weight == sigma
@@ -288,7 +289,7 @@ def test_forest_pair_equals_branching_on_random_forests():
         else:
             chords = [rng.sample(range(n), 2) for _ in range(rng.randint(1, 4))]
             graph = Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)] + chords)
-        if graph.is_forest():
+        if brute_is_forest(graph):
             continue
         graph = relabeled(rng, graph)
         assert best_crosscut_pair(graph) == branching_pair(graph)
@@ -378,7 +379,8 @@ def test_forest_lambda_additive_over_random_forests():
     for _ in range(40):
         f = random_forest(rng, rng.randint(2, 9))
         per_component = sum(
-            brute_lambda_tree(f, comp) for comp in f.components() if len(comp) > 1)
+            brute_lambda_tree(f, comp) for comp in brute_components(f.n, f.edges)
+            if len(comp) > 1)
         assert forest_lambda(f) == per_component
     # relabeled forests on 10-30 vertices, with components known by construction
     for _ in range(200):
@@ -392,7 +394,7 @@ def test_forest_lambda_additive_over_random_forests():
 def test_completion_joins_components_and_preserves_sigma():
     forest = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
     tree = complete_forest_to_tree(forest)
-    assert tree.is_tree()
+    assert brute_is_tree(tree)
     assert forest.edges <= tree.edges
     assert crosscut_number(tree) == crosscut_number(forest)
     # trees by smallest member, each joined from its least vertex outside I
@@ -405,7 +407,7 @@ def test_completion_joins_components_and_preserves_sigma():
 def test_completion_attaches_isolated_vertices():
     forest = Graph.from_edges(5, [(0, 1)])
     tree = complete_forest_to_tree(forest)
-    assert tree.is_tree()
+    assert brute_is_tree(tree)
     assert crosscut_number(tree) == crosscut_number(forest) == 1
 
 
@@ -428,7 +430,7 @@ def test_long_path_pair_completion_and_audit():
     assert all(c["pass"] for c in report["checks"])
     padded = Graph(LONG_PATH.n + 3, LONG_PATH.edges)
     tree = complete_forest_to_tree(padded)
-    assert tree.is_tree() and padded.edges <= tree.edges
+    assert brute_is_tree(tree) and padded.edges <= tree.edges
     assert crosscut_number(tree) == 600
     # the alternating set covers every edge; on the cycle evens are
     # lex-smaller than odds, on the 7x7 grid (49 vertices, past the oracle's
@@ -490,7 +492,7 @@ def test_completion_sigma_preserved_random_sweep():
         if not f.edges:
             continue
         tree = complete_forest_to_tree(f)
-        assert tree.is_tree()
+        assert brute_is_tree(tree)
         assert f.edges <= tree.edges
         assert crosscut_number(tree) == crosscut_number(f)
 
@@ -582,8 +584,8 @@ def test_audit_lambda_matches_the_uncovered_forest_on_seeded_trees():
             continue
         report = crosscut_audit(tree)
         uncovered = Graph.from_edges(tree.n, report["R"])
-        oracle = sum(brute_lambda_tree(uncovered, comp) for comp in uncovered.components()
-                     if len(comp) > 1)
+        oracle = sum(brute_lambda_tree(uncovered, comp)
+                     for comp in brute_components(uncovered.n, uncovered.edges) if len(comp) > 1)
         assert report["lambda"] == forest_lambda(uncovered) == oracle, sorted(tree.edges)
         count += 1
         nonempty += bool(report["R"])
@@ -598,6 +600,10 @@ FOREST_EDGES = [(0, 1), (1, 2), (4, 5)]  # on 7 vertices: two paths and two isol
 C4_EDGES = [(0, 1), (1, 2), (2, 3), (0, 3)]
 
 
+def audit_forest_bound_to_6(graph):
+    return audit_forest_bound(graph, [5, 6])
+
+
 @pytest.mark.parametrize("routine, n, edges", [
     (best_crosscut_pair, 4, C4_EDGES),
     (crosscut_number, 7, FOREST_EDGES),
@@ -606,7 +612,7 @@ C4_EDGES = [(0, 1), (1, 2), (2, 3), (0, 3)]
     (tree_lambda, 5, P4_EDGES),
     (complete_forest_to_tree, 7, FOREST_EDGES),
     (crosscut_audit, 5, P4_EDGES),
-    (lambda graph: audit_forest_bound(graph, [5, 6]), 7, FOREST_EDGES),
+    (audit_forest_bound_to_6, 7, FOREST_EDGES),
     (lambda graph: audit_sigma_jump(graph, 8), 5, P4_EDGES),
 ], ids=["best_crosscut_pair", "crosscut_number", "tree_crosscut_number", "forest_lambda",
         "tree_lambda", "complete_forest_to_tree", "crosscut_audit", "audit_forest_bound",
@@ -627,6 +633,7 @@ TRIANGLE_AND_VERTEX = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])  # n - 1 edg
 EMPTY, POINT = Graph(0, frozenset()), Graph(1, frozenset())
 NOT_FOREST, NOT_TREE = "input must be a forest", "input must be a tree"
 NOT_AUDITABLE = "audit requires a tree with at least one edge"
+NOT_A_FOREST_TO_AUDIT = "audit expects a forest with at least one edge"
 
 
 @pytest.mark.parametrize("routine, graph, message", [
@@ -647,6 +654,8 @@ NOT_AUDITABLE = "audit requires a tree with at least one edge"
     (crosscut_audit, POINT, NOT_AUDITABLE),
     (complete_forest_to_tree, Graph(2, frozenset()),
      "an edgeless forest on 2+ vertices cannot extend to a tree with the same crosscut number"),
+    (audit_forest_bound_to_6, TRIANGLE, NOT_A_FOREST_TO_AUDIT),
+    (audit_forest_bound_to_6, TRIANGLE_AND_VERTEX, NOT_A_FOREST_TO_AUDIT),
 ])
 def test_rejections_keep_their_type_and_message(routine, graph, message):
     # the messages the walks gave before the peel answered the forest and
@@ -664,8 +673,10 @@ def test_rejections_keep_their_type_and_message(routine, graph, message):
     (forest_lambda, 7, FOREST_EDGES, 1),
     (crosscut_audit, 8, BROOM_EDGES, 1),  # R's trees and sides come from the tree's peel
     (complete_forest_to_tree, 7, FOREST_EDGES, 2),  # the forest, then the completed tree
+    (audit_forest_bound_to_6, 7, FOREST_EDGES, 1),  # sigma and the forest test from one peel
+    (lambda graph: audit_sigma_jump(graph, 8), 5, P4_EDGES, 1),  # sigma 2: degrees from the peel
 ], ids=["best_crosscut_pair", "tree_crosscut_number", "tree_lambda", "forest_lambda",
-        "crosscut_audit", "complete_forest_to_tree"])
+        "crosscut_audit", "complete_forest_to_tree", "audit_forest_bound", "audit_sigma_jump"])
 def test_crosscut_routines_peel_each_graph_once(monkeypatch, routine, n, edges, builds):
     # the peel builds the neighbour lists and answers the forest, tree,
     # component and side questions, so no routine walks a graph again
@@ -681,8 +692,7 @@ def test_crosscut_routines_peel_each_graph_once(monkeypatch, routine, n, edges, 
         raise AssertionError("a crosscut routine walked a graph outside its peel")
 
     monkeypatch.setattr(core.Graph, "neighbours", counted)
-    for name in ("is_tree", "is_forest", "components"):
-        monkeypatch.setattr(core.Graph, name, walked)
+    monkeypatch.setattr(core.Graph, "is_tree", walked)
     monkeypatch.setattr(core, "_walk", walked)
     graph = Graph.from_edges(n, edges)
     routine(graph)

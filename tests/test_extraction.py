@@ -305,12 +305,24 @@ def test_biclique_completion_matches_recursive_reference():
     assert 0 < found < 4000
 
 
-def test_biclique_rejects_odd_cycles():
-    host = TripleSystem.from_edges(4, [(0, 1, 3), (1, 2, 3), (0, 2, 3)])
-    grid = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    lists = {e: frozenset({3}) for e in grid.edges}
-    with pytest.raises(ValueError, match="bipartite"):
+def assert_biclique_rejects_odd_cycle(edges):
+    # the whole grid graph is 2-colored before any component is searched
+    host = TripleSystem.from_edges(8, [(u, v, 7) for u, v in edges])
+    grid = Graph.from_edges(7, edges)
+    lists = {e: frozenset({7}) for e in grid.edges}
+    with pytest.raises(ValueError) as info:
         find_biclique_avoiding_lists(grid, lists, 1, host)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "graph is not bipartite: it has an odd cycle"
+
+
+def test_biclique_rejects_odd_cycles():
+    assert_biclique_rejects_odd_cycle([(0, 1), (1, 2), (0, 2)])
+
+
+def test_biclique_rejects_odd_cycle_in_a_later_component():
+    # the edge 01 could hold a 1-by-1 biclique
+    assert_biclique_rejects_odd_cycle([(0, 1), (2, 3), (3, 4), (4, 5), (5, 6), (2, 6)])
 
 
 def expansion_grid(base):
@@ -326,3 +338,27 @@ def test_biclique_on_expansion_of_complete_bipartite():
     grid = Graph(host.n, grid.edges)
     found = find_biclique_avoiding_lists(grid, lists, 3, host)
     assert found == (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
+
+
+def test_biclique_builds_and_walks_the_grid_graph_once(monkeypatch):
+    # one walk gives the components, their sides and the odd-cycle test
+    from expansions import core, extraction
+    built, walked = [], []
+    neighbours, walk = core.Graph.neighbours, extraction._walk
+
+    def counted(graph):
+        built.append(graph)
+        return neighbours(graph)
+
+    def counted_walk(nbrs):
+        walked.append(nbrs)
+        return walk(nbrs)
+
+    monkeypatch.setattr(core.Graph, "neighbours", counted)
+    monkeypatch.setattr(extraction, "_walk", counted_walk)
+    base = Graph.from_edges(6, [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)])
+    _, lists, host = expansion_grid(base)
+    grid = Graph(host.n, base.edges)
+    found = find_biclique_avoiding_lists(grid, lists, 3, host)
+    assert found == (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
+    assert len(built) == len(walked) == 1 and built[0] is grid

@@ -9,7 +9,7 @@ import pytest
 import expansions
 from expansions import Graph, TripleSystem, forests, trees, triple_trees
 
-from helpers import ahu_form, labeled_trees
+from helpers import ahu_form, brute_components, brute_is_forest, brute_is_tree, labeled_trees
 
 
 # counts frozen after cross-checking the n <= 8 values against the labeled
@@ -30,7 +30,7 @@ def test_trees_are_trees_and_pairwise_nonisomorphic():
     for n in range(1, 10):
         forms = set()
         for t in trees(n):
-            assert t.n == n and t.is_tree()
+            assert t.n == n and brute_is_tree(t)
             forms.add(ahu_form(n, t.sorted_edges()))
         assert len(forms) == len(trees(n))
 
@@ -70,7 +70,7 @@ def test_forest_counts_match_frozen_table():
 def forest_shape(f: Graph) -> tuple:
     # multiset of component shapes, each relabeled onto 0..size-1
     parts = []
-    for comp in f.components():
+    for comp in brute_components(f.n, f.edges):
         order = {v: i for i, v in enumerate(sorted(comp))}
         edges = [(order[u], order[v]) for u, v in f.edges if u in comp]
         parts.append(ahu_form(len(comp), edges))
@@ -81,7 +81,7 @@ def test_forests_are_forests_and_distinct():
     for n in range(1, 9):
         shapes = set()
         for f in forests(n):
-            assert f.n == n and f.is_forest()
+            assert f.n == n and brute_is_forest(f)
             shapes.add(forest_shape(f))
         assert len(shapes) == len(forests(n))
 
