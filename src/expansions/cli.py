@@ -201,12 +201,15 @@ def _cmd_lists(args):
 def _cmd_multicolor(args):
     if not args.structured and (args.budget_ms, args.budget_nodes) != (None, None):
         raise ValueError("--budget-ms and --budget-nodes bound the --structured search only")
+    if not args.structured and args.s is not None:
+        raise ValueError("--s sizes the subgrid of the --structured search only")
     from . import io, ramsey
     host = io.load_triples(args.host)
     assignment = ramsey.build_list_assignment(host, _int_list(args.x), _int_list(args.y))
     if args.structured:
         budget = ramsey.DEFAULT_BUDGET_NODES if args.budget_nodes is None else args.budget_nodes
-        result = ramsey.find_structured_multicoloring(assignment, args.m, args.s, budget,
+        s = 1 if args.s is None else args.s
+        result = ramsey.find_structured_multicoloring(assignment, args.m, s, budget,
                                                       args.budget_ms)
         out = {
             "status": result.status,
@@ -326,7 +329,7 @@ _register("multicolor", "multicoloring from lists, or the structured subgrid sea
                      p.add_argument("--y", required=True),
                      p.add_argument("--m", type=int, required=True),
                      p.add_argument("--structured", action="store_true"),
-                     p.add_argument("--s", type=int, default=1),
+                     p.add_argument("--s", type=int, help="subgrid size of --structured (default 1)"),
                      _add_budget(p)), _cmd_multicolor)
 _register("contains", "copy of a pattern (or of a graph expansion) in a host",
           lambda p: (p.add_argument("--host", required=True),

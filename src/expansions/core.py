@@ -81,7 +81,7 @@ class Graph(Record):
     n: int
     edges: frozenset[Edge]
 
-    # written out, as the searches build and compare containers in hot paths
+    # written out, as the searches build containers in hot paths
     def __init__(self, n: int, edges: frozenset[Edge]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
@@ -90,12 +90,6 @@ class Graph(Record):
                 raise ValueError(f"bad edge {e} for n={n}")
         _set(self, "n", n)
         _set(self, "edges", edges)
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and (self.n, self.edges) == (other.n, other.edges)
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
 
     @staticmethod
     def from_edges(n: int, pairs: Iterable[Iterable[int]]) -> "Graph":
@@ -154,8 +148,6 @@ class TripleSystem(Record):
                 raise ValueError(f"bad triple {e} for n={n}")
         _set(self, "n", n)
         _set(self, "edges", edges)
-
-    __eq__, __hash__ = Graph.__eq__, Graph.__hash__
 
     @staticmethod
     def from_edges(n: int, triples: Iterable[Iterable[int]]) -> "TripleSystem":

@@ -168,7 +168,7 @@ def best_crosscut_pair(graph: Graph) -> CrosscutPair:
     empty on forests, it makes O(n + m) additions of ints of n + O(log n)
     bits, in O(n) words plus the costs waiting in parents' accumulators.
     """
-    return CrosscutPair.of(graph, _optimal_independent_set(_peel(graph)))
+    return _optimal_pair(graph)[0]
 
 
 def _peel(graph: Graph, error: Exception | None = None, tree: int = 0) -> tuple:
@@ -221,8 +221,9 @@ def _roots(order: list[int], parent: list[int]) -> tuple[list[int], list[int]]:
     return root, side
 
 
-def _optimal_independent_set(peel: tuple) -> list[int]:
-    """The independent set of the optimal crosscut pair, by a two-state DP.
+def _optimal_pair(graph: Graph, error: Exception | None = None, tree: int = 0) -> tuple:
+    """The optimal crosscut pair, checked by CrosscutPair.of, and the peel its
+    two-state DP ran on (error and tree go to _peel): the one route to sigma.
 
     For an independent set I, the edges meeting I number the sum of the
     degrees over I, so the pair weight is m - sum over v in I of
@@ -249,6 +250,7 @@ def _optimal_independent_set(peel: tuple) -> list[int]:
     it where it is used; each independent subset of F carries its summed
     in_term, and F's vertices set their bits in their neighbours' masks.
     """
+    peel = _peel(graph, error, tree)
     adj, order, parent, feedback = peel
     n = len(adj)
     small = [(1 - len(nbrs)) * (n + 1) - 1 for nbrs in adj]
@@ -286,7 +288,7 @@ def _optimal_independent_set(peel: tuple) -> list[int]:
     # a root is its own parent, and outside F it starts outside I
     for v in reversed(order):
         inside[v] = take[v] and not inside[parent[v]]
-    return list(compress(range(n), inside))
+    return CrosscutPair.of(graph, compress(range(n), inside)), peel
 
 
 def crosscut_number(graph: Graph) -> int:
@@ -296,8 +298,7 @@ def crosscut_number(graph: Graph) -> int:
 
 def tree_crosscut_number(tree: Graph) -> int:
     """Crosscut number of a tree's expansion: the weight of its optimal pair."""
-    peel = _peel(tree, ValueError("input must be a tree"), tree=1)
-    return CrosscutPair.of(tree, _optimal_independent_set(peel)).weight
+    return _optimal_pair(tree, ValueError("input must be a tree"), tree=1)[0].weight
 
 
 def _forest_lambda(degree: Iterable[int], root: list[int], side: list[int]) -> int:
@@ -347,11 +348,10 @@ def complete_forest_to_tree(forest: Graph) -> Graph:
 
 def _complete_forest_to_tree(forest: Graph) -> tuple[Graph, int]:
     """complete_forest_to_tree's tree, with the crosscut number it keeps."""
-    peel = _peel(forest, ValueError("input must be a forest"))
-    adj, order, parent, _ = peel
+    pair, (adj, order, parent, _) = _optimal_pair(forest, ValueError("input must be a forest"))
     n = forest.n
     if n <= 1 or len(forest.edges) == n - 1:  # a forest with n - 1 edges is a tree
-        return forest, CrosscutPair.of(forest, _optimal_independent_set(peel)).weight
+        return forest, pair.weight
     if not forest.edges:
         raise ValueError(
             "an edgeless forest on 2+ vertices cannot extend to a tree "
@@ -359,7 +359,6 @@ def _complete_forest_to_tree(forest: Graph) -> tuple[Graph, int]:
 
     # weight and |I| add over components, so the forest's optimal pair
     # restricts to an optimal pair of each component
-    pair = CrosscutPair.of(forest, _optimal_independent_set(peel))
     root = _roots(order, parent)[0]
     joints: dict[int, list] = {}  # per edge-bearing tree: least vertex outside I, then inside I
     for v in reversed(range(n)):
@@ -376,10 +375,9 @@ def _complete_forest_to_tree(forest: Graph) -> tuple[Graph, int]:
     new_edges.update(canonical_edge(anchor, z) for z in range(n) if not adj[z])
 
     tree = Graph(n, frozenset(new_edges))  # the self-check's peel also proves it a tree
-    peel = _peel(tree, RuntimeError("completion did not produce a tree"), tree=1)
-    before, after = pair.weight, CrosscutPair.of(tree, _optimal_independent_set(peel)).weight
-    if before != after:
-        raise RuntimeError(f"completion changed the crosscut number: {before} -> {after}")
+    after = _optimal_pair(tree, RuntimeError("completion did not produce a tree"), tree=1)[0].weight
+    if pair.weight != after:
+        raise RuntimeError(f"completion changed the crosscut number: {pair.weight} -> {after}")
     return tree, after
 
 
@@ -392,9 +390,8 @@ def crosscut_audit(tree: Graph) -> dict:
     weight of the uncovered forest R.  R is weighed on the tree's own peel,
     with no second graph.
     """
-    peel = _peel(tree, ValueError("audit requires a tree with at least one edge"), tree=2)
-    adj, order, parent, _ = peel
-    pair = CrosscutPair.of(tree, _optimal_independent_set(peel))
+    pair, (adj, order, parent, _) = _optimal_pair(
+        tree, ValueError("audit requires a tree with at least one edge"), tree=2)
     ell = pair.weight - 1
     r_edges = sorted(pair.uncovered)
     # each tree edge joins a vertex to its peel parent, so R's peel is the

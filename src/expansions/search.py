@@ -26,13 +26,15 @@ from operator import itemgetter
 
 from .core import (Budget, BudgetExhausted, Graph, Record, Triple, TripleSystem,
                    canonical_triple)
-from .crosscuts import CrosscutPair, _optimal_independent_set, _peel, expand
+from .crosscuts import _optimal_pair, expand
 
 EXACT_MAX_N = 6  # the largest n at which audit_forest_bound runs the exact search
-# the largest copy listing turan_number builds, in bytes estimated as copies *
-# (100 + C(n, 3) / 16): a tuple and list slot per copy, then a byte row per
-# triple over the lanes of the copies ending at or after it, half of them on
-# average; P2+ at n = 20 needs about 40 MB, P2+ at n = 30 about 760 MB
+# the largest copy listing turan_number builds, in bytes estimated per shape of
+# the pattern on its k vertices as the larger of 200 + 8m in the orbit walk (a
+# key tuple, an itemgetter and a dict slot) and C(n, k) * (100 + C(n, 3) / 16)
+# for its copies (a tuple and list slot each, then a byte row per triple over
+# the lanes of the copies ending at or after it, half of them on average);
+# P2+ at n = 20 needs about 40 MB, P2+ at n = 30 about 760 MB
 LISTING_MAX_BYTES = 1 << 28
 
 
@@ -56,16 +58,16 @@ class EmbeddingCertificate(Record):
         )
 
 
-def _host_masks(host: TripleSystem, twins: bool = True):
+def _host_masks(host: TripleSystem):
     """The host's incidences from one pass over its triples, as (link,
     degree, need): link[x][y], for both orders of every pair inside a
     triple, has the bits of the third vertices completing it, degree[x]
     counts the triples at x, and need[v] is the bit of v's next smaller
-    twin (0 for none, or without twins).  Twins, whose swap is an
-    automorphism, have equal link rows, or share a triple and have rows
-    equal once each drops the other.  Twins are an equivalence relation
-    of equal degrees, so v is compared only with the smallest member of
-    each class of its degree found so far."""
+    twin (0 for none).  Twins, whose swap is an automorphism, have equal
+    link rows, or share a triple and have rows equal once each drops the
+    other.  Twins are an equivalence relation of equal degrees, so v is
+    compared only with the smallest member of each class of its degree
+    found so far."""
     link: dict[int, dict[int, int]] = {}
     degree = [0] * host.n
     for a, b, c in host.edges:
@@ -78,28 +80,27 @@ def _host_masks(host: TripleSystem, twins: bool = True):
         degree[b] += 1
         degree[c] += 1
     need = [0] * host.n
-    if twins:
-        classes: dict[int, list[list[int]]] = {}  # by degree, the classes found so far
-        for v, d in enumerate(degree):
-            rv = link.get(v, {})
-            for cls in classes.setdefault(d, []):
-                h = cls[0]
-                rh = link.get(h, {})
-                if rh != rv and (v not in rh or len(rh) != len(rv) or any(
-                        rv.get(y, 0) & ~(1 << h) != m & ~(1 << v) for y, m in rh.items() if y != v)):
-                    continue
-                need[v] = 1 << cls[-1]
-                cls.append(v)
-                break
-            else:
-                classes[d].append([v])
+    classes: dict[int, list[list[int]]] = {}  # by degree, the classes found so far
+    for v, d in enumerate(degree):
+        rv = link.get(v, {})
+        for cls in classes.setdefault(d, []):
+            h = cls[0]
+            rh = link.get(h, {})
+            if rh != rv and (v not in rh or len(rh) != len(rv) or any(
+                    rv.get(y, 0) & ~(1 << h) != m & ~(1 << v) for y, m in rh.items() if y != v)):
+                continue
+            need[v] = 1 << cls[-1]
+            cls.append(v)
+            break
+        else:
+            classes[d].append([v])
     return link, degree, need
 
 
-def _embeddings(edges, host: TripleSystem, twins: bool = True):
-    """Yield every injective map of the vertices of the pattern triples
-    into range(host.n) sending each triple onto a host triple, as a fresh
-    dict.
+def _embeddings(edges, host: TripleSystem):
+    """Yield the injective maps of the vertices of the pattern triples into
+    range(host.n) sending each triple onto a host triple, up to the twin
+    rule below, each as a fresh dict.
 
     Pattern vertices are placed in descending degree order, each onto
     host vertices in increasing order, so maps come out in lexicographic
@@ -113,14 +114,15 @@ def _embeddings(edges, host: TripleSystem, twins: bool = True):
     Neither drops a copy.  A vertex of pattern degree d only goes to host
     vertices of host degree >= d.
 
-    With twins, a host vertex h is tried only when need[h], the bit of its
-    next smaller twin (0 for none), is used.  Each placed vertex passed
-    that test and the last placed is lifted first, so the used members of
-    a class are its smallest: the test is that every smaller twin is used.
-    Swapping a vertex with an unused smaller twin is an automorphism
-    fixing every used vertex, so its subtree mirrors one already searched:
-    a caller stopping at the first map it accepts, by tests invariant
-    under host automorphisms, gets the same first map either way.
+    The twin rule: a host vertex h is tried only when need[h], the bit of
+    its next smaller twin (0 for none), is used.  Each placed vertex
+    passed that test and the last placed is lifted first, so the used
+    members of a class are its smallest: the test is that every smaller
+    twin is used.  Swapping a vertex with an unused smaller twin is an
+    automorphism fixing every used vertex, so its subtree mirrors one
+    already searched: a caller stopping at the first map it accepts, by
+    tests invariant under host automorphisms, gets the first map of a
+    search without the rule.
     """
     degree: dict[int, int] = {}
     for e in edges:
@@ -137,7 +139,7 @@ def _embeddings(edges, host: TripleSystem, twins: bool = True):
         a, b, c = sorted(map(position.__getitem__, e))
         closing[c].append((a, b))
         short[b].append(a)
-    link, host_degree, need = _host_masks(host, twins)
+    link, host_degree, need = _host_masks(host)
     fits = {d: sum(1 << h for h, at in enumerate(host_degree) if at >= d)
             for d in set(degree.values())}
     candidates = [fits[degree[v]] for v in support]
@@ -261,10 +263,10 @@ def _holds(pattern: TripleSystem, n: int, budget: Budget) -> list[int]:
     i-th triple of combinations(range(n), 3).  It raises BudgetExhausted
     past the deadline, which Budget.tick reads after the shape images, the
     copies lifted, the lanes set and the row bytes turned into ints pass
-    each multiple of its cadence.  A listing estimated above
-    LISTING_MAX_BYTES is refused before any table is built, and the walk
-    refuses as soon as its own shapes would pass that size:
-    BudgetExhausted under a budget, else a ValueError.
+    each multiple of its cadence.  The orbit walk refuses the listing as
+    soon as its shapes, at the larger of their own and their copies' bytes,
+    pass LISTING_MAX_BYTES, before any table is built: BudgetExhausted
+    under a budget, else a ValueError.
 
     A copy spans one k-subset of range(n), k the number of vertices in
     pattern edges, as one shape: a copy on range(k), moved by the
@@ -281,15 +283,11 @@ def _holds(pattern: TripleSystem, n: int, budget: Budget) -> list[int]:
     k = len(label)
     rank = {t: i for i, t in enumerate(combinations(range(k), 3))}
     swaps = _swap_ranks(rank, k)
-    shape_bytes = 200 + 8 * len(edges)  # a shape's key tuple, its itemgetter and its dict slot
+    triples = comb(n, 3)
+    shape_bytes = max(200 + 8 * len(edges), comb(n, k) * (100 + triples / 16))
 
     def getter(shape):  # itemgetter of one rank would return the bare rank, not a sequence
         return itemgetter(*shape) if len(shape) > 1 else itemgetter(slice(shape[0], shape[0] + 1))
-
-    def refuse(message: str):
-        if budget.deadline is None and budget.node_cap is None:
-            raise ValueError(message)
-        raise BudgetExhausted
 
     start = tuple(sorted([rank[label[a], label[b], label[c]] for a, b, c in edges]))
     shapes, todo, count = {start: getter(start)}, [start], 0  # the getter reads images, copies
@@ -303,13 +301,11 @@ def _holds(pattern: TripleSystem, n: int, budget: Budget) -> list[int]:
         count += len(swaps)
         budget.tick(count, len(swaps))
         if len(shapes) * shape_bytes > LISTING_MAX_BYTES:
-            refuse(f"more than {len(shapes):,} shapes of the pattern on its {k} vertices are too"
-                   f" many to list in {LISTING_MAX_BYTES / 1e6:,.0f} MB")
-    copies, triples = comb(n, k) * len(shapes), comb(n, 3)
-    size = copies * (100 + triples / 16)
-    if size > LISTING_MAX_BYTES:
-        refuse(f"{copies:,} copies of the pattern on n = {n} are too many to list:"
-               f" about {size / 1e6:,.0f} MB, over {LISTING_MAX_BYTES / 1e6:,.0f} MB")
+            if budget.deadline is None and budget.node_cap is None:
+                raise ValueError(f"at least {len(shapes):,} shapes of the pattern on its {k}"
+                                 f" vertices, lifted to n = {n}, are too many to list in"
+                                 f" {LISTING_MAX_BYTES / 1e6:,.0f} MB")
+            raise BudgetExhausted
     index = {t: i for i, t in enumerate(combinations(range(n), 3))}
     ending = defaultdict(list)  # the copies by last triple
     for count, subset in enumerate(combinations(range(n), k), 1):
@@ -447,7 +443,7 @@ def audit_forest_bound(
     unfit = ValueError("audit expects a forest with at least one edge")
     if not forest.edges:
         raise unfit
-    sigma = CrosscutPair.of(forest, _optimal_independent_set(_peel(forest, unfit))).weight
+    sigma = _optimal_pair(forest, unfit)[0].weight
     ns = sorted(set(ns))
     if ns and ns[0] < 0:
         raise ValueError("n must be nonnegative")
@@ -498,8 +494,7 @@ def audit_sigma_jump(graph: Graph, n: int) -> dict:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    peel = _peel(graph)
-    sigma = CrosscutPair.of(graph, _optimal_independent_set(peel)).weight
+    sigma = _optimal_pair(graph)[0].weight
     report: dict = {
         "sigma": sigma,
         "n": n,
@@ -518,7 +513,10 @@ def audit_sigma_jump(graph: Graph, n: int) -> dict:
     report["expected_edges"] = core * comb(n - core, 2)
     report["free"] = contains_expansion(construction, graph) is None
     if sigma == 2:
-        m, degree = len(graph.edges), [len(nbrs) for nbrs in peel[0]]
+        m, degree = len(graph.edges), [0] * graph.n
+        for a, b in graph.edges:
+            degree[a] += 1
+            degree[b] += 1
         report["shape"] = {
             "in_star_plus_edge": any(m - d <= 1 for d in degree),
             "in_complete_bipartite_two": any(degree[a] + degree[b] == m

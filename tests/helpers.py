@@ -142,7 +142,9 @@ def branching_pair(graph: Graph) -> CrosscutPair:
         state[v] = UNDECIDED
 
     walk(0, 0)
-    return CrosscutPair.of(graph, best_set[0])
+    chosen = best_set[0]
+    uncovered = frozenset((u, v) for u, v in graph.edges if u not in chosen and v not in chosen)
+    return CrosscutPair(chosen, uncovered)
 
 
 def brute_optimal_pairs(graph: Graph):

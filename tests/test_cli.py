@@ -202,13 +202,13 @@ def test_complete_tree_prints_the_crosscut_number_it_kept(capsys, tmp_path, monk
     # the printed sigma is the weight the completion computed, not a third DP
     from expansions import crosscuts
     runs = []
-    dp = crosscuts._optimal_independent_set
+    dp = crosscuts._optimal_pair
 
-    def counted(peel):
-        runs.append(peel)
-        return dp(peel)
+    def counted(graph, *args, **kwargs):
+        runs.append(graph)
+        return dp(graph, *args, **kwargs)
 
-    monkeypatch.setattr(crosscuts, "_optimal_independent_set", counted)
+    monkeypatch.setattr(crosscuts, "_optimal_pair", counted)
     forest = tmp_path / "forest.txt"
     forest.write_text(graph_to_text(Graph.from_edges(5, edges)))
     code, out = run_json(capsys, ["complete-tree", "--graph", str(forest)])
@@ -454,16 +454,22 @@ def test_budget_flags_only_on_budgeted_searches(capsys, path2_file):
 
 
 def test_multicolor_budget_flags_need_structured(capsys, tmp_path):
-    # only the structured search reads a budget: given without it, a flag exits 2
+    # only the structured search reads a budget or a subgrid size: given
+    # without it, a flag exits 2 rather than being ignored
     host = tmp_path / "host.txt"
     host.write_text(triples_to_text(TripleSystem.from_edges(6, [(0, 2, 4), (0, 3, 5),
                                                                 (1, 2, 5), (1, 3, 4)])))
     argv = ["multicolor", "--host", str(host), "--x", "0,1", "--y", "2,3", "--m", "1"]
     for flags in (["--budget-ms", "0"], ["--budget-nodes", "0"],
-                  ["--budget-ms", "0", "--budget-nodes", "0"]):
+                  ["--budget-ms", "0", "--budget-nodes", "0"], ["--s", "5"], ["--s", "1"]):
         assert main(argv + flags) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "--structured" in err[0]
+    # under --structured, --s defaults to 1
+    code, default = run_json(capsys, argv + ["--structured"])
+    assert code == 0
+    assert run_json(capsys, argv + ["--structured", "--s", "1"]) == (0, default)
+    assert default["X"] is not None and len(default["X"]) == 1
 
 
 def test_negative_budgets_exit_two(capsys, path2_file, tmp_path):

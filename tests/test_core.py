@@ -140,7 +140,6 @@ def test_twin_classes_match_transposition_oracle():
         smaller = brute_smaller_twins(system.n, system.edges)  # each need bit is the largest
         assert _host_masks(system)[2] == [1 << smaller[v] if v in smaller else 0
                                           for v in range(system.n)]
-        assert _host_masks(system, twins=False)[2] == [0] * system.n
 
 
 def test_twin_classes_of_core_construction():

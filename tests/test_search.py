@@ -12,8 +12,8 @@ from expansions import (Graph, TripleSystem, audit_forest_bound, audit_sigma_jum
 from expansions import search
 from expansions.core import Budget, BudgetExhausted
 from expansions.search import _embeddings, _holds, _host_masks
-from helpers import (brute_contains, brute_embeddings, brute_graph_contains, brute_turan,
-                     counter_copies, counter_turan, random_graph, random_system)
+from helpers import (brute_contains, brute_embeddings, brute_graph_contains, brute_smaller_twins,
+                     brute_turan, counter_copies, counter_turan, random_graph, random_system)
 
 
 PATH2 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -211,13 +211,10 @@ def test_containment_caches_nothing_on_the_host():
         assert list(vars(host)) == ["n", "edges"]
 
 
-def _first_maps(edges, host):
-    return [next(_embeddings(edges, host, twins), None) for twins in (False, True)]
-
-
 def test_prefix_twin_rule_keeps_the_first_map():
     # a member of a host twin class is tried only once its next smaller
-    # twin is used; on twin-rich hosts the first map is the unpruned one
+    # twin is used; on twin-rich hosts the first map is still the first
+    # of a plain scan of every arrangement
     rng = random.Random(113)
     hosts = [lower_bound_construction(10, 1), lower_bound_construction(9, 2)]
     hosts += [twin_rich_system(rng) for _ in range(150)]
@@ -225,15 +222,19 @@ def test_prefix_twin_rule_keeps_the_first_map():
     for host in hosts:
         pattern = expand(random_graph(rng, rng.randint(2, 5), 0.6)).system \
             if rng.random() < 0.5 else random_system(rng, rng.randint(3, 6), rng.randint(1, 3))
-        plain, pruned = _first_maps(pattern.sorted_edges(), host)
-        assert plain == pruned
+        edges = pattern.sorted_edges()
+        first = next(_embeddings(edges, host), None)
+        assert (None if first is None else list(first.items())) == \
+            next(brute_embeddings(edges, host), None)
 
 
 def test_kernel_matches_the_permutation_oracle_in_order():
-    # the first map and the whole listing, in order, with and without twin
-    # pruning, against a scan of every arrangement in lexicographic order
+    # the first map and the whole listing, in order, against a scan of
+    # every arrangement in lexicographic order under the twin rule; on a
+    # host without twins that is every map, so the edge rule alone is
+    # checked on full listings
     rng = random.Random(127)
-    listed = pruned = 0
+    listed = pruned = untwinned = 0
     for _ in range(120):
         host = twin_rich_system(rng) if rng.random() < 0.5 else \
             random_system(rng, rng.randint(4, 9), rng.randint(0, 24))
@@ -243,13 +244,16 @@ def test_kernel_matches_the_permutation_oracle_in_order():
             continue
         edges = pattern.sorted_edges()
         plain = list(brute_embeddings(edges, host))
-        for twins, want in ((False, plain), (True, list(brute_embeddings(edges, host, twins=True)))):
-            got = [list(found.items()) for found in _embeddings(edges, host, twins)]
-            assert got == want
-            assert got[:1] == plain[:1]  # pruning keeps the first map
+        want = list(brute_embeddings(edges, host, twins=True))
+        got = [list(found.items()) for found in _embeddings(edges, host)]
+        assert got == want
+        assert got[:1] == plain[:1]  # pruning keeps the first map
         listed += len(plain)
         pruned += len(plain) > len(want)
-    assert listed > 10_000 and pruned > 30
+        if not brute_smaller_twins(host.n, host.edges):
+            assert want == plain
+            untwinned += bool(plain)
+    assert listed > 10_000 and pruned > 30 and untwinned > 10
 
 
 def separate_trees_on_seven_vertices(n: int):
@@ -647,15 +651,22 @@ def test_turan_under_a_budget_refuses_a_listing_over_the_cap():
 
 
 def test_turan_without_a_budget_refuses_a_listing_over_the_cap():
-    with pytest.raises(ValueError, match="^7,207,200 copies of the pattern on n = 16 "):
-        turan_number(16, expand(PATH3).system)
+    # the orbit walk stops once its shapes' copies pass the cap, long before
+    # it ends: P3+ has 630 shapes (7,207,200 copies at n = 16), K4+ 151,200
+    for n, pattern, shapes, k in ((16, expand(PATH3).system, 176, 7),
+                                  (14, expand(K4).system, 2_189, 10)):
+        with pytest.raises(ValueError, match=f"^at least {shapes:,} shapes of the pattern on its"
+                                             f" {k} vertices, lifted to n = {n}, are too many to"
+                                             f" list in 268 MB$"):
+            turan_number(n, pattern)
 
 
 @pytest.mark.parametrize("n, pattern, listed", [
     (20, expand(PATH2).system, True), (30, expand(PATH2).system, False),
     (9, expand(PATH3).system, True), (9, expand(P4).system, True),
     (12, expand(P4).system, False), (10, expand(K4).system, True),
-], ids=["P2+ n20", "P2+ n30", "P3+ n9", "P4+ n9", "P4+ n12", "K4+ n10"])
+    (14, expand(K4).system, False),
+], ids=["P2+ n20", "P2+ n30", "P3+ n9", "P4+ n9", "P4+ n12", "K4+ n10", "K4+ n14"])
 def test_turan_listing_cap_passes_what_the_search_can_use(n, pattern, listed):
     # a 0-node cap stops node 1 after a listing, or refuses it with 0 nodes
     assert turan_number(n, pattern, budget_nodes=0).nodes == listed
@@ -675,8 +686,8 @@ def test_turan_orbit_walk_refuses_once_its_shapes_pass_the_cap(monkeypatch):
         tracemalloc.stop()
     assert (result.value, result.exact, result.nodes, result.witness) == (0, False, 0, ())
     assert peak < 3_000_000
-    with pytest.raises(ValueError, match=r"^more than [\d,]+ shapes of the pattern on its 10 "
-                                         r"vertices are too many to list in 1 MB$"):
+    with pytest.raises(ValueError, match=r"^at least 4,035 shapes of the pattern on its 10 "
+                                         r"vertices, lifted to n = 10, are too many to list in 1 MB$"):
         turan_number(10, pattern)
 
 
