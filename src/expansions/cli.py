@@ -405,8 +405,9 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 2
     try:
         result, exhausted = handler(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # a MemoryError has no message
+        reason = "out of memory for this input" if isinstance(exc, MemoryError) else exc
+        print(f"error: {reason}", file=sys.stderr)
         return 2
     try:
         print(json.dumps(result, indent=2) if args.json else "\n".join(_render(result)))

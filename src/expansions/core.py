@@ -2,11 +2,13 @@
 
 Vertices are always 0..n-1 with n stored explicitly, so isolated vertices
 are representable.  Graph edges are canonical pairs (u, v) with u < v and
-triples are canonical sorted 3-tuples.  Both containers are immutable; a
-graph caches nothing, a triple system only its codegree tables and pair
-neighbourhoods.  Here too: the node and time budget of the exhaustive
-searches, the lexicographic search for pairwise compatible candidates,
-and Record, the import-free base of every value class.
+triples are canonical sorted 3-tuples.  Both containers are immutable and
+share one base, which holds the fields, the validity check, from_edges and
+sorted_edges; a graph caches nothing, a triple system one table, its pair
+neighbourhoods, whose sizes are the codegrees.  Here too: the node and
+time budget of the exhaustive searches, the lexicographic search for
+pairwise compatible candidates, and Record, the import-free base of every
+value class.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import time
 from collections.abc import Callable, Iterable
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import islice
 from operator import attrgetter
 
 Edge = tuple[int, int]
@@ -26,12 +28,13 @@ _set = object.__setattr__  # stores a field of a Record
 class Record:
     """Base of the immutable value classes, plain Python so that importing
     them costs no inspect import.  The fields are the names annotated in a
-    subclass body, in order: taken positionally or by keyword and checked
-    by __post_init__, they give __eq__, __hash__ and a __repr__ naming
-    each.  Setting or deleting raises AttributeError; cached_property works."""
+    subclass body, in order (its base's if it annotates none): taken
+    positionally or by keyword and checked by __post_init__, they give
+    __eq__, __hash__ and a __repr__ naming each.  Setting or deleting
+    raises AttributeError; cached_property works."""
 
     def __init_subclass__(cls):
-        cls._fields = tuple(cls.__annotations__)
+        cls._fields = tuple(cls.__annotations__) or cls._fields
         cls._values = attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs):
@@ -75,25 +78,36 @@ def canonical_triple(u: int, v: int, w: int) -> Triple:
     return (a, b, c)
 
 
-class Graph(Record):
-    """Simple undirected graph; edges are canonical (u, v) pairs with u < v."""
+class _EdgeSet(Record):
+    """Vertices 0..n-1 and edges, each a strictly increasing tuple of _width
+    vertices below n; Graph and TripleSystem give the width, nouns and form."""
 
     n: int
-    edges: frozenset[Edge]
+    edges: frozenset
 
     # written out, as the searches build containers in hot paths
-    def __init__(self, n: int, edges: frozenset[Edge]):
+    def __init__(self, n: int, edges: frozenset):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        for e in edges:
-            if len(e) != 2 or not (0 <= e[0] < e[1] < n):
-                raise ValueError(f"bad edge {e} for n={n}")
+        width = self._width
+        for e in edges:  # at width 2 or 3 the two chains compare every adjacent pair
+            if len(e) != width or not (0 <= e[0] < e[1] and e[-2] < e[-1] < n):
+                raise ValueError(f"bad {self._edge} {e} for n={n}")
         _set(self, "n", n)
         _set(self, "edges", edges)
 
-    @staticmethod
-    def from_edges(n: int, pairs: Iterable[Iterable[int]]) -> "Graph":
-        return Graph(n, frozenset(canonical_edge(*pair) for pair in pairs))
+    @classmethod
+    def from_edges(cls, n: int, edges: Iterable[Iterable[int]]):
+        return cls(n, frozenset(cls._canonical(*e) for e in edges))
+
+    def sorted_edges(self) -> list:
+        return sorted(self.edges)
+
+
+class Graph(_EdgeSet):
+    """Simple undirected graph; edges are canonical (u, v) pairs with u < v."""
+
+    _width, _edge, _kind, _canonical = 2, "edge", "graph", staticmethod(canonical_edge)
 
     def neighbours(self) -> list[list[int]]:
         """Each vertex's neighbours, built afresh on every call."""
@@ -102,9 +116,6 @@ class Graph(Record):
             nbrs[u].append(v)
             nbrs[v].append(u)
         return nbrs
-
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
 
     def is_tree(self) -> bool:
         return (self.n > 0 and len(self.edges) == self.n - 1
@@ -134,33 +145,10 @@ def _walk(nbrs: list[list[int]]) -> tuple[list[frozenset[int]], tuple[int, ...],
     return comps, tuple(color), proper
 
 
-class TripleSystem(Record):
-    """3-uniform set system of sorted triples; caches only pair_counts and pair_neighborhoods."""
+class TripleSystem(_EdgeSet):
+    """3-uniform set system of sorted triples; caches only pair_neighborhoods."""
 
-    n: int
-    edges: frozenset[Triple]
-
-    def __init__(self, n: int, edges: frozenset[Triple]):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        for e in edges:
-            if len(e) != 3 or not (0 <= e[0] < e[1] < e[2] < n):
-                raise ValueError(f"bad triple {e} for n={n}")
-        _set(self, "n", n)
-        _set(self, "edges", edges)
-
-    @staticmethod
-    def from_edges(n: int, triples: Iterable[Iterable[int]]) -> "TripleSystem":
-        return TripleSystem(n, frozenset(canonical_triple(*t) for t in triples))
-
-    @cached_property
-    def pair_counts(self) -> dict[Edge, int]:
-        # codegree of every pair that lies in at least one triple
-        counts: dict[Edge, int] = {}
-        for e in self.edges:
-            for pair in combinations(e, 2):
-                counts[pair] = counts.get(pair, 0) + 1
-        return counts
+    _width, _edge, _kind, _canonical = 3, "triple", "triple system", staticmethod(canonical_triple)
 
     @cached_property
     def pair_neighborhoods(self) -> dict[Edge, frozenset[int]]:
@@ -172,8 +160,9 @@ class TripleSystem(Record):
             hoods.setdefault((b, c), set()).add(a)
         return {pair: frozenset(s) for pair, s in hoods.items()}
 
-    def sorted_edges(self) -> list[Triple]:
-        return sorted(self.edges)
+    @property
+    def pair_counts(self) -> dict[Edge, int]:  # each pair's codegree, afresh on every read
+        return {pair: len(thirds) for pair, thirds in self.pair_neighborhoods.items()}
 
 
 class BudgetExhausted(Exception):
@@ -257,7 +246,7 @@ def first_compatible(candidates: Iterable, t: int, compatible: Callable[[object,
 
 def shadow(system: TripleSystem) -> Graph:
     """The graph of pairs covered by at least one triple."""
-    return Graph(system.n, frozenset(system.pair_counts))
+    return Graph(system.n, frozenset(system.pair_neighborhoods))
 
 
 def _check_vertices(system: TripleSystem, vertices: Iterable[int]) -> None:
@@ -271,7 +260,7 @@ def codegree(system: TripleSystem, x: int, y: int) -> int:
     if x == y:
         raise ValueError("codegree requires two distinct vertices")
     _check_vertices(system, (x, y))
-    return system.pair_counts.get(canonical_edge(x, y), 0)
+    return len(system.pair_neighborhoods.get(canonical_edge(x, y), ()))
 
 
 def neighborhood(system: TripleSystem, pair: Iterable[int]) -> frozenset[int]:

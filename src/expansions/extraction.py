@@ -238,7 +238,7 @@ def find_biclique_avoiding_lists(
     if t < 1:
         raise ValueError("biclique side size must be positive")
     for e in grid_graph.edges:
-        if e not in host.pair_counts:
+        if e not in host.pair_neighborhoods:
             raise ValueError(f"grid edge {e} is not in the shadow of the host")
         if e not in lists:
             raise ValueError(f"no list given for grid edge {e}")

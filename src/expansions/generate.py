@@ -108,11 +108,12 @@ def triple_trees(v: int) -> tuple[TripleSystem, ...]:
         kept: dict[tuple, list[TripleSystem]] = {}
         nxt = []
         for system in level:
-            for a, b in sorted(system.pair_counts):
+            for a, b in sorted(system.pair_neighborhoods):
                 grown = TripleSystem(w + 1, system.edges | {(a, b, w)})
                 degrees = Counter(x for e in grown.edges for x in e)
+                codegrees = map(len, grown.pair_neighborhoods.values())
                 bucket = kept.setdefault((tuple(sorted(degrees.values())),
-                                          tuple(sorted(grown.pair_counts.values()))), [])
+                                          tuple(sorted(codegrees))), [])
                 if all(contains(grown, other) is None for other in bucket):
                     bucket.append(grown)
                     nxt.append(grown)

@@ -15,7 +15,8 @@ import reprlib
 from .core import Graph, TripleSystem
 
 
-def _parse_rows(text: str, width: int, kind: str) -> tuple[int, list[list[int]]]:
+def _parse_text(text: str, cls: type[Graph | TripleSystem]) -> Graph | TripleSystem:
+    width, kind = cls._width, cls._kind
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError(f"empty {kind} input")
@@ -34,17 +35,15 @@ def _parse_rows(text: str, width: int, kind: str) -> tuple[int, list[list[int]]]
         if len(parts) != width:
             raise ValueError(f"{kind} edge line must have {width} vertices, got {ln!r}")
         rows.append([int(p) for p in parts])
-    return n, rows
+    return cls.from_edges(n, rows)
 
 
 def parse_graph_text(text: str) -> Graph:
-    n, rows = _parse_rows(text, 2, "graph")
-    return Graph.from_edges(n, rows)
+    return _parse_text(text, Graph)
 
 
 def parse_triples_text(text: str) -> TripleSystem:
-    n, rows = _parse_rows(text, 3, "triple system")
-    return TripleSystem.from_edges(n, rows)
+    return _parse_text(text, TripleSystem)
 
 
 def _to_text(system: Graph | TripleSystem) -> str:
@@ -106,31 +105,32 @@ def json_list(obj: dict, key: str) -> list:
     return value
 
 
-def _edges_from_json_dict(obj, width: int, kind: str) -> tuple[int, list[list[int]]]:
-    json_object(obj, f"{kind} JSON", "n", "edges")
-    n = json_int(obj["n"], f"{kind} 'n'")
-    return n, [int_list(e, f"{kind} edge", width) for e in json_list(obj, "edges")]
+def _from_json_dict(obj, cls: type[Graph | TripleSystem]) -> Graph | TripleSystem:
+    json_object(obj, f"{cls._kind} JSON", "n", "edges")
+    n = json_int(obj["n"], f"{cls._kind} 'n'")
+    return cls.from_edges(n, [int_list(e, f"{cls._kind} edge", cls._width)
+                              for e in json_list(obj, "edges")])
 
 
 def graph_from_json_dict(obj: dict) -> Graph:
-    return Graph.from_edges(*_edges_from_json_dict(obj, 2, "graph"))
+    return _from_json_dict(obj, Graph)
 
 
 def triples_from_json_dict(obj: dict) -> TripleSystem:
-    return TripleSystem.from_edges(*_edges_from_json_dict(obj, 3, "triple-system"))
+    return _from_json_dict(obj, TripleSystem)
 
 
-def _load(path: str, parse_text, from_json_dict):
+def _load(path: str, cls: type[Graph | TripleSystem]) -> Graph | TripleSystem:
     if path.endswith(".json"):
-        return from_json_dict(read_json(path))
+        return _from_json_dict(read_json(path), cls)
     with open(path) as fh:
-        return parse_text(fh.read())
+        return _parse_text(fh.read(), cls)
 
 
 def load_graph(path: str) -> Graph:
     """Read a graph file, JSON when the name ends in .json, text otherwise."""
-    return _load(path, parse_graph_text, graph_from_json_dict)
+    return _load(path, Graph)
 
 
 def load_triples(path: str) -> TripleSystem:
-    return _load(path, parse_triples_text, triples_from_json_dict)
+    return _load(path, TripleSystem)

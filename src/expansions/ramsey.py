@@ -113,7 +113,7 @@ def build_list_assignment(host: TripleSystem, rows: Iterable[int], cols: Iterabl
     lists: dict[Cell, frozenset[int]] = {}
     for x in rows:
         for y in cols:
-            if canonical_edge(x, y) not in host.pair_counts:
+            if canonical_edge(x, y) not in host.pair_neighborhoods:
                 raise ValueError(f"grid pair {(x, y)} is not in the shadow of the host")
             lists[(x, y)] = neighborhood(host, (x, y)) - grid_vertices
     return ListAssignment(rows, cols, lists)

@@ -257,10 +257,10 @@ def _swap_ranks(rank: dict[Triple, int], k: int) -> list[list[int]]:
             for j in range(k - 1)]
 
 
-def _holds(pattern: TripleSystem, n: int, budget: Budget) -> list[int]:
-    """holds[i] has a bit lane for each copy of the pattern (with edges,
-    pattern.n <= n) in the complete triple system on n vertices holding the
-    i-th triple of combinations(range(n), 3).  It raises BudgetExhausted
+def _holds(pattern: TripleSystem, n: int, budget: Budget) -> tuple[list[Triple], list[int]]:
+    """All triples on range(n) in lex order, listed once the listing is not
+    refused, and holds: holds[i] has a bit lane for each copy of the pattern
+    (with edges, pattern.n <= n) holding the i-th.  It raises BudgetExhausted
     past the deadline, which Budget.tick reads after the shape images, the
     copies lifted, the lanes set and the row bytes turned into ints pass
     each multiple of its cadence.  The orbit walk refuses the listing as
@@ -283,8 +283,7 @@ def _holds(pattern: TripleSystem, n: int, budget: Budget) -> list[int]:
     k = len(label)
     rank = {t: i for i, t in enumerate(combinations(range(k), 3))}
     swaps = _swap_ranks(rank, k)
-    triples = comb(n, 3)
-    shape_bytes = max(200 + 8 * len(edges), comb(n, k) * (100 + triples / 16))
+    shape_bytes = max(200 + 8 * len(edges), comb(n, k) * (100 + comb(n, 3) / 16))
 
     def getter(shape):  # itemgetter of one rank would return the bare rank, not a sequence
         return itemgetter(*shape) if len(shape) > 1 else itemgetter(slice(shape[0], shape[0] + 1))
@@ -306,7 +305,8 @@ def _holds(pattern: TripleSystem, n: int, budget: Budget) -> list[int]:
                                  f" vertices, lifted to n = {n}, are too many to list in"
                                  f" {LISTING_MAX_BYTES / 1e6:,.0f} MB")
             raise BudgetExhausted
-    index = {t: i for i, t in enumerate(combinations(range(n), 3))}
+    triples = list(combinations(range(n), 3))
+    index = {t: i for i, t in enumerate(triples)}
     ending = defaultdict(list)  # the copies by last triple
     for count, subset in enumerate(combinations(range(n), k), 1):
         image = [index[t] for t in combinations(subset, 3)]
@@ -315,7 +315,7 @@ def _holds(pattern: TripleSystem, n: int, budget: Budget) -> list[int]:
             ending[copy[-1]].append(copy)
         budget.tick(count * len(shapes), len(shapes))
     # the lanes of the copies ending at or after triple i are those below bound i
-    bounds = accumulate(len(ending.get(i, ())) for i in reversed(range(triples)))
+    bounds = accumulate(len(ending.get(i, ())) for i in reversed(range(len(triples))))
     rows = [bytearray((lanes + 7) >> 3) for lanes in bounds][::-1]
     ordered = chain.from_iterable(ending.pop(last) for last in sorted(ending, reverse=True))
     lanes = 0
@@ -331,7 +331,7 @@ def _holds(pattern: TripleSystem, n: int, budget: Budget) -> list[int]:
         rows[i] = int.from_bytes(row, "little")
         done += len(row)
         budget.tick(done, len(row))
-    return rows
+    return triples, rows
 
 
 def turan_number(
@@ -369,15 +369,15 @@ def turan_number(
     stopping that node puts the previous one back.  On exhaustion the
     incumbent is returned with exact=False, a witnessed lower bound; a
     deadline passed while listing copies, or a listing over the cap under
-    a budget, leaves the empty one (value 0).
+    a budget, leaves the empty one (value 0).  _holds lists the C(n, 3)
+    triples once, after its refusal check: a refused call never lists them.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    all_triples = list(combinations(range(n), 3))
-    total = len(all_triples)
+    total = comb(n, 3)
     budget = Budget(budget_ms, budget_nodes)
     if forbidden.n > n:  # no copy fits
-        return TuranResult(n, total, True, tuple(all_triples), "branch-and-bound", 0)
+        return TuranResult(n, total, True, tuple(combinations(range(n), 3)), "branch-and-bound", 0)
     if not forbidden.edges:
         raise ValueError("an edgeless pattern that fits is contained in every host")
     top = len(forbidden.edges) - 1
@@ -387,8 +387,9 @@ def turan_number(
     value, best, exact = 0, [], True  # the empty set is free
     gained, prior = -1, (value, best)  # the node of the last improvement, the incumbent before it
     idx, limit, base, due = 0, total, 1, 1  # next triple, bound, node base + idx, next check
+    triples: list[Triple] = []  # none if the listing is refused or stopped
     try:
-        holds = _holds(forbidden, n, budget)
+        triples, holds = _holds(forbidden, n, budget)
         while True:  # refused nodes, then one that includes, pops or ends
             while idx < limit and full & (held := holds[idx]):  # idx completes a copy
                 idx += 1
@@ -420,7 +421,7 @@ def turan_number(
         exact, nodes = False, budget.nodes
         if nodes == gained + 1:  # the improvement counts from this node, which was stopped
             value, best = prior
-    witness = tuple(all_triples[i] for i in best)
+    witness = tuple(triples[i] for i in best)
     system = TripleSystem(n, frozenset(witness))
     if contains(system, forbidden) is not None:
         raise RuntimeError("search produced a witness containing the forbidden pattern")

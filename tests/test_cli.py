@@ -3,12 +3,15 @@ import io
 import json
 import os
 import pathlib
+import resource
+import subprocess
 import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import expansions
 from expansions import Graph, TripleSystem, expand
 from expansions.cli import main
 from expansions.io import graph_to_text, triples_to_text
@@ -54,6 +57,23 @@ def test_invalid_input_exits_two(tmp_path, capsys):
     bad.write_text("not a graph\n")
     assert main(["sigma", "--graph", str(bad)]) == 2
     assert "header" in capsys.readouterr().err
+
+
+def test_input_too_large_for_memory_exits_two_with_one_line(tmp_path):
+    # one triple on 10^8 vertices: min_crosscut's vertex table does not fit
+    # in a 1 GB address space, set in the child only
+    big = tmp_path / "big.txt"
+    big.write_text("100000000 1\n0 1 2\n")
+    src = os.path.dirname(os.path.dirname(expansions.__file__))
+
+    def limit():  # the soft limit only: the hard one stays as it was
+        resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    done = subprocess.run([sys.executable, "-m", "expansions.cli", "sigma", "--triples", str(big)],
+                          env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr == "error: out of memory for this input\n"
 
 
 # a JSON file nested deeper than the decoder's recursion limit

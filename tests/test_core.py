@@ -1,4 +1,6 @@
 import random
+import re
+from collections import Counter
 from functools import cached_property
 from itertools import combinations
 
@@ -7,8 +9,9 @@ from hypothesis import given, strategies as st
 
 from expansions import (AugmentedFamily, CrosscutPair, EmbeddingCertificate, Expansion, Graph,
                         GridColoring, ListAssignment, Multicoloring, SetFamily,
-                        StructuredSearch, Sunflower, TripleSystem, TuranResult, canonical_edge,
-                        canonical_triple, codegree, neighborhood, shadow)
+                        StructuredSearch, Sunflower, TripleSystem, TuranResult,
+                        build_list_assignment, canonical_edge, canonical_triple, codegree,
+                        find_biclique_avoiding_lists, neighborhood, shadow)
 from expansions.core import Budget, BudgetExhausted, _walk
 from expansions.search import _host_masks
 
@@ -62,6 +65,57 @@ def test_forest_and_tree_predicates():
     triangle_and_vertex = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])  # n - 1 edges
     assert not triangle_and_vertex.is_tree()
     assert not Graph(0, frozenset()).is_tree()
+
+
+# one defect a row, for both containers: n, a graph's edges, a triple
+# system's edges, and the message, {noun} being "edge" or "triple"
+REJECTED = {
+    "negative n": (-1, [], [], "vertex count must be nonnegative"),
+    "too many vertices": (4, [(0, 1, 2)], [(0, 1, 2, 3)], "bad {noun} {edge} for n=4"),
+    "too few vertices": (4, [(0,)], [(0, 1)], "bad {noun} {edge} for n=4"),
+    "no vertices": (4, [()], [()], "bad {noun} () for n=4"),
+    "unsorted first pair": (4, [(2, 1)], [(1, 0, 2)], "bad {noun} {edge} for n=4"),
+    "unsorted last pair": (4, [(3, 0)], [(0, 2, 1)], "bad {noun} {edge} for n=4"),
+    "repeated vertex": (4, [(1, 1)], [(0, 1, 1)], "bad {noun} {edge} for n=4"),
+    "repeated first vertex": (4, [(0, 0)], [(2, 2, 3)], "bad {noun} {edge} for n=4"),
+    "out of range": (4, [(0, 4)], [(0, 1, 4)], "bad {noun} {edge} for n=4"),
+    "negative vertex": (4, [(-1, 2)], [(-1, 0, 1)], "bad {noun} {edge} for n=4"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(REJECTED))
+@pytest.mark.parametrize("cls, noun", [(Graph, "edge"), (TripleSystem, "triple")])
+def test_both_containers_reject_the_same_inputs(cls, noun, defect):
+    n, graph_edges, triples, message = REJECTED[defect]
+    edges = graph_edges if cls is Graph else triples
+    text = message.format(noun=noun, edge=edges[0] if edges else None)
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        cls(n, frozenset(edges))
+
+
+def test_from_edges_builds_its_own_class_also_once_rewrapped(monkeypatch):
+    # a tracer rebinds each class's from_edges as a staticmethod of the
+    # bound method, one class after the other
+    cases = [(Graph, [(1, 0), (2, 1)]), (TripleSystem, [(2, 0, 1)])]
+    built = [cls.from_edges(3, edges) for cls, edges in cases]
+    assert [type(b) for b in built] == [Graph, TripleSystem]
+    for cls, _ in cases:
+        monkeypatch.setattr(cls, "from_edges", staticmethod(cls.from_edges))
+        assert [c.from_edges(3, edges) for c, edges in cases] == built
+
+
+def test_hosts_keep_one_pair_table():
+    # every reader of a host's pairs goes through pair_neighborhoods, the
+    # only table cached on it; pair_counts is derived on each read
+    host = TripleSystem.from_edges(8, [(0, 2, 4), (0, 3, 5), (1, 2, 6), (1, 3, 7)])
+    grid = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    lists = {e: frozenset({4, 5}) for e in grid.edges}
+    build_list_assignment(host, (0, 1), (2, 3))
+    find_biclique_avoiding_lists(grid, lists, 1, host)
+    assert (codegree(host, 0, 2), shadow(host).n) == (1, 8)
+    assert list(vars(host)) == ["n", "edges", "pair_neighborhoods"]
+    assert host.pair_counts == Counter(p for e in host.edges for p in combinations(e, 2))
+    assert list(vars(host)) == ["n", "edges", "pair_neighborhoods"]
 
 
 def test_triple_system_rejects_bad_triples():

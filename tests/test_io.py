@@ -32,6 +32,25 @@ def test_parse_errors_are_diagnostic():
         parse_graph_text("   \n")
 
 
+@pytest.mark.parametrize("parse, from_json, kind, width", [
+    (parse_graph_text, graph_from_json_dict, "graph", 2),
+    (parse_triples_text, triples_from_json_dict, "triple system", 3),
+])
+def test_text_and_json_errors_name_the_same_kind(parse, from_json, kind, width):
+    with pytest.raises(ValueError, match=f"^empty {kind} input$"):
+        parse("\n")
+    with pytest.raises(ValueError, match=f"^{kind} header must be 'n m'"):
+        parse("4\n")
+    with pytest.raises(ValueError, match=f"^{kind} edge line must have {width} vertices"):
+        parse("4 1\n0 1 2 3\n")
+    with pytest.raises(ValueError, match=f"^{kind} JSON must be an object with 'n', 'edges'$"):
+        from_json([])
+    with pytest.raises(ValueError, match=f"^{kind} 'n' must be an integer"):
+        from_json({"n": "4", "edges": []})
+    with pytest.raises(ValueError, match=f"^{kind} edge must be a list of {width} integers"):
+        from_json({"n": 4, "edges": [[0, 1, 2, 3]]})
+
+
 def test_repeated_edges_are_read_once_and_loops_rejected():
     # a repeated line, in any vertex order, counts toward the header's m
     # but gives one edge

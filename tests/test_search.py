@@ -393,11 +393,12 @@ def test_turan_matches_recorded_results(run, value, exact, nodes, witness):
 
 def listed_lanes(pattern, n):
     """The copies turan_number searches over, one triple set per lane in
-    lane order; none when the pattern does not fit."""
+    lane order; none when the pattern does not fit.  The triples _holds
+    lists must be all of them, in lex order."""
     if pattern.n > n:
         return []
-    holds = _holds(pattern, n, Budget())
-    triples = list(combinations(range(n), 3))
+    triples, holds = _holds(pattern, n, Budget())
+    assert triples == list(combinations(range(n), 3))
     lanes = max(held.bit_length() for held in holds)
     return [frozenset(t for t, held in zip(triples, holds) if held >> lane & 1)
             for lane in range(lanes)]
@@ -634,6 +635,20 @@ def test_turan_deadline_covers_the_copy_listing():
         tracemalloc.stop()
     assert (result.value, result.exact, result.nodes, result.witness) == (0, False, 0, ())
     assert peak < 8_000_000
+
+
+def test_turan_refused_under_a_budget_lists_no_triple():
+    # P2+ at n = 300 is over the listing cap: the call is refused before its
+    # 4,455,100 triples are listed, which took about 320 MB when the list
+    # came before the refusal
+    tracemalloc.start()
+    try:
+        result = turan_number(300, expand(PATH2).system, budget_nodes=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.value, result.exact, result.nodes, result.witness) == (0, False, 0, ())
+    assert peak < 20_000_000
 
 
 def test_turan_under_a_budget_refuses_a_listing_over_the_cap():
