@@ -17,7 +17,7 @@ import math
 import time
 from collections.abc import Callable, Iterable
 from functools import cached_property
-from itertools import islice
+from itertools import islice, starmap
 from operator import attrgetter
 
 Edge = tuple[int, int]
@@ -98,7 +98,7 @@ class _EdgeSet(Record):
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Iterable[int]]):
-        return cls(n, frozenset(cls._canonical(*e) for e in edges))
+        return cls(n, frozenset(starmap(cls._canonical, edges)))
 
     def sorted_edges(self) -> list:
         return sorted(self.edges)
