@@ -173,7 +173,7 @@ class Budget:
     """Node cap and deadline shared by the exhaustive searches; None
     disables either.  The deadline is read once per CADENCE units of work,
     by tick(done, step) only: nodes, and in a search's set-up whatever it
-    counts (shape images, copies, lanes).  check(nodes) is the node rule:
+    counts (shape images, copies, row bytes).  check(nodes) is the node rule:
     past the cap (so a search stopped by it has counted cap + 1 nodes), or
     at a multiple of CADENCE past the deadline.  A hot loop keeps its own
     count and passes check() 1, then each count check() returns (an int)

@@ -20,11 +20,8 @@ def _parse_text(text: str, cls: type[Graph | TripleSystem]) -> Graph | TripleSys
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError(f"empty {kind} input")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"{kind} header must be 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(header[0]), int(header[1])
+    try:  # two integers, or a ValueError: wrong counts fail the unpacking
+        n, m = map(int, lines[0].split())
     except ValueError:
         raise ValueError(f"{kind} header must be 'n m', got {lines[0]!r}") from None
     if len(lines) - 1 != m:
@@ -34,7 +31,10 @@ def _parse_text(text: str, cls: type[Graph | TripleSystem]) -> Graph | TripleSys
         parts = ln.split()
         if len(parts) != width:
             raise ValueError(f"{kind} edge line must have {width} vertices, got {ln!r}")
-        rows.append([int(p) for p in parts])
+        try:
+            rows.append([int(p) for p in parts])
+        except ValueError:
+            raise ValueError(f"{kind} edge line must have integer vertices, got {ln!r}") from None
     return cls.from_edges(n, rows)
 
 

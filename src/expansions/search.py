@@ -18,9 +18,8 @@ here extrapolates to asymptotics.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterable
-from itertools import accumulate, chain, combinations, islice
+from itertools import combinations
 from math import comb
 from operator import itemgetter
 
@@ -32,9 +31,9 @@ EXACT_MAX_N = 6  # the largest n at which audit_forest_bound runs the exact sear
 # the largest copy listing turan_number builds, in bytes estimated per shape of
 # the pattern on its k vertices as the larger of 200 + 8m in the orbit walk (a
 # key tuple, an itemgetter and a dict slot) and C(n, k) * (100 + C(n, 3) / 16)
-# for its copies (a tuple and list slot each, then a byte row per triple over
-# the lanes of the copies ending at or after it, half of them on average);
-# P2+ at n = 20 needs about 40 MB, P2+ at n = 30 about 760 MB
+# for its copies (100 bytes each, a margin that keeps the slow P4+ at n = 12
+# refused, then a row bit per triple for about half of the lanes); P2+ at
+# n = 20 estimates about 40 MB and peaks at 24 MB, P2+ at n = 30 about 760 MB
 LISTING_MAX_BYTES = 1 << 28
 
 
@@ -262,11 +261,11 @@ def _holds(pattern: TripleSystem, n: int, budget: Budget) -> tuple[list[Triple],
     refused, and holds: holds[i] has a bit lane for each copy of the pattern
     (with edges, pattern.n <= n) holding the i-th.  It raises BudgetExhausted
     past the deadline, which Budget.tick reads after the shape images, the
-    copies lifted, the lanes set and the row bytes turned into ints pass
-    each multiple of its cadence.  The orbit walk refuses the listing as
-    soon as its shapes, at the larger of their own and their copies' bytes,
-    pass LISTING_MAX_BYTES, before any table is built: BudgetExhausted
-    under a budget, else a ValueError.
+    copies lifted and the row bytes turned into ints pass each multiple of
+    its cadence.  The orbit walk refuses the listing as soon as its shapes,
+    at the larger of their own and their copies' bytes, pass
+    LISTING_MAX_BYTES, before any table is built: BudgetExhausted under a
+    budget, else a ValueError.
 
     A copy spans one k-subset of range(n), k the number of vertices in
     pattern edges, as one shape: a copy on range(k), moved by the
@@ -275,9 +274,11 @@ def _holds(pattern: TripleSystem, n: int, budget: Budget) -> tuple[list[Triple],
     of range(k), which the k - 1 adjacent swaps generate, so a walk imaging
     each new shape under each swap's rank table lists them exactly; lifted
     through every k-subset, they list each copy once, with no set of copies
-    and no sort.  Lanes go by last triple, highest first, so holds[i] spans
-    only the copies ending at or after i: shorter ints for the search,
-    which tests sets of lanes, so the order never changes an answer."""
+    and no sort.  Each copy's bits are set as it is lifted; none is kept.
+    Subsets go in reverse colex order, so row i spans only those with a
+    vertex at or above c, the last vertex of triple i, and shapes by last
+    rank, highest first: shorter ints deep in the search, which tests sets
+    of lanes, so the order never changes an answer."""
     edges = pattern.sorted_edges()
     label = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
     k = len(label)
@@ -307,25 +308,16 @@ def _holds(pattern: TripleSystem, n: int, budget: Budget) -> tuple[list[Triple],
             raise BudgetExhausted
     triples = list(combinations(range(n), 3))
     index = {t: i for i, t in enumerate(triples)}
-    ending = defaultdict(list)  # the copies by last triple
-    for count, subset in enumerate(combinations(range(n), k), 1):
-        image = [index[t] for t in combinations(subset, 3)]
-        for get in shapes.values():
-            copy = get(image)
-            ending[copy[-1]].append(copy)
-        budget.tick(count * len(shapes), len(shapes))
-    # the lanes of the copies ending at or after triple i are those below bound i
-    bounds = accumulate(len(ending.get(i, ())) for i in reversed(range(len(triples))))
-    rows = [bytearray((lanes + 7) >> 3) for lanes in bounds][::-1]
-    ordered = chain.from_iterable(ending.pop(last) for last in sorted(ending, reverse=True))
-    lanes = 0
-    while chunk := list(islice(ordered, budget.CADENCE)):
-        for lane, copy in enumerate(chunk, lanes):
+    getters = [shapes[shape] for shape in sorted(shapes, key=itemgetter(-1), reverse=True)]
+    # a triple ending at c lies only in the first C(n, k) - C(c, k) subsets lifted
+    rows = [bytearray(((comb(n, k) - comb(c, k)) * len(getters) + 7) >> 3) for *_, c in triples]
+    for count, subset in enumerate(combinations(range(n - 1, -1, -1), k)):
+        image = [index[t] for t in combinations(subset[::-1], 3)]
+        for lane, get in enumerate(getters, count * len(getters)):
             byte, bit = lane >> 3, 1 << (lane & 7)
-            for i in copy:
+            for i in get(image):
                 rows[i][byte] |= bit
-        lanes += len(chunk)
-        budget.tick(lanes, len(chunk))
+        budget.tick((count + 1) * len(getters), len(getters))
     done = 0
     for i, row in enumerate(rows):  # in place: each row is freed once its int is built
         rows[i] = int.from_bytes(row, "little")

@@ -59,6 +59,13 @@ def test_invalid_input_exits_two(tmp_path, capsys):
     assert "header" in capsys.readouterr().err
 
 
+def test_non_integer_vertex_exits_two_with_one_line(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("3 1\n0 x\n")
+    assert main(["sigma", "--graph", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: graph edge line must have integer vertices, got '0 x'\n"
+
+
 def test_input_too_large_for_memory_exits_two_with_one_line(tmp_path):
     # one triple on 10^8 vertices: min_crosscut's vertex table does not fit
     # in a 1 GB address space, set in the child only

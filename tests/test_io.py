@@ -43,6 +43,11 @@ def test_text_and_json_errors_name_the_same_kind(parse, from_json, kind, width):
         parse("4\n")
     with pytest.raises(ValueError, match=f"^{kind} edge line must have {width} vertices"):
         parse("4 1\n0 1 2 3\n")
+    for line in ("0 x", "0 1.5"):  # a word, and a number that is not an integer
+        line += " 2" * (width - 2)
+        with pytest.raises(ValueError, match=f"^{kind} edge line must have integer vertices,"
+                                             f" got '{line}'$"):
+            parse(f"4 1\n{line}\n")
     with pytest.raises(ValueError, match=f"^{kind} JSON must be an object with 'n', 'edges'$"):
         from_json([])
     with pytest.raises(ValueError, match=f"^{kind} 'n' must be an integer"):

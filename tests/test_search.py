@@ -391,20 +391,37 @@ def test_turan_matches_recorded_results(run, value, exact, nodes, witness):
     assert list(result.witness) == witness
 
 
-def listed_lanes(pattern, n):
+def shape_count(pattern: TripleSystem) -> tuple[int, int]:
+    """k, the pattern vertices in edges, and the shapes: the copies of the
+    pattern on range(k), of which every k-subset of range(n) holds one
+    lift each."""
+    at = {v: i for i, v in enumerate(sorted({v for e in pattern.edges for v in e}))}
+    on_k = TripleSystem.from_edges(len(at), [[at[v] for v in e] for e in pattern.edges])
+    return len(at), len(counter_copies(on_k, len(at)))
+
+
+def listed_lanes(pattern, n, copies):
     """The copies turan_number searches over, one triple set per lane in
     lane order; none when the pattern does not fit.  The triples _holds
-    lists must be all of them, in lex order."""
+    lists must be all of them, in lex order, and row i must end within
+    the lanes of the first C(n, k) - C(c, k) subsets lifted, those with a
+    vertex at or above c, the last vertex of triple i (k the pattern
+    vertices in edges), at one lane per shape and subset: each subset
+    holds the same number of the given copies."""
     if pattern.n > n:
         return []
     triples, holds = _holds(pattern, n, Budget())
     assert triples == list(combinations(range(n), 3))
+    k = len({v for e in pattern.edges for v in e})
+    shapes = len(copies) // comb(n, k)
+    assert all(held.bit_length() <= (comb(n, k) - comb(c, k)) * shapes
+               for (*_, c), held in zip(triples, holds))
     lanes = max(held.bit_length() for held in holds)
     return [frozenset(t for t, held in zip(triples, holds) if held >> lane & 1)
             for lane in range(lanes)]
 
 
-def test_holds_list_each_copy_once_by_last_triple():
+def test_holds_list_each_copy_once_by_subset_then_last_triple():
     rng = random.Random(83)
     patterns = [expand(PATH2).system, expand(PATH3).system, expand(M2).system, BOOK]
     patterns += [random_system(rng, rng.randint(3, 6), rng.randint(0, 4)) for _ in range(40)]
@@ -423,11 +440,14 @@ def test_holds_list_each_copy_once_by_last_triple():
                 with pytest.raises(ValueError, match="edgeless"):
                     turan_number(n, pattern)
             continue
-        lanes = listed_lanes(pattern, n)
+        copies = counter_copies(pattern, n)
+        lanes = listed_lanes(pattern, n, copies)
         assert len(set(lanes)) == len(lanes)
-        assert sorted(lanes, key=sorted) == counter_copies(pattern, n)
-        last = [max(lane) for lane in lanes]
-        assert last == sorted(last, reverse=True)
+        assert sorted(lanes, key=sorted) == copies
+        # the k-subsets in reverse colex order (largest vertex first), then
+        # each subset's copies by last triple, highest first
+        order = [(sorted({v for t in lane for v in t}, reverse=True), max(lane)) for lane in lanes]
+        assert order == sorted(order, reverse=True)
         checked += bool(lanes)
     assert checked >= 100  # listings with at least one copy
 
@@ -477,15 +497,16 @@ def test_turan_of_a_single_triple_is_zero():
 @pytest.mark.parametrize("budget_ms", [None, 0])
 @pytest.mark.parametrize("cap", [0, 1, 1023, 1024, 1025])
 def test_turan_budget_checkpoints(cap, budget_ms):
-    # the exact search takes 10,436 nodes; it stops past the cap, or at
-    # node 1,024 once the deadline has passed, whichever comes first
-    pattern = expand(PATH2).system
-    result = turan_number(7, pattern, budget_ms=budget_ms, budget_nodes=cap)
+    # the exact search takes 38,578 nodes after a listing of 10 copies and
+    # 40 row bytes; it stops past the cap, or at node 1,024 once the
+    # deadline has passed, whichever comes first
+    pattern = expand(M2).system
+    result = turan_number(6, pattern, budget_ms=budget_ms, budget_nodes=cap)
     got = (result.value, result.exact, result.nodes, result.witness)
-    assert got == counter_turan(7, pattern, budget_ms=budget_ms, budget_nodes=cap)
+    assert got == counter_turan(6, pattern, budget_ms=budget_ms, budget_nodes=cap)
     assert result.nodes == (min(cap + 1, 1024) if budget_ms == 0 else cap + 1)
     assert not result.exact and result.value == len(result.witness) >= 0
-    assert contains(TripleSystem(7, frozenset(result.witness)), pattern) is None
+    assert contains(TripleSystem(6, frozenset(result.witness)), pattern) is None
 
 
 M2_SYSTEM = expand(M2).system
@@ -580,31 +601,32 @@ def test_turan_equals_counter_reference_on_benchmark_instances(n, pattern, cap):
 
 
 def row_bytes(pattern: TripleSystem, n: int) -> list[int]:
-    """The byte length of each of _holds's rows, row i one lane per copy
-    whose last triple is triple i or a later one."""
-    rank = {t: i for i, t in enumerate(combinations(range(n), 3))}
-    ends = [max(map(rank.__getitem__, copy)) for copy in counter_copies(pattern, n)]
-    return [(sum(end >= i for end in ends) + 7) // 8 for i in range(len(rank))]
+    """The byte length of each of _holds's rows, row i one lane per shape
+    (copy on the k pattern vertices in edges) and per k-subset of range(n)
+    with a vertex at or above c, the last vertex of triple i."""
+    k, shapes = shape_count(pattern)
+    return [((comb(n, k) - comb(c, k)) * shapes + 7) // 8 for *_, c in combinations(range(n), 3)]
 
 
 @pytest.mark.parametrize("n, pattern, cap", BENCHMARK_TURAN)
 def test_turan_equals_counter_reference_past_a_spent_deadline(n, pattern, cap):
     # a spent deadline stops the first checkpoint it meets: shape image
-    # 1,024, copy 1,024 lifted, lane 1,024 set or row byte 1,024 turned
-    # into an int in the copy listing, with the empty lower bound, or else
-    # node 1,024 of a longer search, in the middle of its tree (the book
-    # at n = 6, with three-triple copies, as well as P2+ and M2+); the
-    # orbit walk images each of the shapes (the copies on k vertices)
-    # k - 1 times, each k-subset lifts every shape, and only P3+ at n = 7
-    # (k = n = 7: 630 shapes give 3,780 images) and the book at n = 8 (560
-    # copies, whose 56 rows hold 2,591 bytes) stop in the listing
+    # 1,024, copy 1,024 lifted or row byte 1,024 turned into an int in the
+    # copy listing, with the empty lower bound, or else node 1,024 of a
+    # longer search, in the middle of its tree (the book at n = 6, with
+    # three-triple copies, as well as P2+ at n = 6 and M2+); the orbit walk
+    # images each of the shapes (the copies on k vertices) k - 1 times,
+    # each k-subset lifts every shape, and only P3+ at n = 7 (k = n = 7:
+    # 630 shapes give 3,780 images), the book at n = 8 (560 copies, whose
+    # 56 rows hold 3,259 bytes) and P2+ at n = 7 (315 copies, whose 35 rows
+    # hold 1,215 bytes) stop in the listing
     result = turan_number(n, pattern, budget_ms=0, budget_nodes=cap)
     got = (result.value, result.exact, result.nodes, result.witness)
-    k = len({v for e in pattern.edges for v in e})
-    shapes = len(counter_copies(pattern, k))
+    k, shapes = shape_count(pattern)
     listing = pattern.n <= n and ((k - 1) * shapes >= 1024 or comb(n, k) * shapes >= 1024
                                   or sum(row_bytes(pattern, n)) >= 1024)
-    assert listing == ((n, pattern) in ((7, expand(PATH3).system), (8, BOOK)))
+    assert listing == ((n, pattern) in ((7, expand(PATH3).system), (8, BOOK),
+                                        (7, expand(PATH2).system)))
     if listing:
         assert got == (0, False, 0, ())
     else:
@@ -612,11 +634,12 @@ def test_turan_equals_counter_reference_past_a_spent_deadline(n, pattern, cap):
 
 
 def test_turan_deadline_is_checked_every_1024_nodes():
-    # the exact search needs 10,436 nodes; a spent deadline stops it at the first check
-    result = turan_number(7, expand(PATH2).system, budget_ms=0)
+    # the exact search needs 38,578 nodes after a listing under every
+    # cadence; a spent deadline stops it at the first check
+    result = turan_number(6, M2_SYSTEM, budget_ms=0)
     assert not result.exact
     assert result.nodes == 1024
-    assert contains(TripleSystem(7, frozenset(result.witness)), expand(PATH2).system) is None
+    assert contains(TripleSystem(6, frozenset(result.witness)), M2_SYSTEM) is None
 
 
 def test_turan_deadline_covers_the_copy_listing():
@@ -712,14 +735,13 @@ CHAIN4 = TripleSystem.from_edges(7, [(0, 1, 2), (2, 3, 4), (1, 4, 5), (5, 6, 0)]
 
 @pytest.mark.parametrize("n, pattern, reads, row_reads", [
     # 630 shapes, 3,780 images, 36 subsets and 22,680 copies: 3 reads in
-    # the walk, then 22 in the lift and 22 in the lanes, where one read per
-    # 1,024 subsets would make none; then 79 as the 84 rows, 186,988 bytes
-    # (74 rows of 1,024 or more, each read after), are turned into ints
-    (9, expand(PATH3).system, 3 + 22 + 22, 79),
-    # 1,260 shapes, so a read after each of the 8 subsets, 7,560 images
-    # and 10,080 copies, then 50 over 56 rows of 59,752 bytes (41 of 1,024
-    # or more)
-    (8, CHAIN4, 7 + 8 + 9, 50),
+    # the walk, then 22 in the lift, where one read per 1,024 subsets would
+    # make none; then 84 as the 84 rows, 218,862 bytes (each of 1,024 or
+    # more, so each read after), are turned into ints
+    (9, expand(PATH3).system, 3 + 22, 84),
+    # 1,260 shapes, so a read after each of the 8 subsets and 7,560
+    # images, then 56 over 56 rows of 67,263 bytes (each of 1,024 or more)
+    (8, CHAIN4, 7 + 8, 56),
 ], ids=["P3+ n9", "CHAIN4 n8"])
 def test_turan_listing_reads_its_deadline_every_1024_copies(monkeypatch, n, pattern, reads,
                                                             row_reads):
@@ -735,20 +757,34 @@ def test_turan_listing_reads_its_deadline_every_1024_copies(monkeypatch, n, patt
 
 
 def test_turan_listing_reads_its_deadline_while_turning_rows_into_ints(monkeypatch):
-    # P3+ at n = 9 reads the deadline 47 times while it walks, lifts and
-    # sets its lanes; a deadline found passed at the next read, the first
-    # of the loop turning the rows into ints, stops the listing in that
-    # loop, after its first row
+    # P3+ at n = 9 reads the deadline 25 times while it walks and lifts,
+    # setting each copy's lanes; a deadline found passed at the next read,
+    # the first of the loop turning the rows into ints, stops the listing
+    # in that loop, after its first row
     counted = []
-    monkeypatch.setattr(Budget, "expired", lambda budget: counted.append(budget) or len(counted) > 47)
+    monkeypatch.setattr(Budget, "expired", lambda budget: counted.append(budget) or len(counted) > 25)
     with pytest.raises(BudgetExhausted) as info:
         _holds(expand(PATH3).system, 9, Budget(budget_ms=10 ** 9))
     rows = next(entry for entry in info.traceback if entry.name == "_holds").locals["rows"]
-    assert len(counted) == 48
+    assert len(counted) == 26
     assert isinstance(rows[0], int) and all(isinstance(row, bytearray) for row in rows[1:])
     counted.clear()
     result = turan_number(9, expand(PATH3).system, budget_ms=10 ** 9)
     assert (result.value, result.exact, result.nodes, result.witness) == (0, False, 0, ())
+
+
+def test_holds_keeps_no_copy_while_it_lists():
+    # each copy's lanes are set as it is lifted, so the listing's peak is
+    # what it returns plus one row's int; filing the 22,680 copies of P3+
+    # at n = 9 before setting their lanes peaked at 5.8 times the result
+    tracemalloc.start()
+    try:
+        listing = _holds(expand(PATH3).system, 9, Budget())
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(listing[1]) == 84
+    assert peak < 2 * kept
 
 
 def test_turan_as_dict_round_trips_fields():
