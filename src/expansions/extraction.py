@@ -18,20 +18,20 @@ from .core import Edge, Graph, Record, TripleSystem, _walk, canonical_edge, firs
 
 
 def full_subgraph(system: TripleSystem, d: int) -> TripleSystem:
-    """Largest subsystem reachable by deleting sparse shadow pairs.
+    """Largest subsystem in which every shadow pair lies in at least d+1
+    triples.
 
-    While some pair lies in between 1 and d surviving triples, the
-    lexicographically smallest such pair is selected and every triple
-    containing it is removed.  The result has every remaining shadow pair
-    in at least d+1 triples, and at most d * |shadow| triples are lost
-    overall since each selected pair deletes at most d and no pair is
-    selected twice.
+    While some pair lies in between 1 and d surviving triples, such a pair
+    is selected and every triple on it removed.  Two such rich subsystems
+    have a rich union, and no triple of the largest is ever removed, as its
+    three pairs stay rich: the order of selection never changes the result.
+    Each selected pair deletes at most d triples and none is selected
+    twice, so at most d * |shadow| are lost.
 
-    Each pair keeps the set of its surviving triples, and a heap holds
+    Each pair keeps the set of its surviving triples, and a worklist holds
     the pairs that became sparse: every pair in at most d triples at the
     start, and a pair when its count falls to d.  Counts only fall, so a
-    pair enters the heap once, and each triple is removed once: near-
-    linear time.
+    pair enters it once, and each triple is removed once: linear time.
     """
     if d <= 0:
         raise ValueError("sparsity threshold d must be positive")
@@ -40,17 +40,16 @@ def full_subgraph(system: TripleSystem, d: int) -> TripleSystem:
         for pair in combinations(e, 2):
             through[pair].add(e)
     sparse = [pair for pair, triples in through.items() if len(triples) <= d]
-    heapify(sparse)
     removed = set()
     while sparse:
-        for e in through.pop(heappop(sparse)):  # none left on a pair emptied meanwhile
+        for e in through.pop(sparse.pop()):  # none left on a pair emptied meanwhile
             removed.add(e)
             for pair in combinations(e, 2):
                 triples = through.get(pair)  # None for the selected pair
                 if triples is not None:
                     triples.discard(e)
                     if len(triples) == d:
-                        heappush(sparse, pair)
+                        sparse.append(pair)
     return TripleSystem(system.n, system.edges - removed)
 
 

@@ -355,14 +355,15 @@ def turan_number(
     == total) and a pop (-1); idx is decided while idx < limit.  The pass
     deciding idx is node base + idx (a pop from idx to a saved j adds
     idx - j to base), so a refused triple, which changes nothing, costs
-    one comparison and one AND; the budget is checked at inclusions, pops
-    and the end node for every count due by then, with the same result.
-    The incumbent counts from the node after its inclusion: a budget
-    stopping that node puts the previous one back.  On exhaustion the
-    incumbent is returned with exact=False, a witnessed lower bound; a
-    deadline passed while listing copies, or a listing over the cap under
-    a budget, leaves the empty one (value 0).  _holds lists the C(n, 3)
-    triples once, after its refusal check: a refused call never lists them.
+    one comparison and one AND.  Only an inclusion changes the incumbent,
+    and the new one counts from the next node, so the budget is read
+    before each inclusion for every count due by that next node, and at
+    the end node: a stop gives the count and incumbent of a check at
+    every node.  On exhaustion the incumbent is returned with exact=False,
+    a witnessed lower bound; a deadline passed while listing copies, or a
+    listing over the cap under a budget, leaves the empty one (value 0).
+    _holds lists the C(n, 3) triples once, after its refusal check: a
+    refused call never lists them.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -377,7 +378,6 @@ def turan_number(
     full, near, rest = planes[top], planes[top - 1], planes[1:top - 1]  # near unread at m = 1
     saved: list[tuple] = []  # (idx, full, near, rest) at each inclusion, idx ascending
     value, best, exact = 0, [], True  # the empty set is free
-    gained, prior = -1, (value, best)  # the node of the last improvement, the incumbent before it
     idx, limit, base, due = 0, total, 1, 1  # next triple, bound, node base + idx, next check
     triples: list[Triple] = []  # none if the listing is refused or stopped
     try:
@@ -385,9 +385,9 @@ def turan_number(
         while True:  # refused nodes, then one that includes, pops or ends
             while idx < limit and full & (held := holds[idx]):  # idx completes a copy
                 idx += 1
-            while base + idx >= due:  # refused nodes change nothing, so check them here
-                due = budget.check(due)
             if idx < limit:  # include idx
+                while base + idx + 1 >= due:  # every count due by the node after it
+                    due = budget.check(due)
                 saved.append((idx, full, near, rest))
                 full |= near & held
                 near |= rest[-1] & held if rest else held
@@ -397,7 +397,6 @@ def turan_number(
                         rest[k] |= rest[k - 1] & held
                     rest[0] |= held
                 if limit == total:  # len(saved) - 1 == value before: an improvement
-                    gained, prior = base + idx, (value, best)
                     value, best = len(saved), [entry[0] for entry in saved]
                 else:
                     limit += 1
@@ -409,10 +408,10 @@ def turan_number(
             else:
                 break
         nodes = base + idx
+        while nodes >= due:  # the end node
+            due = budget.check(due)
     except BudgetExhausted:
         exact, nodes = False, budget.nodes
-        if nodes == gained + 1:  # the improvement counts from this node, which was stopped
-            value, best = prior
     witness = tuple(triples[i] for i in best)
     system = TripleSystem(n, frozenset(witness))
     if contains(system, forbidden) is not None:

@@ -8,6 +8,7 @@ agreement is meaningful.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from expansions import CrosscutPair, Graph, TripleSystem
@@ -283,14 +284,19 @@ def counter_copies(pattern: TripleSystem, n: int) -> list[frozenset]:
     """Edge sets of all copies of the pattern inside the complete triple
     system on n vertices, one per copy, from a scan over every injective
     map of the pattern's support."""
+    return list(_copies(pattern, n))
+
+
+@lru_cache(maxsize=32)  # counter_turan runs again at every cap of a sweep
+def _copies(pattern: TripleSystem, n: int) -> tuple[frozenset, ...]:
     if pattern.n > n:
-        return []
+        return ()
     support = sorted({v for e in pattern.edges for v in e})
     copies = set()
     for image in permutations(range(n), len(support)):
         at = dict(zip(support, image))
         copies.add(frozenset(tuple(sorted(at[v] for v in e)) for e in pattern.edges))
-    return sorted(copies, key=sorted)
+    return tuple(sorted(copies, key=sorted))
 
 
 def counter_turan(n: int, forbidden: TripleSystem, budget_ms=None, budget_nodes=None,
@@ -304,7 +310,7 @@ def counter_turan(n: int, forbidden: TripleSystem, budget_ms=None, budget_nodes=
     if n < 0:
         raise ValueError("n must be nonnegative")
     all_triples = list(combinations(range(n), 3))
-    copies = counter_copies(forbidden, n)
+    copies = _copies(forbidden, n)
     if any(len(c) == 0 for c in copies):
         raise ValueError("an edgeless pattern that fits is contained in every host")
     if not copies:
@@ -367,6 +373,24 @@ def recount_full_subgraph(system: TripleSystem, d: int) -> TripleSystem:
         pick = sparse[0]
         remaining = {e for e in remaining if not (pick[0] in e and pick[1] in e)}
     return TripleSystem(system.n, frozenset(remaining))
+
+
+def brute_rich_subsystems(system: TripleSystem, d: int) -> list[TripleSystem]:
+    """Every largest subsystem in which each shadow pair lies in at least
+    d+1 of its triples, found by scanning the subsets of the triples from
+    the largest size down (the empty one always qualifies)."""
+    edges = sorted(system.edges)
+    for size in range(len(edges), -1, -1):
+        rich = []
+        for subset in combinations(edges, size):
+            counts: dict = {}
+            for e in subset:
+                for pair in combinations(e, 2):
+                    counts[pair] = counts.get(pair, 0) + 1
+            if all(c > d for c in counts.values()):
+                rich.append(TripleSystem(system.n, frozenset(subset)))
+        if rich:
+            return rich
 
 
 # ------------------------------------------------------- sunflower oracle

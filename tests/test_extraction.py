@@ -11,8 +11,8 @@ from expansions import (AugmentedFamily, Graph, SetFamily, Sunflower, TripleSyst
 
 from expansions.core import first_compatible
 from expansions.extraction import _sunflower
-from helpers import (random_system, recount_full_subgraph, recount_sunflower,
-                     recursive_y_completion)
+from helpers import (brute_rich_subsystems, random_system, recount_full_subgraph,
+                     recount_sunflower, recursive_y_completion)
 
 
 # --------------------------------------------------------- full subgraph
@@ -70,6 +70,21 @@ def test_full_subgraph_equals_recounting_reference():
         d = rng.randint(1, 4)
         out = full_subgraph(h, d)
         assert out == recount_full_subgraph(h, d)
+        outcomes.add((not out.edges, out.edges == h.edges))
+    assert outcomes >= {(True, False), (False, False), (False, True)}
+
+
+def test_full_subgraph_is_the_unique_largest_rich_subsystem():
+    # the peel may select sparse pairs in any order: the largest subsystem
+    # whose shadow pairs each lie in at least d+1 triples is unique, and
+    # none of its triples is ever removed
+    rng = random.Random(67)
+    outcomes = set()
+    for _ in range(400):
+        h = random_system(rng, rng.randint(3, 7), rng.randint(0, 10))
+        d = rng.randint(1, 3)
+        out = full_subgraph(h, d)
+        assert brute_rich_subsystems(h, d) == [out], (sorted(h.edges), d)
         outcomes.add((not out.edges, out.edges == h.edges))
     assert outcomes >= {(True, False), (False, False), (False, True)}
 
