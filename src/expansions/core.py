@@ -30,8 +30,10 @@ class Record:
     them costs no inspect import.  The fields are the names annotated in a
     subclass body, in order (its base's if it annotates none): taken
     positionally or by keyword and checked by __post_init__, they give
-    __eq__, __hash__ and a __repr__ naming each.  Setting or deleting
-    raises AttributeError; cached_property works."""
+    __eq__, __hash__ and a __repr__ naming each.  A field given twice (by
+    position and by keyword), missing or unknown raises TypeError; this
+    __init__ is every record's constructor.  Setting or deleting raises
+    AttributeError; cached_property works."""
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__) or cls._fields
@@ -39,11 +41,13 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
-        values = dict(zip(fields, args), **kwargs)
-        if len(args) > len(fields) or values.keys() != set(fields):
+        for field in fields[len(args):]:
+            if field in kwargs:
+                args += (kwargs.pop(field),)
+        if kwargs or len(args) != len(fields):
             raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
-        for field in fields:
-            _set(self, field, values[field])
+        for field, value in zip(fields, args):
+            _set(self, field, value)
         self.__post_init__()
 
     def __post_init__(self):
@@ -85,16 +89,14 @@ class _EdgeSet(Record):
     n: int
     edges: frozenset
 
-    # written out, as the searches build containers in hot paths
-    def __init__(self, n: int, edges: frozenset):
+    def __post_init__(self):
+        n = self.n
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         width = self._width
-        for e in edges:  # at width 2 or 3 the two chains compare every adjacent pair
+        for e in self.edges:  # at width 2 or 3 the two chains compare every adjacent pair
             if len(e) != width or not (0 <= e[0] < e[1] and e[-2] < e[-1] < n):
                 raise ValueError(f"bad {self._edge} {e} for n={n}")
-        _set(self, "n", n)
-        _set(self, "edges", edges)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Iterable[int]]):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import compress
 
-from .core import Edge, Graph, Record, Triple, TripleSystem, _set, canonical_edge
+from .core import Edge, Graph, Record, Triple, TripleSystem, canonical_edge
 
 
 class Expansion(Record):
@@ -71,11 +71,11 @@ def min_crosscut(system: TripleSystem) -> tuple[int, frozenset[int]] | None:
     root = list(range(n))  # union-find over the vertices, for the components
     for a, b, c in edges:
         while root[a] != a:
-            a = root[a]
+            root[a] = a = root[root[a]]
         while root[b] != b:
-            b = root[b]
+            root[b] = b = root[root[b]]
         while root[c] != c:
-            c = root[c]
+            root[c] = c = root[root[c]]
         root[b] = root[c] = a
     parts: dict[int, list[Triple]] = {}  # the edges of each component, by its root
     at = [0] * n  # the edges at each vertex, by their index in its component
@@ -83,7 +83,7 @@ def min_crosscut(system: TripleSystem) -> tuple[int, frozenset[int]] | None:
     for e in edges:
         a = e[0]
         while root[a] != a:
-            a = root[a]
+            root[a] = a = root[root[a]]
         part = parts.setdefault(a, [])
         bit, span = 1 << len(part), (1 << e[0]) | (1 << e[1]) | (1 << e[2])
         part.append(e)
@@ -136,12 +136,6 @@ class CrosscutPair(Record):
 
     independent: frozenset[int]
     uncovered: frozenset[Edge]
-
-    # written out, as every crosscut routine builds one; Record's generic
-    # __init__ costs about four times as much
-    def __init__(self, independent: frozenset[int], uncovered: frozenset[Edge]):
-        _set(self, "independent", independent)
-        _set(self, "uncovered", uncovered)
 
     @property
     def weight(self) -> int:

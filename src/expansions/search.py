@@ -486,7 +486,8 @@ def audit_sigma_jump(graph: Graph, n: int) -> dict:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    sigma = _optimal_pair(graph)[0].weight
+    pair, (adj, *_) = _optimal_pair(graph)
+    sigma = pair.weight
     report: dict = {
         "sigma": sigma,
         "n": n,
@@ -505,10 +506,7 @@ def audit_sigma_jump(graph: Graph, n: int) -> dict:
     report["expected_edges"] = core * comb(n - core, 2)
     report["free"] = contains_expansion(construction, graph) is None
     if sigma == 2:
-        m, degree = len(graph.edges), [0] * graph.n
-        for a, b in graph.edges:
-            degree[a] += 1
-            degree[b] += 1
+        m, degree = len(graph.edges), [len(nbrs) for nbrs in adj]
         report["shape"] = {
             "in_star_plus_edge": any(m - d <= 1 for d in degree),
             "in_complete_bipartite_two": any(degree[a] + degree[b] == m

@@ -12,7 +12,7 @@ from expansions import (AugmentedFamily, CrosscutPair, EmbeddingCertificate, Exp
                         StructuredSearch, Sunflower, TripleSystem, TuranResult,
                         build_list_assignment, canonical_edge, canonical_triple, codegree,
                         find_biclique_avoiding_lists, neighborhood, shadow)
-from expansions.core import Budget, BudgetExhausted, _walk
+from expansions.core import Budget, BudgetExhausted, Record, _walk
 from expansions.search import _host_masks
 
 from helpers import (brute_components, brute_is_forest, brute_smaller_twins, brute_two_coloring,
@@ -292,6 +292,13 @@ def test_value_classes_are_frozen_records(cls, fields, invalid):
                                 + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")")
     with pytest.raises(TypeError):
         cls(*fields.values(), None)
+    # Record.__init__ builds every record, and refuses a field given by
+    # position and again by keyword with its own message
+    first = next(iter(fields))
+    with pytest.raises(TypeError, match=f"^{cls.__name__}\\(\\) takes the fields "):
+        cls(*fields.values(), **{first: fields[first]})
+    own_bodies = cls.__mro__[:cls.__mro__.index(Record)]  # _EdgeSet's too, for the containers
+    assert not [base for base in own_bodies if "__init__" in vars(base)]
     if invalid is not None:
         bad, message = invalid
         with pytest.raises(ValueError, match=message):

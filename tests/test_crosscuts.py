@@ -173,6 +173,17 @@ def test_min_crosscut_beyond_the_recursion_limit():
     assert min_crosscut(h) == (k, frozenset(3 * i for i in range(k)))
 
 
+def test_min_crosscut_union_find_halves_its_paths():
+    from expansions import TripleSystem
+    # in the book with pages (i, k, k + 1), page i becomes the parent of the
+    # root of pages 0..i-1, so k sits at the foot of a chain of i links:
+    # walked whole for every page, that took 0.2 s at k = 2,000 and 2.6 s at
+    # 8,000, quadratic in k, where the halved walks take 0.02 s
+    k = 2000
+    h = TripleSystem.from_edges(k + 2, [(i, k, k + 1) for i in range(k)])
+    assert min_crosscut(h) == (1, frozenset({k}))
+
+
 def test_min_crosscut_solves_each_component_alone():
     from expansions import TripleSystem
     from helpers import random_system
