@@ -87,7 +87,7 @@ def _cmd_expand(args):
     from . import crosscuts, io
     graph = io.load_graph(args.graph)
     exp = crosscuts.expand(graph)
-    out = io.triples_to_json_dict(exp.system)
+    out = io.to_json_dict(exp.system)
     out["enlargement"] = [[u, v, w] for (u, v), w in sorted(exp.enlargement.items())]
     return out, False
 
@@ -95,12 +95,7 @@ def _cmd_expand(args):
 def _cmd_sigma(args):
     from . import crosscuts, io
     if _one_of(args, "graph", "triples") == "graph":
-        pair = crosscuts.best_crosscut_pair(io.load_graph(args.graph))
-        return {
-            "sigma": pair.weight,
-            "I": sorted(pair.independent),
-            "R": [list(e) for e in sorted(pair.uncovered)],
-        }, False
+        return crosscuts.best_crosscut_pair(io.load_graph(args.graph)).as_dict(), False
     found = crosscuts.min_crosscut(io.load_triples(args.triples))
     if found is None:
         return {"sigma": None, "witness": None}, False
@@ -121,7 +116,7 @@ def _cmd_lambda(args):
 def _cmd_complete_tree(args):
     from . import crosscuts, io
     tree, sigma = crosscuts._complete_forest_to_tree(io.load_graph(args.graph))
-    out = io.graph_to_json_dict(tree)
+    out = io.to_json_dict(tree)
     out["sigma"] = sigma
     return out, False
 
@@ -130,7 +125,7 @@ def _cmd_full_subgraph(args):
     from . import extraction, io
     system = io.load_triples(args.triples)
     result = extraction.full_subgraph(system, args.d)
-    out = io.triples_to_json_dict(result)
+    out = io.to_json_dict(result)
     out["removed"] = len(system.edges) - len(result.edges)
     return out, False
 
@@ -209,8 +204,8 @@ def _cmd_multicolor(args):
     if args.structured:
         budget = ramsey.DEFAULT_BUDGET_NODES if args.budget_nodes is None else args.budget_nodes
         s = 1 if args.s is None else args.s
-        result = ramsey.find_structured_multicoloring(assignment, args.m, s, budget,
-                                                      args.budget_ms)
+        result = ramsey.find_structured_multicoloring(assignment, args.m, s, budget_nodes=budget,
+                                                      budget_ms=args.budget_ms)
         out = {
             "status": result.status,
             "X": list(result.rows) if result.rows else None,
@@ -243,7 +238,7 @@ def _cmd_contains(args):
 def _cmd_construct(args):
     from . import io, search
     system = search.lower_bound_construction(args.n, args.core)
-    out = io.triples_to_json_dict(system)
+    out = io.to_json_dict(system)
     out["core_size"] = args.core
     return out, False
 
@@ -254,7 +249,8 @@ def _cmd_turan(args):
         forbidden = io.load_triples(args.pattern)
     else:
         forbidden = crosscuts.expand(io.load_graph(args.expansion_of)).system
-    result = search.turan_number(args.n, forbidden, args.budget_ms, args.budget_nodes)
+    result = search.turan_number(args.n, forbidden, budget_ms=args.budget_ms,
+                                budget_nodes=args.budget_nodes)
     return result.as_dict(), not result.exact
 
 
@@ -262,7 +258,7 @@ def _cmd_audit_theorem1(args):
     from . import io, search
     forest = io.load_graph(args.graph)
     report = search.audit_forest_bound(forest, _int_list(args.n_list),
-                                       args.budget_ms, args.budget_nodes)
+                                       budget_ms=args.budget_ms, budget_nodes=args.budget_nodes)
     return report, any(row.get("turan") and not row["turan"]["exact"]
                        for row in report["rows"])
 

@@ -141,6 +141,11 @@ class CrosscutPair(Record):
     def weight(self) -> int:
         return len(self.independent) + len(self.uncovered)
 
+    def as_dict(self) -> dict:
+        """The sigma report: the weight, then I and R sorted."""
+        return {"sigma": self.weight, "I": sorted(self.independent),
+                "R": [list(e) for e in sorted(self.uncovered)]}
+
     @staticmethod
     def of(graph: Graph, independent: Iterable[int]) -> "CrosscutPair":
         ind, uncovered = frozenset(independent), []
@@ -416,10 +421,4 @@ def crosscut_audit(tree: Graph) -> dict:
                   f"bound ell - lambda = {degree_bound}" if r_edges
                   else "R is empty; bound is vacuous",
     }]
-    return {
-        "sigma": pair.weight,
-        "I": sorted(pair.independent),
-        "R": [list(e) for e in r_edges],
-        "lambda": lam,
-        "checks": checks,
-    }
+    return {**pair.as_dict(), "lambda": lam, "checks": checks}

@@ -65,9 +65,6 @@ class SetFamily(Record):
             raise ValueError("duplicate sets in family")
         return SetFamily(fam)
 
-    def __len__(self) -> int:
-        return len(self.sets)
-
 
 class Sunflower(Record):
     """Indices of family members whose pairwise intersections all equal core."""

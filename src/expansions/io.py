@@ -15,7 +15,8 @@ import reprlib
 from .core import Graph, TripleSystem
 
 
-def _parse_text(text: str, cls: type[Graph | TripleSystem]) -> Graph | TripleSystem:
+def parse_text(text: str, cls: type[Graph | TripleSystem]) -> Graph | TripleSystem:
+    """The graph or triple system (as cls says) written in the text format."""
     width, kind = cls._width, cls._kind
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
@@ -38,26 +39,14 @@ def _parse_text(text: str, cls: type[Graph | TripleSystem]) -> Graph | TripleSys
     return cls.from_edges(n, rows)
 
 
-def parse_graph_text(text: str) -> Graph:
-    return _parse_text(text, Graph)
-
-
-def parse_triples_text(text: str) -> TripleSystem:
-    return _parse_text(text, TripleSystem)
-
-
-def _to_text(system: Graph | TripleSystem) -> str:
+def to_text(system: Graph | TripleSystem) -> str:
     lines = [f"{system.n} {len(system.edges)}"]
     lines += [" ".join(map(str, e)) for e in system.sorted_edges()]
     return "\n".join(lines) + "\n"
 
 
-def _to_json_dict(system: Graph | TripleSystem) -> dict:
+def to_json_dict(system: Graph | TripleSystem) -> dict:
     return {"n": system.n, "edges": [list(e) for e in system.sorted_edges()]}
-
-
-graph_to_text = triples_to_text = _to_text
-graph_to_json_dict = triples_to_json_dict = _to_json_dict
 
 
 def read_json(path: str):
@@ -105,26 +94,19 @@ def json_list(obj: dict, key: str) -> list:
     return value
 
 
-def _from_json_dict(obj, cls: type[Graph | TripleSystem]) -> Graph | TripleSystem:
+def from_json_dict(obj, cls: type[Graph | TripleSystem]) -> Graph | TripleSystem:
+    """The graph or triple system (as cls says) of a decoded JSON mirror."""
     json_object(obj, f"{cls._kind} JSON", "n", "edges")
     n = json_int(obj["n"], f"{cls._kind} 'n'")
     return cls.from_edges(n, [int_list(e, f"{cls._kind} edge", cls._width)
                               for e in json_list(obj, "edges")])
 
 
-def graph_from_json_dict(obj: dict) -> Graph:
-    return _from_json_dict(obj, Graph)
-
-
-def triples_from_json_dict(obj: dict) -> TripleSystem:
-    return _from_json_dict(obj, TripleSystem)
-
-
 def _load(path: str, cls: type[Graph | TripleSystem]) -> Graph | TripleSystem:
     if path.endswith(".json"):
-        return _from_json_dict(read_json(path), cls)
+        return from_json_dict(read_json(path), cls)
     with open(path) as fh:
-        return _parse_text(fh.read(), cls)
+        return parse_text(fh.read(), cls)
 
 
 def load_graph(path: str) -> Graph:

@@ -175,8 +175,8 @@ class StructuredSearch(Record):
 
 
 def find_structured_multicoloring(
-    assignment: ListAssignment, m: int, s: int, budget_nodes: int | None = DEFAULT_BUDGET_NODES,
-    budget_ms: int | None = None,
+    assignment: ListAssignment, m: int, s: int, *,
+    budget_nodes: int | None = DEFAULT_BUDGET_NODES, budget_ms: int | None = None,
 ) -> StructuredSearch:
     """On some s-by-s subgrid: a rainbow list coloring, or m structured
     list colorings with pairwise disjoint color sets.

@@ -329,6 +329,7 @@ def _holds(pattern: TripleSystem, n: int, budget: Budget) -> tuple[list[Triple],
 def turan_number(
     n: int,
     forbidden: TripleSystem,
+    *,
     budget_ms: int | None = None,
     budget_nodes: int | None = None,
 ) -> TuranResult:
@@ -422,6 +423,7 @@ def turan_number(
 def audit_forest_bound(
     forest: Graph,
     ns: Iterable[int],
+    *,
     budget_ms: int | None = None,
     budget_nodes: int | None = None,
 ) -> dict:
@@ -454,7 +456,8 @@ def audit_forest_bound(
         row["count_matches"] = len(construction.edges) == bound
         row["free"] = contains_expansion(construction, forest) is None
         if n <= EXACT_MAX_N:
-            result = turan_number(n, expand(forest).system, budget_ms, budget_nodes)
+            result = turan_number(n, expand(forest).system, budget_ms=budget_ms,
+                                  budget_nodes=budget_nodes)
             row["turan"] = {"value": result.value, "exact": result.exact}
             denom = core * comb(n, 2)
             row["ratio"] = result.value / denom if denom else None

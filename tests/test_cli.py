@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import expansions
 from expansions import Graph, TripleSystem, expand
 from expansions.cli import main
-from expansions.io import graph_to_text, triples_to_text
+from expansions.io import to_text
 
 
 PATH2 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -23,7 +23,7 @@ PATH2 = Graph.from_edges(3, [(0, 1), (1, 2)])
 @pytest.fixture
 def path2_file(tmp_path):
     p = tmp_path / "path2.txt"
-    p.write_text(graph_to_text(PATH2))
+    p.write_text(to_text(PATH2))
     return str(p)
 
 
@@ -110,8 +110,8 @@ MALFORMED = {
 
 def write_grid_inputs(work):
     (work / "grid.txt").write_text(
-        graph_to_text(Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])))
-    (work / "host.txt").write_text(triples_to_text(TripleSystem.from_edges(
+        to_text(Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])))
+    (work / "host.txt").write_text(to_text(TripleSystem.from_edges(
         6, [(0, 2, 4), (0, 3, 5), (1, 2, 5), (1, 3, 4)])))
 
 
@@ -141,7 +141,7 @@ def test_sigma_on_graph_and_on_triples(capsys, tmp_path, path2_file):
     assert out["sigma"] == 1 and out["I"] == [1] and out["R"] == []
 
     tri = tmp_path / "h.txt"
-    tri.write_text(triples_to_text(expand(PATH2).system))
+    tri.write_text(to_text(expand(PATH2).system))
     code, out = run_json(capsys, ["sigma", "--triples", str(tri)])
     assert code == 0
     assert out["sigma"] == 1
@@ -159,28 +159,28 @@ def test_long_inputs_exit_zero(capsys, tmp_path):
     # rainbow grid: deeper than the recursion limit, so the searches must
     # run as loops
     path = tmp_path / "path.txt"
-    path.write_text(graph_to_text(Graph.from_edges(1200, [(i, i + 1) for i in range(1199)])))
+    path.write_text(to_text(Graph.from_edges(1200, [(i, i + 1) for i in range(1199)])))
     code, out = run_json(capsys, ["sigma", "--graph", str(path)])
     assert code == 0 and out["sigma"] == 600
     code, out = run_json(capsys, ["crosscut-audit", "--graph", str(path)])
     assert code == 0 and out["sigma"] == 600
     assert all(c["pass"] for c in out["checks"])
     cycle = tmp_path / "cycle.txt"
-    cycle.write_text(graph_to_text(
+    cycle.write_text(to_text(
         Graph.from_edges(1200, [(i, (i + 1) % 1200) for i in range(1200)])))
     code, out = run_json(capsys, ["sigma", "--graph", str(cycle)])
     assert code == 0 and out["sigma"] == 600
 
     k = 1100
     tri = tmp_path / "disjoint.txt"
-    tri.write_text(triples_to_text(TripleSystem.from_edges(
+    tri.write_text(to_text(TripleSystem.from_edges(
         3 * k, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)])))
     code, out = run_json(capsys, ["sigma", "--triples", str(tri)])
     assert code == 0 and out["sigma"] == k
 
     side = 32  # every cell of the grid has its own third vertex
     grid = tmp_path / "private_colors.txt"
-    grid.write_text(triples_to_text(TripleSystem.from_edges(
+    grid.write_text(to_text(TripleSystem.from_edges(
         2 * side + side * side,
         [(x, side + y, 2 * side + side * x + y) for x in range(side) for y in range(side)])))
     code, out = run_json(capsys, [
@@ -193,7 +193,7 @@ def test_long_inputs_exit_zero(capsys, tmp_path):
 def test_sigma_reports_absence(capsys, tmp_path):
     h = TripleSystem.from_edges(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
     tri = tmp_path / "tight.txt"
-    tri.write_text(triples_to_text(h))
+    tri.write_text(to_text(h))
     code, out = run_json(capsys, ["sigma", "--triples", str(tri)])
     assert code == 0
     assert out["sigma"] is None
@@ -213,7 +213,7 @@ def test_crosscut_audit_and_lambda(capsys, path2_file):
 
 def test_complete_tree(capsys, tmp_path):
     forest = tmp_path / "forest.txt"
-    forest.write_text(graph_to_text(Graph.from_edges(5, [(0, 1), (2, 3)])))
+    forest.write_text(to_text(Graph.from_edges(5, [(0, 1), (2, 3)])))
     code, out = run_json(capsys, ["complete-tree", "--graph", str(forest)])
     assert code == 0
     assert len(out["edges"]) == 4
@@ -237,7 +237,7 @@ def test_complete_tree_prints_the_crosscut_number_it_kept(capsys, tmp_path, monk
 
     monkeypatch.setattr(crosscuts, "_optimal_pair", counted)
     forest = tmp_path / "forest.txt"
-    forest.write_text(graph_to_text(Graph.from_edges(5, edges)))
+    forest.write_text(to_text(Graph.from_edges(5, edges)))
     code, out = run_json(capsys, ["complete-tree", "--graph", str(forest)])
     assert (code, out["sigma"], len(runs)) == (0, 2, dps)
 
@@ -245,7 +245,7 @@ def test_complete_tree_prints_the_crosscut_number_it_kept(capsys, tmp_path, monk
 def test_full_subgraph_command(capsys, tmp_path):
     h = TripleSystem.from_edges(6, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 5)])
     tri = tmp_path / "h.txt"
-    tri.write_text(triples_to_text(h))
+    tri.write_text(to_text(h))
     code, out = run_json(capsys, ["full-subgraph", "--triples", str(tri), "--d", "1"])
     assert code == 0
     assert out["edges"] == []
@@ -306,7 +306,7 @@ def test_lists_and_multicolor_commands(capsys, tmp_path):
     host = TripleSystem(6, frozenset(
         (a, b, c) for a in range(6) for b in range(a + 1, 6) for c in range(b + 1, 6)))
     tri = tmp_path / "full.txt"
-    tri.write_text(triples_to_text(host))
+    tri.write_text(to_text(host))
     code, out = run_json(capsys, ["lists", "--host", str(tri), "--x", "0,1", "--y", "2,3"])
     assert code == 0
     cell = next(row for row in out["lists"] if row["edge"] == [0, 2])
@@ -328,7 +328,7 @@ def test_multicolor_structured_budget_exit_three(capsys, tmp_path):
     host = TripleSystem(9, frozenset(
         (a, b, c) for a in range(9) for b in range(a + 1, 9) for c in range(b + 1, 9)))
     tri = tmp_path / "full9.txt"
-    tri.write_text(triples_to_text(host))
+    tri.write_text(to_text(host))
     code = main(["multicolor", "--host", str(tri), "--x", "0,1,2", "--y", "3,4,5",
                  "--m", "3", "--structured", "--s", "3", "--budget-nodes", "5", "--json"])
     out = json.loads(capsys.readouterr().out)
@@ -338,14 +338,14 @@ def test_multicolor_structured_budget_exit_three(capsys, tmp_path):
 
 def test_contains_commands(capsys, tmp_path, path2_file):
     host = tmp_path / "host.txt"
-    host.write_text(triples_to_text(TripleSystem.from_edges(5, [(0, 1, 2), (0, 3, 4)])))
+    host.write_text(to_text(TripleSystem.from_edges(5, [(0, 1, 2), (0, 3, 4)])))
     code, out = run_json(capsys, ["contains", "--host", str(host),
                                   "--expansion-of", path2_file])
     assert code == 0
     assert out["found"] and out["kind"] == "expansion"
 
     pattern = tmp_path / "pat.txt"
-    pattern.write_text(triples_to_text(TripleSystem.from_edges(3, [(0, 1, 2)])))
+    pattern.write_text(to_text(TripleSystem.from_edges(3, [(0, 1, 2)])))
     code, out = run_json(capsys, ["contains", "--host", str(host),
                                   "--pattern", str(pattern)])
     assert code == 0
@@ -374,6 +374,31 @@ def test_turan_command_and_budget_exit(capsys, path2_file):
     assert out["exact"] is False
 
 
+def test_turan_command_reads_a_pattern_file(capsys, tmp_path, path2_file):
+    # P2's expansion written out as triples gives the --expansion-of answer
+    pattern = tmp_path / "p2plus.txt"
+    pattern.write_text("5 2\n0 1 3\n1 2 4\n")
+    code, out = run_json(capsys, ["turan", "--n", "6", "--pattern", str(pattern)])
+    assert (code, out["value"], out["exact"]) == (0, 4, True)
+    code, by_graph = run_json(capsys, ["turan", "--n", "6", "--expansion-of", path2_file])
+    assert (code, by_graph["value"]) == (0, 4)
+
+
+def test_biclique_command_finds_and_misses(capsys, tmp_path):
+    # K2,2 inside the host, each edge listing the third vertex of its own triple
+    write_grid_inputs(tmp_path)
+    lists = tmp_path / "lists.json"
+    lists.write_text(json.dumps({"lists": [
+        {"edge": [0, 2], "set": [4]}, {"edge": [0, 3], "set": [5]},
+        {"edge": [1, 2], "set": [5]}, {"edge": [1, 3], "set": [4]}]}))
+    argv = ["biclique", "--grid", str(tmp_path / "grid.txt"), "--lists", str(lists),
+            "--host", str(tmp_path / "host.txt"), "--t"]
+    code, out = run_json(capsys, argv + ["2"])
+    assert (code, out) == (0, {"found": True, "X": [0, 1], "Y": [2, 3]})
+    code, out = run_json(capsys, argv + ["3"])
+    assert (code, out) == (0, {"found": False, "X": None, "Y": None})
+
+
 def test_audit_commands(capsys, path2_file):
     code, out = run_json(capsys, ["audit-theorem1", "--graph", path2_file,
                                   "--n-list", "4,5"])
@@ -392,7 +417,7 @@ def test_audit_commands(capsys, path2_file):
 def test_audit_jump_below_the_core_size_exits_two_with_one_line(tmp_path, capsys, edges, n, core):
     # P3 (crosscut number 2) and K4 (4): the core size comes from the graph, not the user
     graph = tmp_path / "graph.txt"
-    graph.write_text(graph_to_text(Graph.from_edges(4, edges)))
+    graph.write_text(to_text(Graph.from_edges(4, edges)))
     assert main(["audit-jump", "--graph", str(graph), "--n", str(n), "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: n must be at least the core size {core}, got {n}\n"
@@ -436,7 +461,7 @@ def test_multicolor_structured_honours_budget_ms(capsys, tmp_path):
     host = TripleSystem.from_edges(15, [(x, y, 12 + c) for x in xs for y in ys
                                         for c in range(3) if c != (x + y) % 3])
     tri = tmp_path / "two_of_three.txt"
-    tri.write_text(triples_to_text(host))
+    tri.write_text(to_text(host))
     argv = ["multicolor", "--host", str(tri), "--x", "0,1,2,3,4,5", "--y", "6,7,8,9,10,11",
             "--m", "3", "--structured", "--s", "2"]
     code, out = run_json(capsys, argv)
@@ -457,6 +482,19 @@ def test_human_output_renders_same_data(capsys, path2_file):
     text = capsys.readouterr().out
     assert "sigma: 1" in text
     assert "I: [1]" in text
+
+
+def test_human_output_renders_nested_reports(capsys, path2_file):
+    # a list of objects is a "key:" line with one "-" line per item, nested one step
+    assert main(["audit-theorem1", "--graph", path2_file, "--n-list", "4,5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "rows:" in lines and lines.count("  -") == 2
+    assert "    n: 4" in lines and "    turan:" in lines and "      exact: true" in lines
+    assert main(["crosscut-audit", "--graph", path2_file]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["sigma: 1", "I: [1]", "R: []"]
+    assert "checks:" in lines and lines.count("  -") == 3
+    assert '    name: "no_pendant_uncovered"' in lines
 
 
 def test_workers_flag_is_rejected(capsys, path2_file):
@@ -484,7 +522,7 @@ def test_multicolor_budget_flags_need_structured(capsys, tmp_path):
     # only the structured search reads a budget or a subgrid size: given
     # without it, a flag exits 2 rather than being ignored
     host = tmp_path / "host.txt"
-    host.write_text(triples_to_text(TripleSystem.from_edges(6, [(0, 2, 4), (0, 3, 5),
+    host.write_text(to_text(TripleSystem.from_edges(6, [(0, 2, 4), (0, 3, 5),
                                                                 (1, 2, 5), (1, 3, 4)])))
     argv = ["multicolor", "--host", str(host), "--x", "0,1", "--y", "2,3", "--m", "1"]
     for flags in (["--budget-ms", "0"], ["--budget-nodes", "0"],
@@ -502,7 +540,7 @@ def test_multicolor_budget_flags_need_structured(capsys, tmp_path):
 def test_negative_budgets_exit_two(capsys, path2_file, tmp_path):
     # a negative cap or deadline is invalid input, not a search stopped at its first node
     host = tmp_path / "host.txt"
-    host.write_text(triples_to_text(TripleSystem.from_edges(6, [(0, 2, 4), (0, 3, 5),
+    host.write_text(to_text(TripleSystem.from_edges(6, [(0, 2, 4), (0, 3, 5),
                                                                 (1, 2, 5), (1, 3, 4)])))
     turan = ["turan", "--n", "6", "--expansion-of", path2_file]
     for argv in (turan + ["--budget-nodes", "-5"], turan + ["--budget-ms", "-5"],

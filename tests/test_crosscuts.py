@@ -244,6 +244,15 @@ def test_crosscut_pair_of_validates_independence():
         assert pair.uncovered == frozenset(e for e in g.edges if not chosen.intersection(e))
 
 
+def test_crosscut_pair_renders_its_sigma_report():
+    pair = CrosscutPair(frozenset({5, 2}), frozenset({(3, 4), (0, 1)}))
+    assert pair.as_dict() == {"sigma": 4, "I": [2, 5], "R": [[0, 1], [3, 4]]}
+    # the audit extends the same report, its own keys after it
+    report = crosscut_audit(Graph.from_edges(8, BROOM_EDGES))
+    assert list(report) == ["sigma", "I", "R", "lambda", "checks"]
+    assert (report["sigma"], report["I"], report["R"]) == (3, [2, 5], [[0, 1]])
+
+
 def test_best_pair_weight_matches_subset_oracle():
     rng = random.Random(13)
     for _ in range(60):

@@ -99,6 +99,10 @@ def test_forests_include_edgeless_and_full_tree_extremes():
         assert edge_counts[n - 1] == TREE_COUNTS[n]  # spanning trees
 
 
+def test_forests_of_zero_vertices_is_the_empty_graph():
+    assert forests(0) == (Graph(0, frozenset()),)
+
+
 def test_generators_reject_negative():
     with pytest.raises(ValueError):
         trees(-1)

@@ -7,7 +7,8 @@ import pytest
 
 from expansions import (Graph, TripleSystem, audit_forest_bound, audit_sigma_jump,
                         contains, contains_expansion, crosscut_number, expand,
-                        lower_bound_construction, trees, triple_trees, turan_number)
+                        find_structured_multicoloring, lower_bound_construction, trees,
+                        triple_trees, turan_number)
 
 from expansions import search
 from expansions.core import Budget, BudgetExhausted
@@ -340,6 +341,21 @@ def test_turan_rejects_edgeless_pattern_that_fits():
     # an edgeless pattern too large to fit is a benign trivial instance
     result = turan_number(4, TripleSystem(9, frozenset()))
     assert result.value == 4 and result.exact
+
+
+def test_turan_rejects_a_negative_n():
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        turan_number(-1, expand(PATH2).system)
+
+
+def test_budgets_are_keyword_only():
+    # a bare number could be read as either budget, so each is named
+    with pytest.raises(TypeError):
+        turan_number(5, expand(PATH2).system, 100)
+    with pytest.raises(TypeError):
+        audit_forest_bound(PATH2, [5], 100)
+    with pytest.raises(TypeError):
+        find_structured_multicoloring(None, 1, 1, 100)
 
 
 def test_turan_budget_exhaustion_gives_flagged_lower_bound():
@@ -837,6 +853,13 @@ def test_audit_forest_bound_rejects_an_edgeless_forest():
     for forest in (Graph.from_edges(3, []), Graph.from_edges(0, [])):
         with pytest.raises(ValueError, match="audit expects a forest with at least one edge"):
             audit_forest_bound(forest, [3, 6])
+
+
+def test_audit_forest_bound_notes_a_core_larger_than_n():
+    m3 = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])  # crosscut number 3, core 2
+    report = audit_forest_bound(m3, [1])
+    assert report["core_size"] == 2
+    assert report["rows"] == [{"n": 1, "note": "core exceeds n; construction undefined"}]
 
 
 def test_audit_forest_bound_nontrivial_core():
