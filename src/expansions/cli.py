@@ -178,19 +178,17 @@ def _colorings(colorings) -> list:
     return [[[x, y, chi[(x, y)]] for (x, y) in sorted(chi)] for chi in colorings]
 
 
-def _lists_payload(assignment):
-    return [
-        {"edge": [x, y], "set": sorted(assignment.lists[(x, y)])}
-        for x in assignment.rows for y in assignment.cols
-    ]
+def _assignment(args):
+    from . import io, ramsey
+    host = io.load_triples(args.host)
+    return ramsey.build_list_assignment(host, _int_list(args.x), _int_list(args.y))
 
 
 def _cmd_lists(args):
-    from . import io, ramsey
-    host = io.load_triples(args.host)
-    assignment = ramsey.build_list_assignment(host, _int_list(args.x), _int_list(args.y))
+    assignment = _assignment(args)
     return {"X": list(assignment.rows), "Y": list(assignment.cols),
-            "lists": _lists_payload(assignment)}, False
+            "lists": [{"edge": [x, y], "set": sorted(assignment.lists[(x, y)])}
+                      for x in assignment.rows for y in assignment.cols]}, False
 
 
 def _cmd_multicolor(args):
@@ -198,9 +196,8 @@ def _cmd_multicolor(args):
         raise ValueError("--budget-ms and --budget-nodes bound the --structured search only")
     if not args.structured and args.s is not None:
         raise ValueError("--s sizes the subgrid of the --structured search only")
-    from . import io, ramsey
-    host = io.load_triples(args.host)
-    assignment = ramsey.build_list_assignment(host, _int_list(args.x), _int_list(args.y))
+    from . import ramsey
+    assignment = _assignment(args)
     if args.structured:
         budget = ramsey.DEFAULT_BUDGET_NODES if args.budget_nodes is None else args.budget_nodes
         s = 1 if args.s is None else args.s
@@ -358,24 +355,22 @@ def _usage() -> str:
     return "\n".join(lines)
 
 
-def _render(obj, indent=0) -> list[str]:
+def _render(obj: dict, indent=0) -> list[str]:
+    """A handler's dict, one line per key; a nested dict or list of dicts indents."""
     import json
     pad = "  " * indent
     lines = []
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            if isinstance(value, dict) and value:
-                lines.append(f"{pad}{key}:")
-                lines += _render(value, indent + 1)
-            elif isinstance(value, list) and value and isinstance(value[0], dict):
-                lines.append(f"{pad}{key}:")
-                for item in value:
-                    lines.append(f"{pad}  -")
-                    lines += _render(item, indent + 2)
-            else:
-                lines.append(f"{pad}{key}: {json.dumps(value)}")
-    else:
-        lines.append(f"{pad}{json.dumps(obj)}")
+    for key, value in obj.items():
+        if isinstance(value, dict) and value:
+            lines.append(f"{pad}{key}:")
+            lines += _render(value, indent + 1)
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            lines.append(f"{pad}{key}:")
+            for item in value:
+                lines.append(f"{pad}  -")
+                lines += _render(item, indent + 2)
+        else:
+            lines.append(f"{pad}{key}: {json.dumps(value)}")
     return lines
 
 

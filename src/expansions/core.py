@@ -251,24 +251,18 @@ def shadow(system: TripleSystem) -> Graph:
     return Graph(system.n, frozenset(system.pair_neighborhoods))
 
 
-def _check_vertices(system: TripleSystem, vertices: Iterable[int]) -> None:
-    for v in vertices:
-        if not (0 <= v < system.n):
-            raise ValueError(f"vertex {v} out of range for n={system.n}")
-
-
 def codegree(system: TripleSystem, x: int, y: int) -> int:
-    """Number of triples containing both x and y.  Rejects x == y."""
-    if x == y:
-        raise ValueError("codegree requires two distinct vertices")
-    _check_vertices(system, (x, y))
-    return len(system.pair_neighborhoods.get(canonical_edge(x, y), ()))
+    """Number of triples containing both x and y: the size of their neighborhood."""
+    return len(neighborhood(system, (x, y)))
 
 
 def neighborhood(system: TripleSystem, pair: Iterable[int]) -> frozenset[int]:
-    """Third vertices completing the pair to a triple of the system."""
+    """Third vertices completing the pair to a triple of the system.
+    Rejects a pair that is not two distinct vertices below n."""
     pair = tuple(pair)
-    if len(set(pair)) != 2:
-        raise ValueError(f"neighborhood requires a set of exactly two vertices, got {pair}")
-    _check_vertices(system, pair)
+    if len(pair) != 2 or pair[0] == pair[1]:
+        raise ValueError(f"expected two distinct vertices, got {pair}")
+    for v in pair:
+        if not (0 <= v < system.n):
+            raise ValueError(f"vertex {v} out of range for n={system.n}")
     return system.pair_neighborhoods.get(canonical_edge(*pair), frozenset())

@@ -26,13 +26,12 @@ from .core import Edge, Graph, Record, Triple, TripleSystem, canonical_edge
 
 
 class Expansion(Record):
-    """A graph together with its expansion triple system.
+    """A graph's expansion triple system and each edge's enlargement vertex.
 
-    Enlargement vertices are assigned in sorted edge order: the i-th edge
-    receives vertex base.n + i, so the layout is reproducible.
+    Enlargement vertices are assigned in sorted edge order: on a graph of n
+    vertices the i-th edge receives vertex n + i, so the layout is reproducible.
     """
 
-    base: Graph
     system: TripleSystem
     enlargement: dict[Edge, int]
 
@@ -41,7 +40,7 @@ def expand(graph: Graph) -> Expansion:
     edges = graph.sorted_edges()
     enlargement = {e: graph.n + i for i, e in enumerate(edges)}
     triples = frozenset((u, v, enlargement[(u, v)]) for u, v in edges)
-    return Expansion(graph, TripleSystem(graph.n + len(edges), triples), enlargement)
+    return Expansion(TripleSystem(graph.n + len(edges), triples), enlargement)
 
 
 def min_crosscut(system: TripleSystem) -> tuple[int, frozenset[int]] | None:

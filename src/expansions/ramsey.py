@@ -17,8 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import combinations
 
-from .core import (Budget, BudgetExhausted, Record, TripleSystem, canonical_edge,
-                   first_compatible, neighborhood)
+from .core import Budget, BudgetExhausted, Record, TripleSystem, canonical_edge, first_compatible
 
 MONOCHROMATIC = "monochromatic"
 RAINBOW = "rainbow"
@@ -104,18 +103,19 @@ class ListAssignment(Record):
 
 
 def build_list_assignment(host: TripleSystem, rows: Iterable[int], cols: Iterable[int]) -> ListAssignment:
-    """Lists from a host system: third vertices of each grid pair, minus
-    the grid's own vertices.  The sides follow the GridColoring rules, and
-    every grid pair must lie in the host shadow."""
+    """Lists from a host system: third vertices of each grid pair, read once
+    from its pair table, minus the grid's own vertices.  The sides follow
+    the GridColoring rules, and every grid pair must lie in the host shadow."""
     rows, cols = tuple(rows), tuple(cols)
     _check_sides(rows, cols)
     grid_vertices = set(rows) | set(cols)
     lists: dict[Cell, frozenset[int]] = {}
     for x in rows:
         for y in cols:
-            if canonical_edge(x, y) not in host.pair_neighborhoods:
+            thirds = host.pair_neighborhoods.get(canonical_edge(x, y))
+            if thirds is None:
                 raise ValueError(f"grid pair {(x, y)} is not in the shadow of the host")
-            lists[(x, y)] = neighborhood(host, (x, y)) - grid_vertices
+            lists[(x, y)] = thirds - grid_vertices
     return ListAssignment(rows, cols, lists)
 
 

@@ -228,6 +228,8 @@ def lower_bound_construction(n: int, core_size: int) -> TripleSystem:
     size at most the core, so patterns whose expansions have a larger
     crosscut number never embed.  Edge count: core_size * C(n-core_size, 2).
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if not (0 <= core_size <= n):
         raise ValueError("core size must be between 0 and n")
     return TripleSystem(n, frozenset((c, x, y) for c in range(core_size)

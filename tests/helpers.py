@@ -8,6 +8,7 @@ agreement is meaningful.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -355,6 +356,12 @@ def counter_turan(n: int, forbidden: TripleSystem, budget_ms=None, budget_nodes=
 
 
 # -------------------------------------------------- full subgraph oracle
+
+def pair_counts(system: TripleSystem) -> Counter:
+    """Each pair inside a triple, with the number of triples containing it:
+    its keys are the shadow's edges, its values the codegrees."""
+    return Counter(pair for e in system.edges for pair in combinations(e, 2))
+
 
 def recount_full_subgraph(system: TripleSystem, d: int) -> TripleSystem:
     """The loop extraction.full_subgraph ran before it kept its counts

@@ -16,10 +16,11 @@ from expansions import (AugmentedFamily, Graph, GridColoring, SetFamily,
                         contains, contains_expansion, crosscut_number, expand,
                         find_classified_subgrid, find_sunflower, forest_lambda,
                         forests, full_subgraph, lower_bound_construction,
-                        min_crosscut, select_disjoint_augmented, shadow,
+                        min_crosscut, select_disjoint_augmented,
                         tree_crosscut_number, trees, triple_trees, turan_number)
 
-from helpers import brute_is_tree, brute_subgrid_labels, brute_turan, random_system
+from helpers import (brute_is_tree, brute_subgrid_labels, brute_turan, pair_counts,
+                     random_system)
 
 
 def verdict(number: int, ok: bool, title: str, detail: str = ""):
@@ -121,9 +122,9 @@ def test_criterion_06_trimming_is_full_and_bounded():
         h = random_system(rng, n, rng.randint(0, 3 * n))
         d = rng.randint(1, 3)
         out = full_subgraph(h, d)
-        for count in out.pair_counts.values():
+        for count in pair_counts(out).values():
             assert count >= d + 1, (trial, d)
-        assert len(out.edges) >= len(h.edges) - d * len(shadow(h).edges), (trial, d)
+        assert len(out.edges) >= len(h.edges) - d * len(pair_counts(h)), (trial, d)
     assert verdict(6, True, "trimmed systems are (d+1)-full and lose at most "
                             "d edges per shadow pair", "500 seeded systems")
 

@@ -291,6 +291,20 @@ def test_classify_and_subgrid_commands(capsys, tmp_path):
     assert out["found"] and "monochromatic" in out["labels"]
 
 
+def test_ramsey_subgrid_reports_absence_and_a_smaller_find(capsys, tmp_path):
+    # the 2-by-2 grid carries no label, while its first 1-by-1 subgrid carries all four
+    coloring = tmp_path / "c.json"
+    coloring.write_text(json.dumps({
+        "X": [0, 1], "Y": [2, 3],
+        "edges": [[0, 2, 1], [0, 3, 2], [1, 2, 2], [1, 3, 3]],
+    }))
+    argv = ["ramsey-subgrid", "--coloring", str(coloring), "--s"]
+    code, out = run_json(capsys, argv + ["2"])
+    assert (code, out) == (0, {"found": False, "X": None, "Y": None, "labels": None})
+    code, out = run_json(capsys, argv + ["1"])
+    assert (code, out["found"], out["X"], out["Y"]) == (0, True, [0], [2])
+
+
 def test_classify_reports_none(capsys, tmp_path):
     coloring = tmp_path / "c.json"
     coloring.write_text(json.dumps({
@@ -324,6 +338,23 @@ def test_lists_and_multicolor_commands(capsys, tmp_path):
     assert out["status"] == "found"
 
 
+def test_grid_side_that_is_not_integers_exits_two_with_one_line(capsys, tmp_path):
+    write_grid_inputs(tmp_path)
+    assert main(["lists", "--host", str(tmp_path / "host.txt"), "--x", "0,a", "--y", "2"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: expected comma-separated integers, "
+                                                "got '0,a'\n")
+
+
+def test_multicolor_reports_absence(capsys, tmp_path):
+    # the K2,2 grid of the biclique host: each cell lists one third vertex,
+    # too few for five rounds
+    write_grid_inputs(tmp_path)
+    code, out = run_json(capsys, ["multicolor", "--host", str(tmp_path / "host.txt"),
+                                  "--x", "0,1", "--y", "2,3", "--m", "5"])
+    assert (code, out) == (0, {"found": False, "colorings": None})
+
+
 def test_multicolor_structured_budget_exit_three(capsys, tmp_path):
     host = TripleSystem(9, frozenset(
         (a, b, c) for a in range(9) for b in range(a + 1, 9) for c in range(b + 1, 9)))
@@ -353,6 +384,12 @@ def test_contains_commands(capsys, tmp_path, path2_file):
 
     assert main(["contains", "--host", str(host)]) == 2
 
+    # four triples cannot fit in a host of two
+    pattern.write_text(to_text(TripleSystem.from_edges(
+        6, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)])))
+    code, out = run_json(capsys, ["contains", "--host", str(host), "--pattern", str(pattern)])
+    assert (code, out) == (0, {"found": False, "map": None, "kind": None})
+
 
 def test_construct_command(capsys):
     code, out = run_json(capsys, ["construct", "--n", "6", "--core", "1"])
@@ -360,6 +397,11 @@ def test_construct_command(capsys):
     assert len(out["edges"]) == 10
     assert out["core_size"] == 1
     assert main(["construct", "--n", "3", "--core", "5"]) == 2
+    # core 0 fits every n >= 0, so a negative n is blamed on n
+    assert main(["construct", "--n", "-1", "--core", "0"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: core size must be between 0 and n\n"
+                                                "error: n must be nonnegative\n")
 
 
 def test_turan_command_and_budget_exit(capsys, path2_file):
@@ -397,6 +439,18 @@ def test_biclique_command_finds_and_misses(capsys, tmp_path):
     assert (code, out) == (0, {"found": True, "X": [0, 1], "Y": [2, 3]})
     code, out = run_json(capsys, argv + ["3"])
     assert (code, out) == (0, {"found": False, "X": None, "Y": None})
+
+
+def test_biclique_with_lists_of_two_sizes_exits_two_with_one_line(capsys, tmp_path):
+    write_grid_inputs(tmp_path)
+    lists = tmp_path / "lists.json"
+    lists.write_text(json.dumps({"lists": [
+        {"edge": [0, 2], "set": [4]}, {"edge": [0, 3], "set": [4, 5]},
+        {"edge": [1, 2], "set": [5]}, {"edge": [1, 3], "set": [4]}]}))
+    assert main(["biclique", "--grid", str(tmp_path / "grid.txt"), "--lists", str(lists),
+                 "--host", str(tmp_path / "host.txt"), "--t", "2"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: all edge lists must have the same size\n")
 
 
 def test_audit_commands(capsys, path2_file):

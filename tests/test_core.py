@@ -1,6 +1,5 @@
 import random
 import re
-from collections import Counter
 from functools import cached_property
 from itertools import combinations
 
@@ -16,7 +15,7 @@ from expansions.core import Budget, BudgetExhausted, Record, _walk
 from expansions.search import _host_masks
 
 from helpers import (brute_components, brute_is_forest, brute_smaller_twins, brute_two_coloring,
-                     random_forest, random_graph, random_system)
+                     pair_counts, random_forest, random_graph, random_system)
 
 
 def test_canonical_edge_orders_and_rejects_loops():
@@ -114,7 +113,7 @@ def test_hosts_keep_one_pair_table():
     find_biclique_avoiding_lists(grid, lists, 1, host)
     assert (codegree(host, 0, 2), shadow(host).n) == (1, 8)
     assert list(vars(host)) == ["n", "edges", "pair_neighborhoods"]
-    assert host.pair_counts == Counter(p for e in host.edges for p in combinations(e, 2))
+    assert host.pair_counts == pair_counts(host)
     assert list(vars(host)) == ["n", "edges", "pair_neighborhoods"]
 
 
@@ -154,17 +153,20 @@ def test_neighborhood_third_vertices():
     assert neighborhood(h, (0, 1)) == frozenset({2, 3})
     assert neighborhood(h, (1, 0)) == frozenset({2, 3})
     assert neighborhood(h, (0, 4)) == frozenset()
-    with pytest.raises(ValueError):
-        neighborhood(h, (1, 1))
+    # a repeated vertex, or a third one, is not a pair
+    for pair in ((1, 1), (0, 1, 1), (0, 1, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"expected two distinct vertices, got {pair}")):
+            neighborhood(h, pair)
 
 
 def check_codegree_double_count(system):
     # each triple contributes its three vertex pairs once
-    total = sum(system.pair_counts.values())
+    counts = pair_counts(system)
+    total = sum(counts.values())
     assert total == 3 * len(system.edges)
     for x, y in combinations(range(system.n), 2):
         direct = sum(1 for e in system.edges if x in e and y in e)
-        assert codegree(system, x, y) == direct
+        assert codegree(system, x, y) == direct == counts[(x, y)]
 
 
 def test_codegree_double_counting_random_sweep():
@@ -238,7 +240,6 @@ def test_two_coloring_colors_each_component_from_its_smallest_vertex():
     assert _walk(graph.neighbours())[1] == (0, 0, 0, 0, 1, 1, 1)
 
 
-PATH = Graph(3, frozenset({(0, 1), (1, 2)}))
 PATH_PLUS = TripleSystem(5, frozenset({(0, 1, 3), (1, 2, 4)}))
 
 # every value class: its fields in declaration order, and fields its
@@ -248,7 +249,7 @@ VALUE_CLASSES = [
      ({"n": 2, "edges": frozenset({(0, 2)})}, "bad edge \\(0, 2\\) for n=2")),
     (TripleSystem, {"n": 5, "edges": frozenset({(0, 1, 3), (1, 2, 4)})},
      ({"n": -1, "edges": frozenset()}, "vertex count must be nonnegative")),
-    (Expansion, {"base": PATH, "system": PATH_PLUS, "enlargement": {(0, 1): 3, (1, 2): 4}}, None),
+    (Expansion, {"system": PATH_PLUS, "enlargement": {(0, 1): 3, (1, 2): 4}}, None),
     (CrosscutPair, {"independent": frozenset({1}), "uncovered": frozenset()}, None),
     (EmbeddingCertificate, {"mapping": {0: 2, 1: 0}, "kind": "direct"}, None),
     (TuranResult, {"n": 5, "value": 4, "exact": True, "witness": ((0, 1, 2), (0, 1, 3)),

@@ -6,12 +6,11 @@ import pytest
 
 from expansions import (AugmentedFamily, Graph, SetFamily, Sunflower, TripleSystem,
                         expand, find_biclique_avoiding_lists, find_sunflower,
-                        full_subgraph, select_disjoint_augmented,
-                        shadow, sunflower_threshold)
+                        full_subgraph, select_disjoint_augmented, sunflower_threshold)
 
 from expansions.core import first_compatible
 from expansions.extraction import _sunflower
-from helpers import (brute_rich_subsystems, random_system, recount_full_subgraph,
+from helpers import (brute_rich_subsystems, pair_counts, random_system, recount_full_subgraph,
                      recount_sunflower, recursive_y_completion)
 
 
@@ -19,10 +18,10 @@ from helpers import (brute_rich_subsystems, random_system, recount_full_subgraph
 
 def check_full(original, result, d):
     assert result.edges <= original.edges
-    for count in result.pair_counts.values():
+    for count in pair_counts(result).values():
         assert count >= d + 1
     lost = len(original.edges) - len(result.edges)
-    assert lost <= d * len(shadow(original).edges)
+    assert lost <= d * len(pair_counts(original))
 
 
 def test_full_subgraph_small_example():

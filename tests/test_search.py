@@ -348,6 +348,14 @@ def test_turan_rejects_a_negative_n():
         turan_number(-1, expand(PATH2).system)
 
 
+def test_construction_rejects_a_negative_n_before_the_core():
+    # core 0 is within every n >= 0, so the message must blame n
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        lower_bound_construction(-1, 0)
+    with pytest.raises(ValueError, match="^core size must be between 0 and n$"):
+        lower_bound_construction(3, 4)
+
+
 def test_budgets_are_keyword_only():
     # a bare number could be read as either budget, so each is named
     with pytest.raises(TypeError):
